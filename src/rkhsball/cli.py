@@ -18,6 +18,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 
@@ -252,6 +253,8 @@ def read_data_csv(path: str) -> Dataset:
                 vals = [float(cell) for cell in row]
             except ValueError as exc:
                 raise InputError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in vals):
+                raise InputError(f"{path}: line {lineno}: non-finite value (NaN or inf)")
             xs.append(vals[:d])
             ys.append(vals[d])
     if not xs:

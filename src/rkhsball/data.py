@@ -34,6 +34,8 @@ class Dataset:
             raise InputError(f"covariate shape {x.shape} does not match {y.shape[0]} responses")
         if x.shape[0] < 1:
             raise InputError("dataset must contain at least one point")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InputError("covariates and responses must be finite (found NaN or inf)")
         if self.c is not None and not self.c > 0:
             raise InputError(f"clip bound must be positive, got {self.c}")
         if self.sigma is not None and not self.sigma > 0:

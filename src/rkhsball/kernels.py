@@ -51,6 +51,7 @@ class GaussianKernel:
             raise InputError(f"kernel width must be positive, got {self.gamma}")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise InputError(f"dimension must be a positive integer, got {self.dim}")
+        _diag_value(self.gamma, self.dim)
 
     @property
     def diag_sup(self) -> float:
@@ -99,6 +100,17 @@ class PrecomputedKernel:
 Kernel = GaussianKernel | PrecomputedKernel
 
 
+def _diag_value(gamma: float, dim: int) -> float:
+    # gamma**(-dim) overflows for small widths in high dimension (1e-3, 200).
+    try:
+        value = float(gamma) ** (-dim)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"kernel scale gamma**(-d) overflows for width {gamma} and dimension {dim}")
+    return value
+
+
 def gaussian_eval(gamma: float, dim: int, x1, x2) -> float:
     """Evaluate the scaled Gaussian kernel at a pair of points.
 
@@ -123,7 +135,7 @@ def gaussian_eval(gamma: float, dim: int, x1, x2) -> float:
     if a.shape != (dim,) or b.shape != (dim,):
         raise InputError(f"points must have dimension {dim}, got shapes {a.shape} and {b.shape}")
     sq = float(np.sum((a - b) ** 2))
-    return gamma ** (-dim) * math.exp(-sq / gamma**2)
+    return _diag_value(gamma, dim) * math.exp(-sq / gamma**2)
 
 
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,8 +179,16 @@ def cross_gram(kernel: Kernel, x_train, x_new) -> np.ndarray:
         raise InputError("cross-evaluation is not available for precomputed kernels")
     a = _as_points(x_new, kernel.dim)
     b = _as_points(x_train, kernel.dim)
-    sq = _pairwise_sq_dists(a, b)
-    return kernel.gamma ** (-kernel.dim) * np.exp(-sq / kernel.gamma**2)
+    # The holdout matrix is large (10 000 x n), so it is built in one buffer.
+    out = a @ b.T
+    out *= -2.0
+    out += np.sum(a * a, axis=1)[:, None]
+    out += np.sum(b * b, axis=1)[None, :]
+    np.maximum(out, 0.0, out=out)
+    out /= -kernel.gamma**2
+    np.exp(out, out=out)
+    out *= kernel.gamma ** (-kernel.dim)
+    return out
 
 
 def family_sup_distance_bound(gamma: float, eta: float) -> float:

@@ -76,6 +76,43 @@ def pgd_constrained_loss(k, y, r, iters=60000, tol=1e-15):
     return float(np.mean((k @ a - y) ** 2))
 
 
+def bisect_mu(ge, r, n, max_doublings=200, max_bisections=200, width_rtol=1e-14):
+    """Doubling-plus-bisection oracle for the ball multiplier ``mu``.
+
+    Brackets the root of ``phi(mu) = r**2`` by doubling ``mu`` from 1 and then
+    bisects until the bracket is ``width_rtol`` wide relative to ``mu``, with
+    no early exit on the constraint value, so the result is accurate to about
+    ``width_rtol`` relative.  Returns 0 when ``r`` reaches the interpolation
+    radius ``ge.rho``.
+    """
+    if r >= ge.rho:
+        return 0.0
+    d = ge.values[: ge.rank]
+    c = ge.proj[: ge.rank]
+
+    def phi(mu):
+        return float(np.sum(d * c**2 / (d + n * mu) ** 2))
+
+    target = r * r
+    hi = 1.0
+    for _ in range(max_doublings):
+        if phi(hi) < target:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("failed to bracket the constraint multiplier")
+    lo = 0.0
+    for _ in range(max_bisections):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= width_rtol * mid:
+            return 0.5 * (lo + hi)
+    raise RuntimeError("constraint multiplier bisection did not converge")
+
+
 def naive_fixed_criterion(preds, radii, tau, nu, n):
     """Plain-loop evaluation of the radius-selection criterion.
 

@@ -52,6 +52,21 @@ class TestFit:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, capsys, value):
+        bad = _data_csv(tmp_path / "bad.csv", [[0.0, 1.0], [0.5, value], [0.7, 0.2]])
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"data": bad, "r": 1.0}))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: line 3" in err and "non-finite" in err
+
+    def test_width_overflow_rejected(self, tmp_path, capsys):
+        data = _data_csv(tmp_path / "d.csv", [[0.5] * 200 + [1.0]], d=200)
+        cfg = _write(tmp_path / "cfg.json",
+                     json.dumps({"data": data, "r": 1.0, "kernel": {"gamma": 1e-3}}))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
     def test_missing_r(self, tmp_path, unit_data):
         cfg = _write(tmp_path / "cfg.json", json.dumps({"data": unit_data}))
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    bisect_mu,
     conditioned_instance,
     pgd_constrained_loss,
     random_instance,
     stable_radius_scale,
 )
+from rkhsball import estimator
+from rkhsball.data import Dataset
 from rkhsball.errors import InputError, NumericalError
 from rkhsball.estimator import (
+    GramEigen,
     clip,
     eigen_gram,
     empirical_sq_distance,
@@ -22,6 +28,19 @@ from rkhsball.estimator import (
 from rkhsball.kernels import GaussianKernel, gram
 
 K1 = np.array([[1.0]])
+
+
+def synthetic_eigen(values, proj):
+    """GramEigen with the given spectrum; the solver never reads the vectors."""
+    rank = int(np.count_nonzero(values > 0))
+    rho = math.sqrt(float(np.sum(proj[:rank] ** 2 / values[:rank])))
+    return GramEigen(vectors=np.zeros((0, 0)), values=values, rank=rank, proj=proj, rho=rho)
+
+
+def constraint_value(ge, mu, n):
+    d = ge.values[: ge.rank]
+    c = ge.proj[: ge.rank]
+    return float(np.sum(d * c**2 / (d + n * mu) ** 2))
 
 
 class TestEigenGram:
@@ -88,6 +107,92 @@ class TestMuOfR:
         radii = np.linspace(0.05, max(ge.rho, 1.0), 12)
         mus = [mu_of_r(ge, r, ge.n) for r in radii]
         assert all(a >= b - 1e-12 for a, b in zip(mus, mus[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 5, 60, 2000]),
+           top=st.floats(-4.0, 4.0), decades=st.floats(0.0, 12.0),
+           proj_decades=st.floats(0.0, 6.0), frac=st.floats(-9.0, -1e-9))
+    def test_matches_bisection_oracle(self, seed, n, top, decades, proj_decades, frac):
+        # Spectra spread over up to 12 decades; rank 7 at n = 2000 as in the
+        # low-rank Grams of d = 1 data.  r = rho * (1 - 10**frac).
+        rng = np.random.default_rng(seed)
+        rank = 7 if n == 2000 else int(rng.integers(1, n + 1))
+        values = np.zeros(n)
+        values[:rank] = np.sort(10.0 ** (top - decades * rng.uniform(size=rank)))[::-1]
+        proj = rng.normal(size=n) * 10.0 ** (proj_decades * rng.uniform(-0.5, 0.5, size=n))
+        ge = synthetic_eigen(values, proj)
+        r = ge.rho * (1.0 - 10.0**frac)
+        mu = mu_of_r(ge, r, n)  # raises NumericalError past the iteration cap
+        assert mu > 0
+        assert abs(constraint_value(ge, mu, n) - r * r) <= 1e-10 * r * r
+        if r <= (1.0 - 1e-6) * ge.rho:
+            ref = bisect_mu(ge, r, n)
+            assert abs(mu - ref) <= 1e-8 * ref
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        values = np.array([1.0, 1e-6, 1e-12])
+        ge = synthetic_eigen(values, np.array([1.0, 1.0, 1.0]))
+        monkeypatch.setattr(estimator, "MU_MAX_ITER", 1)
+        with pytest.raises(NumericalError):
+            mu_of_r(ge, 0.5 * ge.rho, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a=st.floats(1e-3, 1e3),
+           frac=st.floats(0.01, 0.99))
+    def test_response_scaling_leaves_mu_unchanged(self, seed, a, frac):
+        # (y, r) -> (a y, a r) scales the coefficients by a and keeps mu.
+        _, k, _, y = random_instance(np.random.default_rng(seed), n_max=25)
+        ge, ge_a = eigen_gram(k, y), eigen_gram(k, a * y)
+        if ge.rank == 0:
+            return
+        r = frac * ge.rho
+        fit = fit_constrained(k, y, r, eigen=ge)
+        fit_a = fit_constrained(k, a * y, a * r, eigen=ge_a)
+        assert abs(fit_a.mu - fit.mu) <= 1e-8 * fit.mu
+        scale = np.abs(fit.coeffs).max()
+        assert np.abs(fit_a.coeffs - a * fit.coeffs).max() <= 1e-8 * a * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           fracs=st.lists(st.floats(0.01, 2.0), min_size=2, max_size=12))
+    def test_h_norm_is_min_of_r_and_rho(self, seed, fracs):
+        _, k, _, y = random_instance(np.random.default_rng(seed), n_max=25)
+        ge = eigen_gram(k, y)
+        radii = sorted(f * max(ge.rho, 1e-3) for f in fracs)
+        norms = [fit_constrained(k, y, r, eigen=ge).h_norm for r in radii]
+        for r, h in zip(radii, norms):
+            assert abs(h - min(r, ge.rho)) <= 1e-9 * min(r, ge.rho)
+        assert all(a <= b * (1.0 + 1e-9) for a, b in zip(norms, norms[1:]))
+
+    def test_tiny_radius(self):
+        # The Newton slope underflows near r = 1e-150; mu -> sqrt(S) / (n r).
+        ge = synthetic_eigen(np.array([2.0, 0.5]), np.array([1.0, -3.0]))
+        r = 1e-150
+        s = float(np.sum(ge.values * ge.proj**2))
+        assert mu_of_r(ge, r, 2) == pytest.approx(math.sqrt(s) / (2 * r), rel=1e-8)
+
+    def test_non_finite_rho_rejected(self):
+        ge = GramEigen(vectors=np.eye(1), values=np.array([1.0]), rank=1,
+                       proj=np.array([np.nan]), rho=math.nan)
+        with pytest.raises(NumericalError):
+            mu_of_r(ge, 1.0, 1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_constraint_rejected(self):
+        ge = GramEigen(vectors=np.eye(2), values=np.array([1.0, 0.5]), rank=2,
+                       proj=np.array([1.0, np.inf]), rho=2.0)
+        with pytest.raises(NumericalError):
+            mu_of_r(ge, 1.0, 2)
+
+    def test_nan_response_raises(self):
+        k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
+        y = np.array([0.1, np.nan, 0.3, 0.2, 0.0])
+        with pytest.raises(NumericalError):
+            fit_constrained(k, y, 0.5)
+        with pytest.raises(InputError):
+            Dataset(x=np.linspace(0, 1, 5), y=y)
+        with pytest.raises(InputError):
+            Dataset(x=[0.0, np.inf], y=[1.0, 2.0])
 
 
 class TestFitConstrained:

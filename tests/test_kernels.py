@@ -39,6 +39,13 @@ class TestGaussianEval:
         with pytest.raises(InputError):
             gaussian_eval(1.0, 2, [0.0], [1.0, 2.0])
 
+    def test_scale_overflow_rejected(self):
+        with pytest.raises(InputError):
+            gaussian_eval(1e-3, 200, np.zeros(200), np.zeros(200))
+        with pytest.raises(InputError):
+            GaussianKernel(gamma=1e-3, dim=200)
+        assert GaussianKernel(gamma=1e-3, dim=40).diag_sup == pytest.approx(1e120)
+
     def test_nonpositive_width(self):
         with pytest.raises(InputError):
             gaussian_eval(0.0, 1, [0.0], [1.0])
@@ -77,9 +84,33 @@ class TestGram:
             w = np.linalg.eigvalsh(k)
             assert w.min() >= -1e-10 * max(w.max(), 0.0)
 
+    def test_matches_unfused_formula_bytewise(self, rng):
+        for _ in range(20):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            gamma = float(rng.uniform(0.3, 3.0))
+            x = rng.uniform(size=(n, d))
+            x2 = np.sum(x * x, axis=1)
+            sq = np.maximum(x2[:, None] + x2[None, :] - 2.0 * (x @ x.T), 0.0)
+            k = gamma ** (-d) * np.exp(-sq / gamma**2)
+            assert gram(GaussianKernel(gamma, d), x).tobytes() == (0.5 * (k + k.T)).tobytes()
+
     def test_diag_sup_exact(self):
         assert GaussianKernel(2.0, 3).diag_sup == 2.0 ** -3
         assert GaussianKernel(0.5, 2).diag_sup == 0.5 ** -2
+
+
+class TestCrossGram:
+    def test_matches_pointwise_eval(self, rng):
+        for _ in range(50):
+            d = int(rng.integers(1, 4))
+            gamma = float(rng.uniform(0.5, 2.0))
+            x_train = rng.uniform(size=(int(rng.integers(1, 8)), d))
+            x_new = rng.uniform(size=(int(rng.integers(1, 8)), d))
+            kx = cross_gram(GaussianKernel(gamma, d), x_train, x_new)
+            assert kx.shape == (x_new.shape[0], x_train.shape[0])
+            for j, b in enumerate(x_new):
+                for i, a in enumerate(x_train):
+                    assert kx[j, i] == pytest.approx(gaussian_eval(gamma, d, b, a), rel=1e-14)
 
 
 class TestPrecomputed:
