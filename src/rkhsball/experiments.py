@@ -66,6 +66,9 @@ RECORD_COLUMNS = ("replicate", "n", "gamma_hat", "r_hat", "err_adaptive",
 # is conservative by roughly an order of magnitude at desk-scale n.
 PRACTICAL_TAU_FACTOR = 8.0
 
+# Holdout kernel rows are evaluated in blocks of about this many entries (2 MB).
+HOLDOUT_BLOCK_ENTRIES = 2**18
+
 
 @dataclass(frozen=True)
 class RkhsTarget:
@@ -210,10 +213,18 @@ def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfi
     """Fresh-sample squared errors for a batch of coefficient vectors."""
     x_new = _sample_design(rng, n_test, scenario)
     g_new = scenario.target.evaluate(x_new)
-    preds = cross_gram(kernel, x_train, x_new) @ coeffs
+    # The (n_test x n) kernel matrix is built a block of rows at a time: a
+    # 10 000-row matrix freed on each of several pool threads leaves the
+    # process's peak memory dependent on thread timing and allocator state.
+    sq = np.empty((n_test, coeffs.shape[1]))
+    step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
+    for start in range(0, n_test, step):
+        np.matmul(cross_gram(kernel, x_train, x_new[start:start + step]), coeffs,
+                  out=sq[start:start + step])
     if c is not None:
-        preds = np.clip(preds, -c, c)
-    sq = (preds - g_new[:, None]) ** 2
+        np.clip(sq, -c, c, out=sq)
+    sq -= g_new[:, None]
+    sq *= sq
     means = sq.mean(axis=0)
     stderrs = sq.std(axis=0, ddof=1) / math.sqrt(n_test) if n_test > 1 else np.zeros(sq.shape[1])
     return means, stderrs

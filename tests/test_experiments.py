@@ -26,7 +26,7 @@ from rkhsball.experiments import (
     write_records_csv,
     write_summary_json,
 )
-from rkhsball.kernels import GaussianKernel, gaussian_eval, gram, width_grid
+from rkhsball.kernels import GaussianKernel, cross_gram, gaussian_eval, gram, width_grid
 from rkhsball.selection_fixed import radius_grid
 
 
@@ -148,6 +148,20 @@ class TestHoldout:
         err = holdout_sq_error(fit, kernel, x_train, scen, c=2.0, n_test=200000,
                                rng=replicate_rng(1, 0, stream=1))
         assert abs(err.mean - 1.0 / 3.0) <= 5.0 * err.stderr
+
+    def test_row_blocks_match_full_matrix(self):
+        # 40 training points put 20 001 holdout rows in four blocks, the last partial.
+        scen = default_scenario(n=40)
+        data = generate(scen, 0)
+        kernel = GaussianKernel(0.5, 1)
+        fit = fit_constrained(gram(kernel, data.x), data.y, 1.0)
+        err = holdout_sq_error(fit, kernel, data.x, scen, c=scen.c, n_test=20001,
+                               rng=replicate_rng(2, 0, stream=1))
+        x_new = replicate_rng(2, 0, stream=1).uniform(0.0, 1.0, size=(20001, 1))
+        preds = np.clip(cross_gram(kernel, data.x, x_new) @ fit.coeffs, -scen.c, scen.c)
+        sq = (preds - scen.target.evaluate(x_new)) ** 2
+        assert err.mean == pytest.approx(sq.mean(), rel=1e-12)
+        assert err.stderr == pytest.approx(sq.std(ddof=1) / math.sqrt(20001), rel=1e-12)
 
     def test_clipped_error_bounded(self):
         scen = default_scenario(n=10)
