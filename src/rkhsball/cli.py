@@ -348,7 +348,7 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     return [path]
 
 
-def _resolve_tau_fixed(cfg: dict, k_diag: float, theory_mode: bool) -> float:
+def _resolve_tau_fixed(cfg: dict, k_diag: float) -> float:
     if cfg["tau"] is not None:
         return float(cfg["tau"])
     return tau_min_fixed(k_diag, float(cfg["sigma"]))
@@ -357,7 +357,7 @@ def _resolve_tau_fixed(cfg: dict, k_diag: float, theory_mode: bool) -> float:
 def cmd_select(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "select"))
     kernel = GaussianKernel(gamma=float(cfg["kernel"]["gamma"]), dim=data.d)
-    tau = _resolve_tau_fixed(cfg, kernel.diag_sup, cfg["theory_mode"])
+    tau = _resolve_tau_fixed(cfg, kernel.diag_sup)
     gl = GLConfig(tau=tau, nu=float(cfg["nu"]), sigma=float(cfg["sigma"]),
                   k_diag=kernel.diag_sup, theory_mode=bool(cfg["theory_mode"]))
     grid = radius_grid(float(cfg["grid"]["a"]), float(cfg["grid"]["b"]), data.n)
@@ -537,7 +537,8 @@ def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
 
 
 def _echo_config(cfg: dict) -> dict:
-    return copy.deepcopy(cfg)
+    # ``threads`` is left out so that summaries are byte-identical at any thread count.
+    return {key: copy.deepcopy(val) for key, val in cfg.items() if key != "threads"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -166,6 +166,9 @@ def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> GaussSelectionResu
         ge = eigen_gram(k, data.y)
         fits.append([fit_constrained(k, data.y, r, eigen=ge, kernel_id=kernel.kernel_id)
                      for r in radii])
+        # Released before the next width's Gram matrix is built, so that only
+        # one Gram matrix and one decomposition are alive at a time.
+        del k, ge
     rows = gauss_gl_criterion(fits, cfg, data.n)
     best = min(range(len(rows)),
                key=lambda idx: (rows[idx].total, -rows[idx].gamma, rows[idx].r))

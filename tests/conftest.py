@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's solution paths: the
-constrained fit is checked against projected functional gradient descent, and
-the selection criteria against plain-Python double/quadruple loops.
+constrained fit is checked against projected functional gradient descent, the
+rank-adaptive decomposition against a full ``eigh``, and the selection
+criteria against plain-Python double/quadruple loops.
 """
 
 import math
@@ -10,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from rkhsball.errors import InputError, NumericalError
+from rkhsball.estimator import RANK_RTOL, GramEigen
 from rkhsball.kernels import GaussianKernel, gram
 
 
@@ -111,6 +114,42 @@ def bisect_mu(ge, r, n, max_doublings=200, max_bisections=200, width_rtol=1e-14)
         if hi - lo <= width_rtol * mid:
             return 0.5 * (lo + hi)
     raise RuntimeError("constraint multiplier bisection did not converge")
+
+
+def full_eigen_gram(k, y):
+    """Full-``eigh`` oracle for :func:`rkhsball.estimator.eigen_gram`.
+
+    Diagonalises the whole matrix and keeps every eigenpair (``values`` and
+    ``proj`` have length n), clipping eigenvalues below zero; ``rank`` counts
+    those above ``max(D) * n * RANK_RTOL``.
+    """
+    k = np.asarray(k, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise InputError(f"Gram matrix must be square, got shape {k.shape}")
+    n = k.shape[0]
+    if y.shape[0] != n:
+        raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
+    scale = float(np.abs(k).max()) if k.size else 0.0
+    asym = float(np.abs(k - k.T).max())
+    if asym > 1e-12 * (1.0 + scale):
+        raise NumericalError(f"Gram matrix asymmetric beyond tolerance ({asym:.3e})")
+    values, vectors = np.linalg.eigh(0.5 * (k + k.T))
+    order = np.argsort(values)[::-1]
+    values = values[order]
+    vectors = vectors[:, order]
+    top = float(values[0]) if n else 0.0
+    if n and float(values[-1]) < -1e-10 * max(top, 0.0):
+        raise NumericalError(f"Gram matrix not PSD: eigenvalue {float(values[-1]):.6e}")
+    values = np.maximum(values, 0.0)
+    threshold = top * n * RANK_RTOL
+    rank = int(np.count_nonzero(values > threshold))
+    proj = vectors.T @ y
+    if rank:
+        rho = math.sqrt(float(np.sum(proj[:rank] ** 2 / values[:rank])))
+    else:
+        rho = 0.0
+    return GramEigen(vectors=vectors, values=values, rank=rank, proj=proj, rho=rho)
 
 
 def naive_fixed_criterion(preds, radii, tau, nu, n):

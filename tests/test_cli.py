@@ -159,6 +159,24 @@ class TestRates:
         assert (out1 / "rates.csv").read_bytes() != (out2 / "rates.csv").read_bytes()
 
 
+class TestThreadCount:
+    @pytest.mark.parametrize("command, config", [
+        ("rates", {"scenario": {"n": 16, "replicates": 3, "holdout_size": 200,
+                                "master_seed": 4},
+                   "n_list": [8, 12, 16, 24], "selection": {"tau": 1.0}}),
+        ("majorant", {"scenario": {"n": 30, "replicates": 6}, "t": 1.0,
+                      "grid": {"a": 1.0, "b": 1.0}}),
+    ])
+    def test_summary_identical_across_threads(self, tmp_path, command, config):
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        name = f"{command}_summary.json"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestMajorant:
     def test_summary_fields(self, tmp_path):
         cfg = _write(tmp_path / "m.json", json.dumps({

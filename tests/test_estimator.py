@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     bisect_mu,
     conditioned_instance,
+    full_eigen_gram,
     pgd_constrained_loss,
     random_instance,
     stable_radius_scale,
@@ -26,6 +27,7 @@ from rkhsball.estimator import (
     rkhs_sq_distance,
 )
 from rkhsball.kernels import GaussianKernel, gram
+from rkhsball.selection_fixed import radius_grid
 
 K1 = np.array([[1.0]])
 
@@ -56,8 +58,9 @@ class TestEigenGram:
 
     def test_rank_one_two_by_two(self):
         ge = eigen_gram(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
-        assert np.allclose(ge.values, [2.0, 0.0], atol=1e-12)
-        assert ge.rank == 1
+        # Only the eigenpair above the rank threshold is stored.
+        assert np.allclose(ge.values, [2.0], atol=1e-12)
+        assert ge.rank == 1 and ge.vectors.shape == (2, 1)
         assert abs(ge.proj[0]) == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert ge.rho == pytest.approx(1.0, abs=1e-12)
 
@@ -81,6 +84,108 @@ class TestEigenGram:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             eigen_gram(K1, np.array([1.0, 2.0]))
+
+
+def smooth_instance(seed, n, d, gamma):
+    """Gaussian Gram and smooth-target responses on n uniform points."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(n, d))
+    y = np.sin(3.0 * x.sum(axis=1)) + 0.3 * rng.normal(size=n)
+    return gram(GaussianKernel(gamma, d), x), y
+
+
+class TestEigenGramPaths:
+    """The pivoted-Cholesky path and the full-eigh fallback against the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), d=st.integers(1, 3),
+           gamma=st.floats(0.1, 4.0))
+    def test_matches_full_eigh_oracle(self, seed, n, d, gamma):
+        k, y = smooth_instance(seed, n, d, gamma)
+        ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
+        assert ge.n == n and ge.vectors.shape == (n, ge.rank)
+        assert ge.values.shape == ge.proj.shape == (ge.rank,)
+        top = ref.values[0]
+        threshold = top * n * estimator.RANK_RTOL
+        # A Ritz value is at most its eigenvalue and at least that minus the
+        # Schur complement's norm, itself far below the threshold, so the
+        # ranks can differ only with an eigenvalue near the threshold.
+        if not np.any((ref.values > 0.5 * threshold) & (ref.values < 4.0 * threshold)):
+            assert ge.rank == ref.rank
+        if ge.rank != ref.rank:
+            return
+        assert np.all(np.abs(ge.values - ref.values[: ref.rank]) <= 1e-12 * top)
+        assert np.abs(ge.vectors.T @ ge.vectors - np.eye(ge.rank)).max() <= 1e-12
+        # Fits on the selection grid: fitted values to 1e-7 of the response
+        # scale, and kernel-section coefficients to 1e-4 of the radius in the
+        # function-space norm sqrt(dc^T K dc).
+        y_scale = float(np.abs(y).max())
+        for r in list(radius_grid(1.0, 0.5, n))[1:]:
+            fit = fit_constrained(k, y, r, eigen=ge)
+            oracle = fit_constrained(k, y, r, eigen=ref)
+            assert np.abs(fit.train_pred - oracle.train_pred).max() <= 1e-7 * y_scale
+            assert math.sqrt(max(rkhs_sq_distance(fit, oracle, k), 0.0)) <= 1e-4 * r
+
+    def test_low_rank_takes_the_cholesky_path(self):
+        k, y = smooth_instance(3, 200, 1, 1.0)
+        lt = estimator._pivoted_cholesky(k)[0]
+        ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
+        assert ge.rank == ref.rank < lt.shape[0] < 20
+        assert np.allclose(ge.values, ref.values[: ref.rank], rtol=0.0, atol=1e-12 * ref.values[0])
+
+    def test_near_full_rank_falls_back_to_full_eigh(self):
+        k, y = smooth_instance(5, 200, 3, 0.25)
+        assert estimator._pivoted_cholesky(k) is None
+        ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
+        assert ge.rank == ref.rank > 100
+        assert np.array_equal(ge.values, ref.values[: ref.rank])
+        assert np.array_equal(ge.vectors, ref.vectors[:, : ref.rank])
+        assert np.allclose(ge.proj, ref.proj[: ref.rank], rtol=0.0, atol=1e-12)
+        assert ge.rho == pytest.approx(ref.rho, rel=1e-12)
+
+    def test_rank_zero_keeps_n(self):
+        k = np.zeros((5, 5))
+        ge = eigen_gram(k, np.ones(5))
+        assert ge.rank == 0 and ge.n == 5 and ge.rho == 0.0
+        assert ge.vectors.shape == (5, 0) and ge.values.shape == ge.proj.shape == (0,)
+        fit = fit_constrained(k, np.ones(5), 1.0, eigen=ge)
+        assert fit.n == 5 and np.all(fit.coeffs == 0.0)
+
+    def test_single_point(self):
+        ge = eigen_gram(np.array([[3.0]]), np.array([-2.0]))
+        assert ge.n == 1 and ge.rank == 1 and ge.values[0] == 3.0
+        assert ge.rho == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-15)
+
+    def test_thin_storage_reports_n(self):
+        k, y = smooth_instance(8, 60, 1, 2.0)
+        ge = eigen_gram(k, y)
+        assert ge.rank < 15 and ge.n == 60 and ge.vectors.shape == (60, ge.rank)
+        assert fit_constrained(k, y, 1.0, eigen=ge).n == 60
+
+    @pytest.mark.parametrize("diag", [0.0, 1e-13])
+    def test_hidden_indefinite_block_rejected(self, diag):
+        # A rank-3 PSD part plus [[diag, a], [a, diag]] on two points: K has an
+        # eigenvalue near -a, yet its diagonal is that of the PSD part up to
+        # diag, so the Cholesky's residual trace drops below its stop after
+        # three pivots.  Only the Schur complement check sees the block.
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=(40, 3))
+        k = u @ u.T
+        k[0, 1] += 1e-3
+        k[1, 0] += 1e-3
+        k[0, 0] += diag
+        k[1, 1] += diag
+        assert estimator._pivoted_cholesky(k)[0].shape[0] == 3
+        with pytest.raises(NumericalError):
+            full_eigen_gram(k, np.ones(40))
+        with pytest.raises(NumericalError, match="Schur complement"):
+            eigen_gram(k, np.ones(40))
+
+    def test_negative_diagonal_rejected(self):
+        with pytest.raises(NumericalError):
+            eigen_gram(np.array([[-1.0]]), np.array([1.0]))
+        with pytest.raises(NumericalError):
+            eigen_gram(np.diag([1.0, 1.0, -1e-6]), np.ones(3))
 
 
 class TestMuOfR:
