@@ -40,6 +40,7 @@ from .experiments import (
     rate_experiment,
     replicate_seed,
     oracle_gap_check,
+    write_csv,
     write_records_csv,
     write_summary_json,
     _json_value,
@@ -307,22 +308,6 @@ def _build_settings(cfg: dict, theory_mode: bool) -> SelectionSettings:
         kernel_gamma=None if sel["kernel_gamma"] is None else float(sel["kernel_gamma"]))
 
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, float):
-                cells.append(format(cell, ".17g"))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _require(cfg: dict, key: str, command: str):
     if cfg.get(key) is None:
         raise InputError(f"{command} requires config key {key!r}")
@@ -363,9 +348,9 @@ def cmd_select(cfg: dict, out_dir: str) -> list[str]:
     grid = radius_grid(float(cfg["grid"]["a"]), float(cfg["grid"]["b"]), data.n)
     result = select_radius(data, kernel, grid, gl)
     crit_path = os.path.join(out_dir, "criterion.csv")
-    _write_csv(crit_path, ("r", "bias_proxy", "variance_term", "total"),
-               [(row.r, row.bias_proxy, row.variance_term, row.total)
-                for row in result.criterion])
+    write_csv(crit_path, ("r", "bias_proxy", "variance_term", "total"),
+              [(row.r, row.bias_proxy, row.variance_term, row.total)
+               for row in result.criterion])
     summary = {
         "r_hat": result.r_hat,
         "mu": result.fit_hat.mu,
@@ -398,9 +383,9 @@ def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
                               j_const=j_const, theory_mode=bool(cfg["theory_mode"]))
     result = select_width_radius(data, gauss_cfg)
     crit_path = os.path.join(out_dir, "criterion_gauss.csv")
-    _write_csv(crit_path, ("gamma", "r", "bias_proxy", "variance_term", "total"),
-               [(row.gamma, row.r, row.bias_proxy, row.variance_term, row.total)
-                for row in result.criterion])
+    write_csv(crit_path, ("gamma", "r", "bias_proxy", "variance_term", "total"),
+              [(row.gamma, row.r, row.bias_proxy, row.variance_term, row.total)
+               for row in result.criterion])
     summary = {
         "gamma_hat": result.gamma_hat,
         "r_hat": result.r_hat,
@@ -440,7 +425,7 @@ def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: in
     scenario = _build_scenario(cfg, seed_override)
     t = float(cfg["t"])
     grid = radius_grid(float(cfg["grid"]["a"]), float(cfg["grid"]["b"]), scenario.n)
-    reps = None if cfg["replicates"] is None else int(cfg["replicates"])
+    reps = cfg["replicates"]
     event = cfg["event"]
     if event == "majorant":
         report = majorant_event_check(scenario, grid, t, replicates=reps, threads=threads)
@@ -472,8 +457,7 @@ def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: in
 def cmd_oracle_gap(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
     scenario = _build_scenario(cfg, seed_override)
     settings = _build_settings(cfg, bool(cfg["theory_mode"]))
-    reps = None if cfg["replicates"] is None else int(cfg["replicates"])
-    report = oracle_gap_check(scenario, settings, replicates=reps,
+    report = oracle_gap_check(scenario, settings, replicates=cfg["replicates"],
                               threshold=float(cfg["threshold"]),
                               pass_fraction=float(cfg["pass_fraction"]), threads=threads)
     csv_path = os.path.join(out_dir, "oracle_gap.csv")
@@ -532,7 +516,7 @@ def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
                      fixed_kernel_risk_bound(k_diag, c, sigma, float(r), t, n, a_sq),
                      kernel_family_risk_bound(j_const, k_diag, c, sigma, float(r), t, n, a_sq)))
     path = os.path.join(out_dir, "bounds.csv")
-    _write_csv(path, ("r", "approx_sq", "fixed_risk_bound", "family_risk_bound"), rows)
+    write_csv(path, ("r", "approx_sq", "fixed_risk_bound", "family_risk_bound"), rows)
     return [path]
 
 

@@ -13,11 +13,16 @@ only when the interval's upper end sits below the theoretical floor
 ``1 - exp(-t)``.  Computable upper bounds stand in for the exact sup-norm
 approximation error; this only weakens the events, so the floor remains a
 necessary condition.
+
+Fits come from :func:`rkhsball.selection_fixed.fit_radius_path`.  Both majorant
+events are read off :func:`rkhsball.selection_fixed.comparison_excess`, the
+comparison the selection rules penalise, the fixed kernel as its one-width case.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,9 +32,12 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .estimator import eigen_gram, fit_constrained
 from .kernels import GaussianKernel, WidthGrid, chaining_constant_bound, cross_gram, gram
-from .selection_fixed import GLConfig, RadiusGrid, gl_criterion, radius_grid
+# ``gl_criterion`` is not called here; bench/test_bench.py patches it by this name.
+from .selection_fixed import (  # noqa: F401
+    GLConfig, RadiusGrid, comparison_excess, fit_radius_path, gl_criterion, radius_grid,
+    select_radius)
+from .selection_gauss import _penalty_scales
 from .theory import scaled_element_approx_bound
 
 __all__ = [
@@ -54,6 +62,7 @@ __all__ = [
     "oracle_gap_check",
     "quadform_tail_check",
     "wilson_interval",
+    "write_csv",
     "write_records_csv",
     "write_summary_json",
 ]
@@ -300,22 +309,34 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _require_rkhs_target(scenario: ScenarioConfig) -> RkhsTarget:
+def _event_inputs(scenario: ScenarioConfig, t: float,
+                  replicates: int | None) -> tuple[RkhsTarget, int]:
     if not isinstance(scenario.target, RkhsTarget):
         raise InputError("event checks need a target with a known space norm")
-    return scenario.target
+    if t < 1:
+        raise InputError(f"confidence level t must be at least 1, got {t}")
+    return scenario.target, _replicate_count(replicates, scenario.replicates)
 
 
-def _approx_upper(target: RkhsTarget, r: float) -> float:
+def _approx_upper(target: RkhsTarget, radii) -> np.ndarray:
+    """Computable squared approximation bound at each radius."""
     if target.h_norm == 0.0:
-        return 0.0
-    return scaled_element_approx_bound(target.h_norm, target.sup_bound, r)
+        return np.zeros(len(radii))
+    return np.asarray([scaled_element_approx_bound(target.h_norm, target.sup_bound, r)
+                       for r in radii])
 
 
-def _fit_radius_preds(data: Dataset, kernel, radii) -> np.ndarray:
-    k = gram(kernel, data.x)
-    ge = eigen_gram(k, data.y)
-    return np.stack([fit_constrained(k, data.y, r, eigen=ge).train_pred for r in radii])
+def _replicate_count(replicates: int | None, default: int | None = None, *,
+                     minimum: int = 1) -> int:
+    """The number of replicates to run: ``replicates``, else ``default``."""
+    reps = default if replicates is None else int(replicates)
+    if reps < minimum:
+        raise InputError(f"replicates must be at least {minimum}, got {reps}")
+    return reps
+
+
+def _path_preds(data: Dataset, kernel, radii) -> np.ndarray:
+    return np.stack([f.train_pred for f in fit_radius_path(data, kernel, radii)])
 
 
 def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
@@ -331,10 +352,7 @@ def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
 
     simultaneously over the grid.
     """
-    target = _require_rkhs_target(scenario)
-    if t < 1:
-        raise InputError(f"confidence level t must be at least 1, got {t}")
-    reps = scenario.replicates if replicates is None else replicates
+    target, reps = _event_inputs(scenario, t, replicates)
     kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
     k_diag = kernel.diag_sup
     radii = np.asarray(list(grid))
@@ -346,7 +364,7 @@ def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
     def one(i: int) -> bool:
         data = generate(scenario, i)
         g_vals = target.evaluate(data.x)
-        preds = _fit_radius_preds(data, kernel, radii)
+        preds = _path_preds(data, kernel, radii)
         lhs = np.mean((preds - shrink[:, None] * g_vals[None, :]) ** 2, axis=1)
         rhs = (20.0 * math.sqrt(k_diag) * scenario.sigma * radii * math.sqrt(t)
                / math.sqrt(data.n) + 4.0 * sup_sq)
@@ -364,25 +382,18 @@ def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *
         ||fit_r - fit_s||_n^2 <= 80*sqrt(k_diag)*sigma*(r+s)*sqrt(t)/sqrt(n)
                                  + 40 * approx_sq_upper(r).
     """
-    target = _require_rkhs_target(scenario)
-    if t < 1:
-        raise InputError(f"confidence level t must be at least 1, got {t}")
-    reps = scenario.replicates if replicates is None else replicates
+    target, reps = _event_inputs(scenario, t, replicates)
     kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
     k_diag = kernel.diag_sup
     radii = np.asarray(list(grid))
-    approx = np.asarray([_approx_upper(target, r) for r in radii])
+    approx = _approx_upper(target, radii)
 
     def one(i: int) -> bool:
         data = generate(scenario, i)
-        preds = _fit_radius_preds(data, kernel, radii)
-        scale = 80.0 * math.sqrt(k_diag) * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
-        for j in range(len(radii)):
-            dists = np.mean((preds[j:] - preds[j][None, :]) ** 2, axis=1)
-            bounds = scale * (radii[j] + radii[j:]) + 40.0 * approx[j]
-            if np.any(dists > bounds):
-                return False
-        return True
+        preds = _path_preds(data, kernel, radii)
+        coef = 80.0 * math.sqrt(k_diag) * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
+        excess = comparison_excess(preds[None], radii[None], coef)[0]
+        return bool(np.all(excess <= 40.0 * approx))
 
     return _event_report("majorant", t, _map_indexed(one, reps, threads))
 
@@ -400,37 +411,22 @@ def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid,
     scaled-target bound applies (nested balls); wider kernels fall back to the
     sup-norm bound of the zero approximant.
     """
-    target = _require_rkhs_target(scenario)
-    if t < 1:
-        raise InputError(f"confidence level t must be at least 1, got {t}")
-    reps = scenario.replicates if replicates is None else replicates
+    target, reps = _event_inputs(scenario, t, replicates)
     if j_const is None:
         j_const = chaining_constant_bound(widths.u, widths.v)
     d = scenario.d
     gammas = np.asarray(list(widths))
     radii = np.asarray(list(grid))
-    scales = gammas[:, None] ** (-d / 2.0) * radii[None, :]
-    approx = np.empty((len(gammas), len(radii)))
-    for gi, gamma in enumerate(gammas):
-        for ri, r in enumerate(radii):
-            if gamma <= target.gamma0:
-                approx[gi, ri] = _approx_upper(target, r)
-            else:
-                approx[gi, ri] = target.sup_bound ** 2
+    scales = _penalty_scales(gammas, radii, d)
+    approx = np.where(gammas[:, None] <= target.gamma0, _approx_upper(target, radii)[None, :],
+                      target.sup_bound ** 2)
 
     def one(i: int) -> bool:
         data = generate(scenario, i)
-        preds = np.stack([_fit_radius_preds(data, GaussianKernel(gamma=g, dim=d), radii)
+        preds = np.stack([_path_preds(data, GaussianKernel(gamma=g, dim=d), radii)
                           for g in gammas])
-        coeff = 84.0 * j_const * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
-        for gi in range(len(gammas)):
-            for ri in range(len(radii)):
-                block = preds[: gi + 1, ri:, :]
-                dists = np.mean((block - preds[gi, ri][None, None, :]) ** 2, axis=2)
-                bounds = coeff * (scales[gi, ri] + scales[: gi + 1, ri:]) + 40.0 * approx[gi, ri]
-                if np.any(dists > bounds):
-                    return False
-        return True
+        coef = 84.0 * j_const * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
+        return bool(np.all(comparison_excess(preds, scales, coef) <= 40.0 * approx))
 
     return _event_report("gauss-majorant", t, _map_indexed(one, reps, threads))
 
@@ -497,24 +493,23 @@ class RateReport:
                 "slope": self.slope, "degenerate": self.degenerate}
 
 
-def _adaptive_and_oracle_errors(scenario: ScenarioConfig, replicate: int,
-                                settings: SelectionSettings):
-    """Selection plus clipped holdout errors of the adaptive and all grid fits."""
+def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
+                     replicate: int) -> ExperimentRecord:
+    """Selection plus clipped holdout errors of the adaptive and the best grid fit."""
     data = generate(scenario, replicate)
     kernel = settings.resolve_kernel(scenario)
     grid = radius_grid(settings.grid_a, settings.grid_b, data.n)
     cfg = settings.gl_config(kernel.diag_sup, scenario.sigma)
-    k = gram(kernel, data.x)
-    ge = eigen_gram(k, data.y)
-    fits = [fit_constrained(k, data.y, r, eigen=ge, kernel_id=kernel.kernel_id)
-            for r in grid]
-    rows = gl_criterion(fits, cfg, data.n)
-    best = min(range(len(rows)), key=lambda i: (rows[i].total, rows[i].r))
+    result = select_radius(data, kernel, grid, cfg)
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
-    coeffs = np.stack([f.coeffs for f in fits], axis=1)
+    coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
     means, _ = _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
                                scenario.holdout_size, rng)
-    return rows[best].r, float(means[best]), float(means.min())
+    return ExperimentRecord(
+        replicate=replicate, n=scenario.n, gamma_hat=None, r_hat=result.r_hat,
+        err_adaptive=float(means[grid.values.index(result.r_hat)]),
+        err_oracle_grid=float(means.min()), event_bias=None, event_majorant=None,
+        seed=replicate_seed(scenario.master_seed, replicate))
 
 
 def rate_experiment(scenario: ScenarioConfig, n_list, settings: SelectionSettings, *,
@@ -531,16 +526,7 @@ def rate_experiment(scenario: ScenarioConfig, n_list, settings: SelectionSetting
     records = []
     medians = []
     for n in n_list:
-        scen_n = dataclasses.replace(scenario, n=n)
-
-        def one(i: int, scen=scen_n, nn=n):
-            r_hat, err_adaptive, err_oracle = _adaptive_and_oracle_errors(scen, i, settings)
-            return ExperimentRecord(
-                replicate=i, n=nn, gamma_hat=None, r_hat=r_hat,
-                err_adaptive=err_adaptive, err_oracle_grid=err_oracle,
-                event_bias=None, event_majorant=None,
-                seed=replicate_seed(scen.master_seed, i))
-
+        one = functools.partial(_adaptive_record, dataclasses.replace(scenario, n=n), settings)
         recs = _map_indexed(one, scenario.replicates, threads)
         records.extend(recs)
         medians.append(float(np.median([r.err_adaptive for r in recs])))
@@ -575,24 +561,16 @@ def oracle_gap_check(scenario: ScenarioConfig, settings: SelectionSettings, *,
 
     The ratio counts as 1 when both errors are below 1e-12.
     """
-    reps = scenario.replicates if replicates is None else replicates
+    reps = _replicate_count(replicates, scenario.replicates)
+    records = tuple(_map_indexed(functools.partial(_adaptive_record, scenario, settings),
+                                 reps, threads))
 
-    def one(i: int):
-        r_hat, err_adaptive, err_oracle = _adaptive_and_oracle_errors(scenario, i, settings)
-        if err_adaptive <= 1e-12 and err_oracle <= 1e-12:
-            ratio = 1.0
-        else:
-            ratio = err_adaptive / max(err_oracle, 1e-300)
-        rec = ExperimentRecord(replicate=i, n=scenario.n, gamma_hat=None, r_hat=r_hat,
-                               err_adaptive=err_adaptive, err_oracle_grid=err_oracle,
-                               event_bias=None, event_majorant=None,
-                               seed=replicate_seed(scenario.master_seed, i))
-        return ratio, rec
+    def ratio(rec: ExperimentRecord) -> float:
+        if rec.err_adaptive <= 1e-12 and rec.err_oracle_grid <= 1e-12:
+            return 1.0
+        return rec.err_adaptive / max(rec.err_oracle_grid, 1e-300)
 
-    results = _map_indexed(one, reps, threads)
-    ratios = [r for r, _ in results]
-    records = tuple(rec for _, rec in results)
-    fraction = float(np.mean([r <= threshold for r in ratios]))
+    fraction = float(np.mean([ratio(rec) <= threshold for rec in records]))
     return OracleGapReport(replicates=reps, threshold=threshold,
                            fraction_within=fraction, passed=fraction >= pass_fraction,
                            records=records)
@@ -644,6 +622,7 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
         raise InputError(f"quadratic form needs n >= 2, got {n}")
     if not sigma > 0:
         raise InputError(f"sigma must be positive, got {sigma}")
+    replicates = _replicate_count(replicates, minimum=2)
     if m is None:
         rng_m = replicate_rng(master_seed, 0, stream=2)
         x = rng_m.standard_normal(size=(n, 1))
@@ -686,13 +665,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_records_csv(path, records) -> None:
-    """Write experiment records with the fixed column layout."""
-    lines = [",".join(RECORD_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_format_cell(getattr(rec, col)) for col in RECORD_COLUMNS))
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table; an empty cell is None, floats carry 17 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_format_cell(cell) for cell in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_records_csv(path, records) -> None:
+    """Write experiment records with the fixed column layout."""
+    write_csv(path, RECORD_COLUMNS,
+              ([getattr(rec, col) for col in RECORD_COLUMNS] for rec in records))
 
 
 def _json_value(value) -> str:

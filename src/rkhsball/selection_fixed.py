@@ -1,4 +1,8 @@
-"""Adaptive radius selection for a fixed kernel.
+"""Adaptive radius selection for a fixed kernel, and the two primitives of
+every selection rule and majorant check in the package: :func:`fit_radius_path`
+fits a radius grid from one Gram decomposition, and :func:`comparison_excess`
+makes the penalised pairwise comparisons of a width x radius table of fits.
+The fixed rule is its one-width case, with the radii as penalty scales.
 
 The selection rule fits the constrained estimator at every radius of a finite
 grid and picks the radius minimising
@@ -36,6 +40,8 @@ __all__ = [
     "CriterionRow",
     "SelectionResult",
     "radius_grid",
+    "comparison_excess",
+    "fit_radius_path",
     "gl_criterion",
     "select_radius",
     "tau_min_fixed",
@@ -88,13 +94,25 @@ def tau_min_fixed(k_diag: float, sigma: float) -> float:
 
 def t_of_tau(tau: float, k_diag: float, sigma: float) -> float:
     """Confidence level t = (tau / (80*sqrt(k_diag)*sigma))**2 implied by tau."""
-    lo = tau_min_fixed(k_diag, sigma)
+    return _confidence_level(tau, tau_min_fixed(k_diag, sigma))
+
+
+def _confidence_level(tau: float, lo: float) -> float:
+    """Confidence level ``(tau / lo)**2`` of a penalty scale against its minimum ``lo``."""
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
     if tau < lo:
         warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}; "
                       "the implied confidence level is below 1")
     return (tau / lo) ** 2
+
+
+def _check_tau_minimum(tau: float, lo: float, theory_mode: bool) -> None:
+    """Reject (theory mode) or warn about a penalty scale below its minimum ``lo``."""
+    if tau < lo:
+        if theory_mode:
+            raise ConstraintError(f"theory mode requires tau >= {lo:g}, got {tau:g}")
+        warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +135,7 @@ class GLConfig:
             raise InputError(f"tau and nu must be positive, got {self.tau}, {self.nu}")
         if not (self.sigma > 0 and self.k_diag > 0):
             raise InputError(f"sigma and k_diag must be positive, got {self.sigma}, {self.k_diag}")
-        lo = tau_min_fixed(self.k_diag, self.sigma)
-        if self.tau < lo:
-            if self.theory_mode:
-                raise ConstraintError(
-                    f"theory mode requires tau >= {lo:g}, got {self.tau:g}")
-            warnings.warn(f"tau={self.tau:g} is below the theoretical minimum {lo:g}")
+        _check_tau_minimum(self.tau, tau_min_fixed(self.k_diag, self.sigma), self.theory_mode)
 
 
 @dataclass(frozen=True)
@@ -135,12 +148,35 @@ class CriterionRow:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen radius with the full criterion table and the selected fit."""
+    """Chosen radius, criterion table, selected fit and all grid fits (ascending)."""
 
     r_hat: float
     criterion: tuple[CriterionRow, ...]
     fit_hat: ConstrainedFit
     clipped: bool = False
+    fits: tuple[ConstrainedFit, ...] = ()
+
+
+def comparison_excess(preds, scales, coef: float) -> np.ndarray:
+    """Largest penalised comparison of each cell of a fit table with its partners.
+
+    ``preds`` is a ``(W, R, n)`` table of fitted values by ascending width and
+    radius, ``scales`` the ``(W, R)`` penalty scales.  Cell ``(i, j)`` holds
+    ``max_{k <= i, l >= j} ||p_ij - p_kl||_n^2 - coef * (s_ij + s_kl)``.  The
+    distances come from one product of the flattened table with its transpose,
+    with squared norms read from its diagonal, so a self-distance is exactly 0.
+    """
+    preds = np.asarray(preds, dtype=float)
+    w, r, n = preds.shape
+    flat = preds.reshape(w * r, n)
+    inner = flat @ flat.T
+    sq = np.diag(inner)
+    excess = (sq[:, None] + sq[None, :] - 2.0 * inner) / n
+    s = np.asarray(scales, dtype=float).reshape(w * r)
+    excess -= coef * (s[:, None] + s[None, :])
+    width, radius = np.divmod(np.arange(w * r), r)
+    partners = (width[None, :] <= width[:, None]) & (radius[None, :] >= radius[:, None])
+    return np.where(partners, excess, -np.inf).max(axis=1).reshape(w, r)
 
 
 def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[CriterionRow]:
@@ -151,37 +187,40 @@ def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[Crit
     """
     if not fits:
         raise InputError("criterion requires at least one fitted radius")
-    radii = [f.r for f in fits]
-    if any(s > t for s, t in zip(radii, radii[1:])):
+    radii = np.asarray([f.r for f in fits])
+    if np.any(radii[:-1] > radii[1:]):
         raise InputError("fits must be ordered by ascending radius")
     preds = np.stack([f.train_pred for f in fits])
     sqrt_n = math.sqrt(n)
-    rows = []
-    for i, r in enumerate(radii):
-        deltas = preds[i:] - preds[i][None, :]
-        dists = np.mean(deltas**2, axis=1)
-        penalties = cfg.tau * (r + np.asarray(radii[i:])) / sqrt_n
-        bias_proxy = float(np.max(dists - penalties))
-        variance_term = 2.0 * (1.0 + cfg.nu) * cfg.tau * r / sqrt_n
-        rows.append(CriterionRow(r=r, bias_proxy=bias_proxy,
-                                 variance_term=variance_term,
-                                 total=bias_proxy + variance_term))
-    return rows
+    bias = comparison_excess(preds[None], radii[None], cfg.tau / sqrt_n)[0]
+    variance = 2.0 * (1.0 + cfg.nu) * cfg.tau * radii / sqrt_n
+    return [CriterionRow(r=float(r), bias_proxy=float(b), variance_term=float(v),
+                         total=float(b + v))
+            for r, b, v in zip(radii, bias, variance)]
+
+
+def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
+    """Fit every radius in ``radii`` on one dataset and kernel.
+
+    The Gram matrix is built and decomposed once and shared by all radii; both
+    are released on return.
+    """
+    k = gram(kernel, data.x)
+    ge = eigen_gram(k, data.y)
+    kid = getattr(kernel, "kernel_id", None)
+    return [fit_constrained(k, data.y, r, eigen=ge, kernel_id=kid) for r in radii]
 
 
 def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> SelectionResult:
     """Fit every grid radius and return the criterion minimiser.
 
-    The Gram matrix is decomposed once and shared across radii.  The selected
-    radius is the smallest grid value attaining the minimum total.
+    The selected radius is the smallest grid value attaining the minimum total.
     """
     if len(grid) == 0:
         raise InputError("radius grid is empty")
-    k = gram(kernel, data.x)
-    ge = eigen_gram(k, data.y)
-    kid = getattr(kernel, "kernel_id", None)
-    fits = [fit_constrained(k, data.y, r, eigen=ge, kernel_id=kid) for r in grid]
+    fits = fit_radius_path(data, kernel, grid)
     rows = gl_criterion(fits, cfg, data.n)
     best = min(range(len(rows)), key=lambda i: (rows[i].total, rows[i].r))
     return SelectionResult(r_hat=rows[best].r, criterion=tuple(rows),
-                           fit_hat=fits[best], clipped=data.c is not None)
+                           fit_hat=fits[best], clipped=data.c is not None,
+                           fits=tuple(fits))

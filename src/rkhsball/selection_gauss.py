@@ -10,24 +10,27 @@ width-dependent scale ``gamma**(-d/2)``:
             - tau * (gamma**(-d/2)*r + eta**(-d/2)*s) / sqrt(n)
     variance_term(gamma, r) = 2 * (1 + nu) * tau * gamma**(-d/2) * r / sqrt(n)
 
-Each width uses its own Gram matrix, decomposed once and shared by all radii.
-The argmin is tie-broken towards the smoothest estimator: largest width first,
-then smallest radius.
+The bias proxies are :func:`rkhsball.selection_fixed.comparison_excess` of the
+width x radius table, whose one-width case is the fixed-kernel rule.  Each width
+is one :func:`rkhsball.selection_fixed.fit_radius_path` call, so one Gram matrix
+is alive at a time.  The argmin is tie-broken towards the smoothest estimator:
+largest width first, then smallest radius.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConstraintError, InputError
-from .estimator import ConstrainedFit, eigen_gram, fit_constrained
-from .kernels import GaussianKernel, WidthGrid, chaining_constant_bound, gram
-from .selection_fixed import RadiusGrid
+from .errors import InputError
+# ``fit_constrained`` is not called here; bench/test_bench.py patches it by this name.
+from .estimator import ConstrainedFit, fit_constrained  # noqa: F401
+from .kernels import GaussianKernel, WidthGrid, chaining_constant_bound
+from .selection_fixed import (RadiusGrid, _check_tau_minimum, _confidence_level,
+                              comparison_excess, fit_radius_path)
 
 __all__ = [
     "GaussGLConfig",
@@ -49,13 +52,7 @@ def tau_min_gauss(j_const: float, sigma: float) -> float:
 
 def t_of_tau_gauss(tau: float, j_const: float, sigma: float) -> float:
     """Confidence level t = (tau / (84 * J * sigma))**2 implied by tau."""
-    lo = tau_min_gauss(j_const, sigma)
-    if not tau > 0:
-        raise InputError(f"tau must be positive, got {tau}")
-    if tau < lo:
-        warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}; "
-                      "the implied confidence level is below 1")
-    return (tau / lo) ** 2
+    return _confidence_level(tau, tau_min_gauss(j_const, sigma))
 
 
 @dataclass(frozen=True)
@@ -87,11 +84,8 @@ class GaussGLConfig:
                 chaining_constant_bound(self.width_grid.u, self.width_grid.v))
         elif not self.j_const > 0:
             raise InputError(f"chaining constant must be positive, got {self.j_const}")
-        lo = tau_min_gauss(self.j_const, self.sigma)
-        if self.tau < lo:
-            if self.theory_mode:
-                raise ConstraintError(f"theory mode requires tau >= {lo:g}, got {self.tau:g}")
-            warnings.warn(f"tau={self.tau:g} is below the theoretical minimum {lo:g}")
+        _check_tau_minimum(self.tau, tau_min_gauss(self.j_const, self.sigma),
+                           self.theory_mode)
 
 
 @dataclass(frozen=True)
@@ -137,18 +131,12 @@ def gauss_gl_criterion(
     preds = np.stack([np.stack([f.train_pred for f in row]) for row in fits])
     scale = _penalty_scales(widths, radii, cfg.dim)
     sqrt_n = math.sqrt(n)
-    rows = []
-    for i, gamma in enumerate(widths):
-        for j, r in enumerate(radii):
-            block = preds[: i + 1, j:, :]
-            dists = np.mean((block - preds[i, j][None, None, :]) ** 2, axis=2)
-            penalties = cfg.tau * (scale[i, j] + scale[: i + 1, j:]) / sqrt_n
-            bias_proxy = float(np.max(dists - penalties))
-            variance_term = 2.0 * (1.0 + cfg.nu) * cfg.tau * scale[i, j] / sqrt_n
-            rows.append(GaussCriterionRow(gamma=gamma, r=r, bias_proxy=bias_proxy,
-                                          variance_term=variance_term,
-                                          total=bias_proxy + variance_term))
-    return rows
+    bias = comparison_excess(preds, scale, cfg.tau / sqrt_n).ravel()
+    variance = (2.0 * (1.0 + cfg.nu) * cfg.tau * scale / sqrt_n).ravel()
+    cells = [(gamma, r) for gamma in widths for r in radii]
+    return [GaussCriterionRow(gamma=gamma, r=r, bias_proxy=float(b), variance_term=float(v),
+                              total=float(b + v))
+            for (gamma, r), b, v in zip(cells, bias, variance)]
 
 
 def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> GaussSelectionResult:
@@ -159,16 +147,8 @@ def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> GaussSelectionResu
         raise InputError("width and radius grids must be non-empty")
     if data.d != cfg.dim:
         raise InputError(f"dataset dimension {data.d} does not match config dimension {cfg.dim}")
-    fits = []
-    for gamma in widths:
-        kernel = GaussianKernel(gamma=gamma, dim=cfg.dim)
-        k = gram(kernel, data.x)
-        ge = eigen_gram(k, data.y)
-        fits.append([fit_constrained(k, data.y, r, eigen=ge, kernel_id=kernel.kernel_id)
-                     for r in radii])
-        # Released before the next width's Gram matrix is built, so that only
-        # one Gram matrix and one decomposition are alive at a time.
-        del k, ge
+    fits = [fit_radius_path(data, GaussianKernel(gamma=gamma, dim=cfg.dim), radii)
+            for gamma in widths]
     rows = gauss_gl_criterion(fits, cfg, data.n)
     best = min(range(len(rows)),
                key=lambda idx: (rows[idx].total, -rows[idx].gamma, rows[idx].r))

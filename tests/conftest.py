@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's solution paths: the
 constrained fit is checked against projected functional gradient descent, the
-rank-adaptive decomposition against a full ``eigh``, and the selection
-criteria against plain-Python double/quadruple loops.
+rank-adaptive decomposition against a full ``eigh``, the selection criteria
+and the pairwise-comparison primitive against plain-Python double/quadruple
+loops, and the majorant event checks against their per-cell loops.
 """
 
 import math
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 from rkhsball.errors import InputError, NumericalError
-from rkhsball.estimator import RANK_RTOL, GramEigen
-from rkhsball.kernels import GaussianKernel, gram
+from rkhsball.estimator import RANK_RTOL, GramEigen, eigen_gram, fit_constrained
+from rkhsball.experiments import generate
+from rkhsball.kernels import GaussianKernel, chaining_constant_bound, gram
+from rkhsball.theory import scaled_element_approx_bound
 
 
 def random_instance(rng, n_max=40, d_max=3, gamma_range=(0.5, 2.0)):
@@ -192,6 +195,98 @@ def naive_gauss_criterion(preds, gammas, radii, tau, nu, dim, n):
             rows.append((gamma, r, best, var, best + var))
     winner = min(rows, key=lambda row: (row[4], -row[0], row[1]))
     return rows, winner[0], winner[1]
+
+
+def naive_comparison_excess(preds, scales, coef):
+    """Plain quadruple-loop evaluation of the pairwise-comparison primitive.
+
+    ``preds[i][j]`` are the fitted values of width i, radius j and
+    ``scales[i][j]`` their penalty scales.  Entry ``[i][j]`` of the result is
+    the largest ``||p_ij - p_kl||_n^2 - coef * (s_ij + s_kl)`` over
+    ``k <= i`` and ``l >= j``.
+    """
+    out = []
+    for i in range(len(preds)):
+        row = []
+        for j in range(len(preds[i])):
+            n = len(preds[i][j])
+            best = -math.inf
+            for k in range(i + 1):
+                for q in range(j, len(preds[k])):
+                    dist = sum((preds[i][j][t] - preds[k][q][t]) ** 2 for t in range(n)) / n
+                    best = max(best, dist - coef * (scales[i][j] + scales[k][q]))
+            row.append(best)
+        out.append(row)
+    return out
+
+
+def _loop_path_preds(data, kernel, radii):
+    k = gram(kernel, data.x)
+    ge = eigen_gram(k, data.y)
+    return np.stack([fit_constrained(k, data.y, r, eigen=ge).train_pred for r in radii])
+
+
+def _loop_approx_upper(target, r):
+    if target.h_norm == 0.0:
+        return 0.0
+    return scaled_element_approx_bound(target.h_norm, target.sup_bound, r)
+
+
+def loop_majorant_indicators(scenario, grid, t):
+    """Per-radius loop evaluation of the fixed-kernel majorant event indicators."""
+    target = scenario.target
+    kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
+    radii = np.asarray(list(grid))
+    approx = np.asarray([_loop_approx_upper(target, r) for r in radii])
+    indicators = []
+    for i in range(scenario.replicates):
+        data = generate(scenario, i)
+        preds = _loop_path_preds(data, kernel, radii)
+        scale = (80.0 * math.sqrt(kernel.diag_sup) * scenario.sigma * math.sqrt(t)
+                 / math.sqrt(data.n))
+        held = True
+        for j in range(len(radii)):
+            dists = np.mean((preds[j:] - preds[j][None, :]) ** 2, axis=1)
+            bounds = scale * (radii[j] + radii[j:]) + 40.0 * approx[j]
+            if np.any(dists > bounds):
+                held = False
+                break
+        indicators.append(int(held))
+    return tuple(indicators)
+
+
+def loop_gauss_majorant_indicators(scenario, widths, grid, t, j_const=None):
+    """Per-cell loop evaluation of the width-family majorant event indicators."""
+    target = scenario.target
+    if j_const is None:
+        j_const = chaining_constant_bound(widths.u, widths.v)
+    d = scenario.d
+    gammas = np.asarray(list(widths))
+    radii = np.asarray(list(grid))
+    scales = gammas[:, None] ** (-d / 2.0) * radii[None, :]
+    approx = np.empty((len(gammas), len(radii)))
+    for gi, gamma in enumerate(gammas):
+        for ri, r in enumerate(radii):
+            if gamma <= target.gamma0:
+                approx[gi, ri] = _loop_approx_upper(target, r)
+            else:
+                approx[gi, ri] = target.sup_bound ** 2
+    indicators = []
+    for i in range(scenario.replicates):
+        data = generate(scenario, i)
+        preds = np.stack([_loop_path_preds(data, GaussianKernel(gamma=g, dim=d), radii)
+                          for g in gammas])
+        coeff = 84.0 * j_const * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
+        held = True
+        for gi in range(len(gammas)):
+            for ri in range(len(radii)):
+                block = preds[: gi + 1, ri:, :]
+                dists = np.mean((block - preds[gi, ri][None, None, :]) ** 2, axis=2)
+                bounds = coeff * (scales[gi, ri] + scales[: gi + 1, ri:]) + 40.0 * approx[gi, ri]
+                if np.any(dists > bounds):
+                    held = False
+        indicators.append(int(held))
+    return tuple(indicators)
 
 
 @pytest.fixture

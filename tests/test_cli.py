@@ -278,3 +278,17 @@ class TestConfigHandling:
         assert main(["oracle-gap", "--config", cfg, "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "oracle_gap_summary.json").read_text())
         assert 0.0 <= summary["fraction_within"] <= 1.0
+
+
+class TestReplicatesBoundary:
+    @pytest.mark.parametrize("command,config,minimum", [
+        ("quadform", {"n": 8, "replicates": -3}, 2),
+        ("quadform", {"n": 8, "replicates": 1}, 2),
+        ("oracle-gap", {"scenario": {"n": 16, "replicates": 3, "holdout_size": 100},
+                        "replicates": 0}, 1),
+        ("majorant", {"scenario": {"n": 16, "replicates": 3}, "replicates": 0}, 1),
+    ])
+    def test_rejected_as_input_error(self, tmp_path, capsys, command, config, minimum):
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"replicates must be at least {minimum}" in capsys.readouterr().err

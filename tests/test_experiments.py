@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import loop_gauss_majorant_indicators, loop_majorant_indicators
 from rkhsball.errors import InputError
 from rkhsball.estimator import fit_constrained
 from rkhsball.experiments import (
@@ -23,6 +24,7 @@ from rkhsball.experiments import (
     rate_experiment,
     replicate_rng,
     wilson_interval,
+    write_csv,
     write_records_csv,
     write_summary_json,
 )
@@ -198,6 +200,7 @@ class TestEventChecks:
         assert rep.frequency == 1.0
         rep = majorant_event_check(scen, grid, 1.0)
         assert rep.frequency == 1.0 and rep.passed
+        assert rep.indicators == loop_majorant_indicators(scen, grid, 1.0)
 
     def test_majorant_small_scenario(self):
         scen = default_scenario(n=60, replicates=25, master_seed=21)
@@ -206,6 +209,7 @@ class TestEventChecks:
         assert rep.floor == pytest.approx(1.0 - math.exp(-1.0))
         assert rep.replicates == 25 and len(rep.indicators) == 25
         assert rep.passed
+        assert rep.indicators == loop_majorant_indicators(scen, grid, 1.0)
 
     def test_bias_small_scenario(self):
         scen = default_scenario(n=60, replicates=25, master_seed=22)
@@ -215,9 +219,35 @@ class TestEventChecks:
 
     def test_gauss_majorant_small_scenario(self):
         scen = default_scenario(n=60, replicates=20, master_seed=23)
-        rep = gauss_majorant_event_check(scen, width_grid(0.5, 2.0, 2.0),
-                                         radius_grid(1.0, 1.0, 60), 1.0)
+        widths, grid = width_grid(0.5, 2.0, 2.0), radius_grid(1.0, 1.0, 60)
+        rep = gauss_majorant_event_check(scen, widths, grid, 1.0)
         assert rep.passed and rep.name == "gauss-majorant"
+        assert rep.indicators == loop_gauss_majorant_indicators(scen, widths, grid, 1.0)
+
+    def test_gauss_majorant_failing_events_match_loop(self):
+        # A chaining constant far below its bound makes some events fail.
+        scen = default_scenario(n=60, replicates=20, master_seed=23)
+        widths, grid = width_grid(0.5, 2.0, 2.0), radius_grid(1.0, 1.0, 60)
+        rep = gauss_majorant_event_check(scen, widths, grid, 1.0, j_const=1e-4)
+        assert 0 < rep.successes < rep.replicates
+        assert rep.indicators == loop_gauss_majorant_indicators(scen, widths, grid, 1.0,
+                                                                j_const=1e-4)
+
+    @pytest.mark.parametrize("check", ["majorant", "bias", "gauss-majorant", "oracle-gap"])
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_replicates_below_one_rejected(self, check, replicates):
+        scen = default_scenario(n=10, replicates=2)
+        grid = radius_grid(1.0, 1.0, 10)
+        calls = {
+            "majorant": lambda: majorant_event_check(scen, grid, 1.0, replicates=replicates),
+            "bias": lambda: bias_event_check(scen, grid, 1.0, replicates=replicates),
+            "gauss-majorant": lambda: gauss_majorant_event_check(
+                scen, width_grid(0.5, 2.0, 2.0), grid, 1.0, replicates=replicates),
+            "oracle-gap": lambda: oracle_gap_check(scen, SelectionSettings(),
+                                                   replicates=replicates),
+        }
+        with pytest.raises(InputError, match="replicates must be at least 1"):
+            calls[check]()
 
     def test_requires_rkhs_target(self):
         scen = ScenarioConfig(n=20, d=1, target=HatTarget(slope=1.0), sigma=0.1)
@@ -319,6 +349,9 @@ class TestQuadform:
             quadform_tail_check(1, 1.0)
         with pytest.raises(InputError):
             quadform_tail_check(4, 0.0)
+        for replicates in (-3, 0, 1):
+            with pytest.raises(InputError, match="replicates must be at least 2"):
+                quadform_tail_check(4, 1.0, replicates=replicates)
 
 
 class TestOutputs:
@@ -333,6 +366,13 @@ class TestOutputs:
         assert lines[0] == "replicate,n,gamma_hat,r_hat,err_adaptive,err_oracle_grid," \
                            "event_bias,event_majorant,seed"
         assert lines[1] == "0,10,,0.5,0.10000000000000001,,,1,42"
+
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, ("a", "b", "c", "d", "e"),
+                  [(0.1, None, 3, np.float64(1e-300), "x"), (2.0, -0.0, True, 1.5, "")])
+        assert path.read_bytes() == (b"a,b,c,d,e\n0.10000000000000001,,3,1e-300,x\n"
+                                     b"2,-0,True,1.5,\n")
 
     def test_summary_json_format(self, tmp_path):
         path = tmp_path / "s.json"

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_fixed_criterion
+from conftest import naive_comparison_excess, naive_fixed_criterion
 from rkhsball.data import Dataset
 from rkhsball.errors import ConstraintError, InputError
 from rkhsball.estimator import eigen_gram, fit_constrained
 from rkhsball.kernels import GaussianKernel, gram
 from rkhsball.selection_fixed import (
     GLConfig,
+    comparison_excess,
     gl_criterion,
     radius_grid,
     select_radius,
@@ -229,3 +230,47 @@ class TestSelectRadius:
         result = select_radius(data, GaussianKernel(1.0, 1), grid, cfg)
         assert result.fit_hat.r == result.r_hat
         assert result.r_hat in set(grid)
+        assert [f.r for f in result.fits] == list(grid)
+        assert result.fits[grid.values.index(result.r_hat)] is result.fit_hat
+
+
+@st.composite
+def _comparison_tables(draw):
+    """(W, R, n) fitted values with repeated and zero rows, scales with zeros, a coef."""
+    w, r, n = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, w * r)), n))
+    if draw(st.booleans()):
+        pool[0] = 0.0
+    preds = pool[rng.integers(0, len(pool), size=(w, r))]
+    scales = rng.uniform(0.0, 2.0, size=(w, r))
+    scales[rng.uniform(size=(w, r)) < draw(st.floats(0.0, 1.0))] = 0.0
+    return preds, scales, draw(st.floats(0.0, 4.0))
+
+
+class TestComparisonExcess:
+    @settings(max_examples=200, deadline=None)
+    @given(table=_comparison_tables())
+    def test_matches_loop_oracle(self, table):
+        preds, scales, coef = table
+        out = comparison_excess(preds, scales, coef)
+        ref = np.asarray(naive_comparison_excess(preds.tolist(), scales.tolist(), coef))
+        assert out.shape == scales.shape
+        tol = 1e-12 * (1.0 + float(np.max(np.mean(preds**2, axis=2))))
+        assert np.max(np.abs(out - ref)) <= tol
+        # The cell itself is a partner at distance exactly 0.
+        assert np.all(out >= -(coef * (scales + scales)))
+
+    def test_excess_of_both_signs(self):
+        rng = np.random.default_rng(5)
+        preds = rng.normal(size=(3, 5, 7))
+        scales = rng.uniform(0.0, 1.0, size=(3, 5))
+        out = comparison_excess(preds, scales, 2.0)
+        ref = np.asarray(naive_comparison_excess(preds.tolist(), scales.tolist(), 2.0))
+        assert np.any(ref > 0.0) and np.any(ref < 0.0)
+        assert np.array_equal(out > 0.0, ref > 0.0)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * (1.0 + np.max(np.mean(preds**2, axis=2)))
+
+    def test_single_cell_is_its_own_partner(self):
+        out = comparison_excess(np.full((1, 1, 4), 3.0), [[0.5]], 2.0)
+        assert out.tolist() == [[-2.0]]
