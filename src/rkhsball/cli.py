@@ -263,6 +263,16 @@ def read_data_csv(path: str) -> Dataset:
     return Dataset(x=np.asarray(xs), y=np.asarray(ys))
 
 
+def _number(value, key: str, kind=float):
+    """``kind(value)`` for the config value at ``key``; an input error naming the key
+    when the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"config key {key} must be {what}, got {value!r}") from None
+
+
 def _build_target(spec: dict):
     if not isinstance(spec, dict):
         raise InputError("scenario.target must be a mapping")
@@ -270,14 +280,14 @@ def _build_target(spec: dict):
     if kind == "rkhs-element":
         allowed = {"kind", "gamma0", "centers", "weights"}
         _reject_unknown(spec, allowed, "scenario.target")
-        return RkhsTarget(gamma0=float(spec.get("gamma0", 1.0)),
+        return RkhsTarget(gamma0=_number(spec.get("gamma0", 1.0), "scenario.target.gamma0"),
                           centers=spec.get("centers", [[0.5]]),
                           weights=spec.get("weights", [2.0]))
     if kind in ("hat", "hat-function"):
         allowed = {"kind", "slope", "center"}
         _reject_unknown(spec, allowed, "scenario.target")
         center = spec.get("center")
-        return HatTarget(slope=float(spec.get("slope", 1.0)),
+        return HatTarget(slope=_number(spec.get("slope", 1.0), "scenario.target.slope"),
                          center=tuple(center) if center is not None else None)
     raise InputError(f"unknown target kind {kind!r}")
 
@@ -292,20 +302,38 @@ def _build_scenario(cfg: dict, seed_override: int | None) -> ScenarioConfig:
     scen = cfg["scenario"]
     master_seed = seed_override if seed_override is not None else scen["master_seed"]
     return ScenarioConfig(
-        n=int(scen["n"]), d=int(scen["d"]), design=scen["design"],
-        target=_build_target(scen["target"]), noise=scen["noise"],
-        sigma=float(scen["sigma"]), c=float(scen["c"]),
-        replicates=int(scen["replicates"]), master_seed=int(master_seed),
-        holdout_size=int(scen["holdout_size"]))
+        n=_number(scen["n"], "scenario.n", int), d=_number(scen["d"], "scenario.d", int),
+        design=scen["design"], target=_build_target(scen["target"]), noise=scen["noise"],
+        sigma=_number(scen["sigma"], "scenario.sigma"), c=_number(scen["c"], "scenario.c"),
+        replicates=_number(scen["replicates"], "scenario.replicates", int),
+        master_seed=_number(master_seed, "scenario.master_seed", int),
+        holdout_size=_number(scen["holdout_size"], "scenario.holdout_size", int))
 
 
 def _build_settings(cfg: dict, theory_mode: bool) -> SelectionSettings:
     sel = cfg["selection"]
     return SelectionSettings(
-        tau=None if sel["tau"] is None else float(sel["tau"]),
-        nu=float(sel["nu"]), grid_a=float(sel["grid_a"]), grid_b=float(sel["grid_b"]),
+        tau=None if sel["tau"] is None else _number(sel["tau"], "selection.tau"),
+        nu=_number(sel["nu"], "selection.nu"),
+        grid_a=_number(sel["grid_a"], "selection.grid_a"),
+        grid_b=_number(sel["grid_b"], "selection.grid_b"),
         theory_mode=theory_mode,
-        kernel_gamma=None if sel["kernel_gamma"] is None else float(sel["kernel_gamma"]))
+        kernel_gamma=(None if sel["kernel_gamma"] is None
+                      else _number(sel["kernel_gamma"], "selection.kernel_gamma")))
+
+
+def _grid(cfg: dict) -> tuple[float, float]:
+    return _number(cfg["grid"]["a"], "grid.a"), _number(cfg["grid"]["b"], "grid.b")
+
+
+def _widths(cfg: dict):
+    return width_grid(*(_number(cfg["widths"][key], f"widths.{key}")
+                        for key in ("u", "v", "c")))
+
+
+def _replicates(cfg: dict) -> int | None:
+    reps = cfg["replicates"]
+    return None if reps is None else _number(reps, "replicates", int)
 
 
 def _require(cfg: dict, key: str, command: str):
@@ -316,8 +344,8 @@ def _require(cfg: dict, key: str, command: str):
 
 def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "fit"))
-    r = float(_require(cfg, "r", "fit"))
-    kernel = GaussianKernel(gamma=float(cfg["kernel"]["gamma"]), dim=data.d)
+    r = _number(_require(cfg, "r", "fit"), "r")
+    kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
     k = gram(kernel, data.x)
     fit = fit_constrained(k, data.y, r, kernel_id=kernel.kernel_id)
     summary = {
@@ -335,17 +363,17 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
 
 def _resolve_tau_fixed(cfg: dict, k_diag: float) -> float:
     if cfg["tau"] is not None:
-        return float(cfg["tau"])
-    return tau_min_fixed(k_diag, float(cfg["sigma"]))
+        return _number(cfg["tau"], "tau")
+    return tau_min_fixed(k_diag, _number(cfg["sigma"], "sigma"))
 
 
 def cmd_select(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "select"))
-    kernel = GaussianKernel(gamma=float(cfg["kernel"]["gamma"]), dim=data.d)
+    kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
     tau = _resolve_tau_fixed(cfg, kernel.diag_sup)
-    gl = GLConfig(tau=tau, nu=float(cfg["nu"]), sigma=float(cfg["sigma"]),
+    gl = GLConfig(tau=tau, nu=_number(cfg["nu"], "nu"), sigma=_number(cfg["sigma"], "sigma"),
                   k_diag=kernel.diag_sup, theory_mode=bool(cfg["theory_mode"]))
-    grid = radius_grid(float(cfg["grid"]["a"]), float(cfg["grid"]["b"]), data.n)
+    grid = radius_grid(*_grid(cfg), data.n)
     result = select_radius(data, kernel, grid, gl)
     crit_path = os.path.join(out_dir, "criterion.csv")
     write_csv(crit_path, ("r", "bias_proxy", "variance_term", "total"),
@@ -360,8 +388,7 @@ def cmd_select(cfg: dict, out_dir: str) -> list[str]:
         "nu": gl.nu,
         "sigma": gl.sigma,
         "k_diag": gl.k_diag,
-        "grid": {"a": float(cfg["grid"]["a"]), "b": float(cfg["grid"]["b"]),
-                 "size": len(grid)},
+        "grid": {"a": grid.a, "b": grid.b, "size": len(grid)},
         "coefficients": [float(a) for a in result.fit_hat.coeffs],
     }
     sel_path = os.path.join(out_dir, "selection.json")
@@ -371,14 +398,13 @@ def cmd_select(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "select-gauss"))
-    widths = width_grid(float(cfg["widths"]["u"]), float(cfg["widths"]["v"]),
-                        float(cfg["widths"]["c"]))
-    j_const = (float(cfg["j_const"]) if cfg["j_const"] is not None
+    widths = _widths(cfg)
+    j_const = (_number(cfg["j_const"], "j_const") if cfg["j_const"] is not None
                else chaining_constant_bound(widths.u, widths.v))
-    tau = float(cfg["tau"]) if cfg["tau"] is not None \
-        else tau_min_gauss(j_const, float(cfg["sigma"]))
-    grid = radius_grid(float(cfg["grid"]["a"]), float(cfg["grid"]["b"]), data.n)
-    gauss_cfg = GaussGLConfig(tau=tau, nu=float(cfg["nu"]), sigma=float(cfg["sigma"]),
+    sigma = _number(cfg["sigma"], "sigma")
+    tau = _number(cfg["tau"], "tau") if cfg["tau"] is not None else tau_min_gauss(j_const, sigma)
+    grid = radius_grid(*_grid(cfg), data.n)
+    gauss_cfg = GaussGLConfig(tau=tau, nu=_number(cfg["nu"], "nu"), sigma=sigma,
                               dim=data.d, width_grid=widths, radius_grid=grid,
                               j_const=j_const, theory_mode=bool(cfg["theory_mode"]))
     result = select_width_radius(data, gauss_cfg)
@@ -408,12 +434,13 @@ def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
 def cmd_rates(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
     scenario = _build_scenario(cfg, seed_override)
     settings = _build_settings(cfg, bool(cfg["theory_mode"]))
-    report = rate_experiment(scenario, cfg["n_list"], settings, threads=threads)
+    n_list = [_number(n, "n_list", int) for n in cfg["n_list"]]
+    report = rate_experiment(scenario, n_list, settings, threads=threads)
     csv_path = os.path.join(out_dir, "rates.csv")
     write_records_csv(csv_path, report.records)
     summary = {"config": _echo_config(cfg), "aggregates": report.as_dict()}
     if cfg["slope_threshold"] is not None:
-        thr = float(cfg["slope_threshold"])
+        thr = _number(cfg["slope_threshold"], "slope_threshold")
         summary["passed"] = (not report.degenerate and report.slope is not None
                              and report.slope <= thr)
     sum_path = os.path.join(out_dir, "rates_summary.json")
@@ -423,18 +450,16 @@ def cmd_rates(cfg: dict, out_dir: str, seed_override: int | None, threads: int) 
 
 def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
     scenario = _build_scenario(cfg, seed_override)
-    t = float(cfg["t"])
-    grid = radius_grid(float(cfg["grid"]["a"]), float(cfg["grid"]["b"]), scenario.n)
-    reps = cfg["replicates"]
+    t = _number(cfg["t"], "t")
+    grid = radius_grid(*_grid(cfg), scenario.n)
+    reps = _replicates(cfg)
     event = cfg["event"]
     if event == "majorant":
         report = majorant_event_check(scenario, grid, t, replicates=reps, threads=threads)
     elif event == "bias":
         report = bias_event_check(scenario, grid, t, replicates=reps, threads=threads)
     elif event == "gauss-majorant":
-        widths = width_grid(float(cfg["widths"]["u"]), float(cfg["widths"]["v"]),
-                            float(cfg["widths"]["c"]))
-        report = gauss_majorant_event_check(scenario, widths, grid, t,
+        report = gauss_majorant_event_check(scenario, _widths(cfg), grid, t,
                                             replicates=reps, threads=threads)
     else:
         raise InputError(f"unknown event {event!r}; expected majorant, bias or gauss-majorant")
@@ -457,9 +482,10 @@ def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: in
 def cmd_oracle_gap(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
     scenario = _build_scenario(cfg, seed_override)
     settings = _build_settings(cfg, bool(cfg["theory_mode"]))
-    report = oracle_gap_check(scenario, settings, replicates=cfg["replicates"],
-                              threshold=float(cfg["threshold"]),
-                              pass_fraction=float(cfg["pass_fraction"]), threads=threads)
+    report = oracle_gap_check(scenario, settings, replicates=_replicates(cfg),
+                              threshold=_number(cfg["threshold"], "threshold"),
+                              pass_fraction=_number(cfg["pass_fraction"], "pass_fraction"),
+                              threads=threads)
     csv_path = os.path.join(out_dir, "oracle_gap.csv")
     write_records_csv(csv_path, report.records)
     summary = {"config": _echo_config(cfg), **report.as_dict()}
@@ -469,10 +495,11 @@ def cmd_oracle_gap(cfg: dict, out_dir: str, seed_override: int | None, threads: 
 
 
 def cmd_quadform(cfg: dict, out_dir: str, seed_override: int | None) -> list[str]:
-    seed = seed_override if seed_override is not None else int(cfg["seed"])
-    report = quadform_tail_check(int(cfg["n"]), float(cfg["sigma"]),
-                                 t_list=[float(t) for t in cfg["t_list"]],
-                                 replicates=int(cfg["replicates"]), master_seed=seed)
+    seed = seed_override if seed_override is not None else _number(cfg["seed"], "seed", int)
+    report = quadform_tail_check(_number(cfg["n"], "n", int), _number(cfg["sigma"], "sigma"),
+                                 t_list=[_number(t, "t_list") for t in cfg["t_list"]],
+                                 replicates=_number(cfg["replicates"], "replicates", int),
+                                 master_seed=seed)
     sum_path = os.path.join(out_dir, "quadform_summary.json")
     write_summary_json(sum_path, {"config": _echo_config(cfg), **report.as_dict()})
     return [sum_path]
@@ -486,28 +513,31 @@ def _approx_fn(cfg: dict):
         raise InputError("approx must be null or a mapping with a 'kind'")
     if spec["kind"] == "interpolation":
         _reject_unknown(spec, {"kind", "b_norm", "beta"}, "approx")
-        b_norm, beta = float(spec["b_norm"]), float(spec["beta"])
+        b_norm = _number(spec["b_norm"], "approx.b_norm")
+        beta = _number(spec["beta"], "approx.beta")
         return lambda r: interpolation_approx_bound(b_norm, beta, r)
     if spec["kind"] == "element":
         _reject_unknown(spec, {"kind", "norm", "sup"}, "approx")
-        norm, sup = float(spec["norm"]), float(spec["sup"])
+        norm, sup = _number(spec["norm"], "approx.norm"), _number(spec["sup"], "approx.sup")
         return lambda r: scaled_element_approx_bound(norm, sup, r)
     raise InputError(f"unknown approx kind {spec['kind']!r}")
 
 
 def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
     r_spec = cfg["r"]
-    r_min, r_max, count = float(r_spec["min"]), float(r_spec["max"]), int(r_spec["count"])
+    r_min, r_max = _number(r_spec["min"], "r.min"), _number(r_spec["max"], "r.max")
+    count = _number(r_spec["count"], "r.count", int)
     if count < 1 or r_max < r_min or r_min < 0:
         raise InputError(f"invalid radius range {r_spec!r}")
     approx = _approx_fn(cfg)
     if cfg["approx"] is not None and cfg["approx"].get("kind") == "interpolation" and r_min == 0:
         raise InputError("interpolation approx bound is undefined at r = 0; use r.min > 0")
-    j_const = (float(cfg["j_const"]) if cfg["j_const"] is not None
-               else chaining_constant_bound(float(cfg["widths"]["u"]),
-                                            float(cfg["widths"]["v"])))
-    k_diag, c = float(cfg["k_diag"]), float(cfg["c"])
-    sigma, t, n = float(cfg["sigma"]), float(cfg["t"]), int(cfg["n"])
+    j_const = (_number(cfg["j_const"], "j_const") if cfg["j_const"] is not None
+               else chaining_constant_bound(_number(cfg["widths"]["u"], "widths.u"),
+                                            _number(cfg["widths"]["v"], "widths.v")))
+    k_diag, c = _number(cfg["k_diag"], "k_diag"), _number(cfg["c"], "c")
+    sigma, t = _number(cfg["sigma"], "sigma"), _number(cfg["t"], "t")
+    n = _number(cfg["n"], "n", int)
     radii = np.linspace(r_min, r_max, count)
     rows = []
     for r in radii:
@@ -559,7 +589,7 @@ def run(argv=None) -> int:
         return 0
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    threads = int(cfg["threads"])
+    threads = _number(cfg["threads"], "threads", int)
     seed_override = None if args.seed is None else int(args.seed)
     if args.command == "fit":
         paths = cmd_fit(cfg, out_dir)

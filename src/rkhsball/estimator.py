@@ -96,7 +96,13 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
       Rayleigh-Ritz step, an ``eigh`` of ``Q^T K Q`` for an orthonormal basis
       Q of that span, gives the eigenpairs.  Cost O(n^2 p) for p pivots.
     * Past ``PIVOT_FRACTION * n`` pivots the Cholesky stops and a full
-      O(n^3) ``eigh`` runs instead.
+      O(n^3) ``eigh`` runs instead.  It gives up sooner, from ``2 *
+      BLOCK_ROWS`` pivots on, once the decay of its residual trace shows it
+      cannot reach the stop within that cap: the log trace is projected at
+      its rate since the last power of two of the pivot count, a rate that
+      keeps growing where it grew (see :func:`_out_of_reach`).  The projection
+      assumes that the decay does not speed up faster than it has; where it
+      does, the full ``eigh`` runs on a Gram the Cholesky would have finished.
 
     Raises :class:`NumericalError` when the matrix is asymmetric or not PSD.
     The full path rejects an eigenvalue below ``-PSD_RTOL * max(D)``.  The
@@ -113,8 +119,7 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
     n = k.shape[0]
     if y.shape[0] != n:
         raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
-    scale = _max_abs(k)
-    asym = _max_abs(k - k.T)
+    scale, asym = _scale_and_asymmetry(k)
     if asym > 1e-12 * (1.0 + scale):
         raise NumericalError(f"Gram matrix asymmetric beyond tolerance ({asym:.3e})")
     factor = _pivoted_cholesky(k) if n else None
@@ -131,6 +136,26 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
 
 def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
+
+
+def _scale_and_asymmetry(k: np.ndarray):
+    """``max |K_ij|`` and ``max |K_ij - K_ji|`` in one pass over row blocks.
+
+    Each block of rows is compared with the matching columns from the
+    diagonal on; ``K_ji - K_ij`` is exactly ``-(K_ij - K_ji)``, so the upper
+    triangle gives the same maximum as the whole of ``K - K^T``.  The blocks
+    have ``8 * BLOCK_ROWS`` rows, so a Gram of up to 256 points is checked in
+    one block: with two threads calling it at n = 200, 32-row blocks took
+    three times as long as the unblocked check.
+    """
+    n = k.shape[0]
+    height = 8 * BLOCK_ROWS
+    scale = asym = 0.0
+    for start in range(0, n, height):
+        rows, right = slice(start, start + height), slice(start, n)
+        scale = max(scale, _max_abs(k[rows]))
+        asym = max(asym, _max_abs(k[rows, right] - k[right, rows].T))
+    return scale, asym
 
 
 def _rank(values: np.ndarray, n: int) -> int:
@@ -155,22 +180,32 @@ def _full_eigen(k: np.ndarray):
 
 
 def _pivoted_cholesky(k: np.ndarray):
-    """Rows of L with ``K ~ L L^T`` and the residual diagonal, or None past the pivot cap.
+    """Rows of L with ``K ~ L L^T`` and the residual diagonal, or None when hopeless.
 
     Pivots on the largest residual diagonal entry and stops once the residual
-    trace is at most ``lb * n * RANK_RTOL * CHOLESKY_MARGIN``.
+    trace is at most ``stop = lb * n * RANK_RTOL * CHOLESKY_MARGIN``.  Returns
+    None at the cap of ``PIVOT_FRACTION * n`` pivots, or earlier, at a
+    multiple of ``BLOCK_ROWS`` pivots from ``2 * BLOCK_ROWS`` on, once
+    :func:`_out_of_reach` finds that the trace cannot reach the stop within
+    the cap at the pace it has decayed so far.
     """
     n = k.shape[0]
     resid = k.diagonal().copy()
     lb = max(float(resid.max()), float(k.sum()) / n)
-    stop = lb * n * RANK_RTOL * CHOLESKY_MARGIN
+    rel_stop = n * RANK_RTOL * CHOLESKY_MARGIN
+    stop = lb * rel_stop
     cap = int(PIVOT_FRACTION * n)
     lt = np.empty((cap, n))
+    gaps = []
     for j in range(cap + 1):
+        trace = float(resid.sum())
         # Past this test the largest entry is positive: lb < 0 stops at once.
-        if float(resid.sum()) <= stop:
+        if trace <= stop:
             return lt[:j], resid, lb
-        if j == cap:
+        # log(trace / stop), with no underflow in stop for a tiny lb.
+        gaps.append(math.log(trace / lb / rel_stop))
+        if j == cap or (j >= 2 * BLOCK_ROWS and j % BLOCK_ROWS == 0
+                        and _out_of_reach(gaps, cap)):
             return None
         i = int(np.argmax(resid))
         row = lt[j]
@@ -178,6 +213,36 @@ def _pivoted_cholesky(k: np.ndarray):
         row /= math.sqrt(resid[i])
         resid -= row * row
         resid[i] = 0.0
+
+
+def _out_of_reach(gaps: list, cap: int) -> bool:
+    """Whether a residual trace decaying as in ``gaps`` cannot reach the stop by the cap.
+
+    ``gaps[i]`` is ``L(i) = log(trace_i / stop)`` after i pivots, for i up to
+    the current count j >= 2.  With ``j0`` the largest power of two below j
+    and ``j1 = j0 / 2``, the log trace falls at ``rate`` per pivot over
+    ``[j0, j]`` and at ``before`` over ``[j1, j0]``.  The projection keeps
+    ``rate``, and so gives up when
+    ``L(j) > (L(j0) - L(j)) * (cap - j) / (j - j0)``, unless the decay sped up
+    (``rate > before``); then the rate is assumed to keep growing by the same
+    factor per pivot.  That is the case at small widths in one dimension,
+    where the trace falls slowly while the pivots spread over the design and
+    fast after.  A wrong give-up only sends K to the full eigh.
+    """
+    j = len(gaps) - 1
+    j0 = 1 << ((j - 1).bit_length() - 1)
+    j1 = j0 // 2
+    rate = (gaps[j0] - gaps[j]) / (j - j0)
+    if rate <= 0.0:
+        return True
+    before = (gaps[j1] - gaps[j0]) / (j0 - j1)
+    if rate > before > 0.0:
+        # The rate grows by exp(growth) per pivot between the window midpoints.
+        growth = math.log(rate / before) / ((j - j1) / 2)
+        needed = math.log1p(growth * gaps[j] / rate) / growth
+    else:
+        needed = gaps[j] / rate
+    return needed > cap - j
 
 
 def _ritz_eigen(k: np.ndarray, lt: np.ndarray, resid: np.ndarray, lb: float, asym: float):
@@ -234,12 +299,13 @@ def mu_of_r(ge: GramEigen, r: float, n: int) -> float:
     ``psi(lam) = 1/sqrt(phi(lam)) - 1/r``, which is concave and increasing, so
     Newton steps from the left of the root stay left of it and converge
     monotonically.  The root lies in
-    ``[max(0, sqrt(S)/r - D_max), sqrt(S)/r]`` with ``S = sum_i D_i c_i^2``; a
-    step leaving that bracket is replaced by bisection.  The iteration stops
-    once ``|phi - r**2| <= MU_REL_TOL * r**2`` and returns one further Newton
-    step from there, which leaves ``mu`` accurate well beyond the stop
-    tolerance.  Raises :class:`NumericalError` on non-finite input or when
-    ``MU_MAX_ITER`` iterations do not converge.
+    ``[max(0, sqrt(S)/r - D_max, max_i(sqrt(D_i c_i^2)/r - D_i)), sqrt(S)/r]``
+    with ``S = sum_i D_i c_i^2``: the whole sum and each single term bound
+    ``phi``.  A step leaving that bracket is replaced by bisection.  The
+    iteration stops once ``|phi - r**2| <= MU_REL_TOL * r**2`` and returns one
+    further Newton step from there, which leaves ``mu`` accurate well beyond
+    the stop tolerance.  Raises :class:`NumericalError` on non-finite input or
+    when ``MU_MAX_ITER`` iterations do not converge.
     """
     if not r > 0:
         raise InputError(f"radius must be positive, got {r}")
@@ -251,7 +317,7 @@ def mu_of_r(ge: GramEigen, r: float, n: int) -> float:
     dc2 = d * ge.proj[: ge.rank] ** 2
     target = r * r
     hi = math.sqrt(float(dc2.sum())) / r
-    lo = max(0.0, hi - float(d[0]))
+    lo = max(0.0, hi - float(d[0]), float(np.max(np.sqrt(dc2) / r - d)))
     lam = lo
     for _ in range(MU_MAX_ITER):
         inv = 1.0 / (d + lam)

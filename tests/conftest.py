@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from rkhsball.errors import InputError, NumericalError
-from rkhsball.estimator import RANK_RTOL, GramEigen, eigen_gram, fit_constrained
+from rkhsball.estimator import (
+    CHOLESKY_MARGIN,
+    RANK_RTOL,
+    GramEigen,
+    eigen_gram,
+    fit_constrained,
+)
 from rkhsball.experiments import generate
 from rkhsball.kernels import GaussianKernel, chaining_constant_bound, gram
 from rkhsball.theory import scaled_element_approx_bound
@@ -153,6 +159,29 @@ def full_eigen_gram(k, y):
     else:
         rho = 0.0
     return GramEigen(vectors=vectors, values=values, rank=rank, proj=proj, rho=rho)
+
+
+def pivots_needed(k):
+    """Pivots a plain pivoted Cholesky of ``k`` takes to reach its stop, with no cap.
+
+    The oracle for :func:`rkhsball.estimator._pivoted_cholesky`'s give-up
+    test: the same pivot choice and stop rule (residual trace at most
+    ``lb * n * RANK_RTOL * CHOLESKY_MARGIN``), row by row, until it stops.
+    """
+    k = np.asarray(k, dtype=float)
+    n = k.shape[0]
+    resid = k.diagonal().copy()
+    lb = max(float(resid.max()), float(k.sum()) / n)
+    stop = lb * n * RANK_RTOL * CHOLESKY_MARGIN
+    rows = np.zeros((n, n))
+    j = 0
+    while float(resid.sum()) > stop:
+        i = int(np.argmax(resid))
+        rows[j] = (k[i] - rows[:j, i] @ rows[:j]) / math.sqrt(resid[i])
+        resid -= rows[j] ** 2
+        resid[i] = 0.0
+        j += 1
+    return j
 
 
 def naive_fixed_criterion(preds, radii, tau, nu, n):

@@ -292,3 +292,15 @@ class TestReplicatesBoundary:
         cfg = _write(tmp_path / "c.json", json.dumps(config))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"replicates must be at least {minimum}" in capsys.readouterr().err
+
+
+class TestNonNumericConfig:
+    @pytest.mark.parametrize("line,key", [
+        ("replicates = abc", "replicates"),
+        ("scenario.sigma = abc", "scenario.sigma"),
+    ])
+    def test_majorant_names_the_key(self, tmp_path, capsys, line, key):
+        cfg = _write(tmp_path / "m.conf", f"scenario.n = 16\nscenario.replicates = 3\n{line}\n")
+        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key} must be" in err and "'abc'" in err

@@ -10,6 +10,7 @@ from conftest import (
     conditioned_instance,
     full_eigen_gram,
     pgd_constrained_loss,
+    pivots_needed,
     random_instance,
     stable_radius_scale,
 )
@@ -26,7 +27,7 @@ from rkhsball.estimator import (
     predict,
     rkhs_sq_distance,
 )
-from rkhsball.kernels import GaussianKernel, gram
+from rkhsball.kernels import GaussianKernel, gram, width_grid
 from rkhsball.selection_fixed import radius_grid
 
 K1 = np.array([[1.0]])
@@ -186,6 +187,77 @@ class TestEigenGramPaths:
             eigen_gram(np.array([[-1.0]]), np.array([1.0]))
         with pytest.raises(NumericalError):
             eigen_gram(np.diag([1.0, 1.0, -1e-6]), np.ones(3))
+
+
+class TestCholeskyGiveUp:
+    """The early give-up of the pivoted Cholesky against the uncapped pivot count."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_family_widths(self, monkeypatch, seed):
+        # The seven widths of select_width_radius at n = 800, d = 3 on a
+        # uniform design: the three smallest are near full rank and are given
+        # up well before the cap of 400 pivots; the others finish with the
+        # oracle's pivot count.  The responses do not enter the Cholesky.
+        x = np.random.default_rng(seed).uniform(size=(800, 3))
+        given_up_at = []
+        real = estimator._out_of_reach
+
+        def spy(gaps, cap):
+            out = real(gaps, cap)
+            if out:
+                given_up_at.append(len(gaps) - 1)
+            return out
+
+        monkeypatch.setattr(estimator, "_out_of_reach", spy)
+        for gamma in width_grid(0.25, 4.0, 1.6):
+            k = gram(GaussianKernel(gamma, 3), x)
+            factor = estimator._pivoted_cholesky(k)
+            if gamma < 1.0:
+                assert factor is None
+                assert given_up_at and given_up_at.pop() <= 192
+            else:
+                assert factor[0].shape[0] == pivots_needed(k)
+        assert not given_up_at
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(66, 400), d=st.integers(1, 3),
+           gamma=st.floats(0.1, 4.0), design=st.sampled_from(["uniform", "normal"]))
+    def test_never_abandons_what_finishes_early(self, seed, n, d, gamma, design):
+        # A Gram the oracle finishes within 3/4 of the cap is never given up,
+        # one past the cap always is, and a finished factor has the oracle's
+        # pivot count.  Between 3/4 of the cap and the cap either is allowed.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(n, d)) if design == "uniform" else rng.normal(size=(n, d))
+        k = gram(GaussianKernel(gamma, d), x)
+        need, cap = pivots_needed(k), int(estimator.PIVOT_FRACTION * n)
+        factor = estimator._pivoted_cholesky(k)
+        if need > cap:
+            assert factor is None
+        elif need <= 0.75 * cap:
+            assert factor is not None
+        if factor is not None:
+            assert factor[0].shape[0] == need
+
+    def test_speeding_decay_is_not_abandoned(self, monkeypatch):
+        # d = 1, normal design, small width: the decay is slow while the
+        # pivots cover the design and fast after.  The oracle finishes in 130
+        # of the 200 pivots allowed.
+        x = np.random.default_rng(3).normal(size=(400, 1))
+        k = gram(GaussianKernel(0.13, 1), x)
+        seen = []
+        real = estimator._out_of_reach
+        monkeypatch.setattr(estimator, "_out_of_reach",
+                            lambda gaps, cap: seen.append(list(gaps)) or real(gaps, cap))
+        factor = estimator._pivoted_cholesky(k)
+        assert factor is not None and factor[0].shape[0] == pivots_needed(k) <= 0.75 * 200
+        g = seen[0]
+        assert len(g) == 65
+        # The log trace falls faster over [32, 64] than over [16, 32], so at
+        # pivot 64 both the average rate since pivot 0 and the rate since
+        # pivot 32 would miss the stop in the 136 pivots left.
+        assert (g[32] - g[64]) / 32 > (g[16] - g[32]) / 16
+        assert g[64] > (g[0] - g[64]) * 136 / 64
+        assert g[64] > (g[32] - g[64]) * 136 / 32
 
 
 class TestMuOfR:

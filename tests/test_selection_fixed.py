@@ -248,6 +248,58 @@ def _comparison_tables(draw):
     return preds, scales, draw(st.floats(0.0, 4.0))
 
 
+def _random_design(rng, n, d, design):
+    return rng.uniform(size=(n, d)) if design == "uniform" else rng.normal(size=(n, d))
+
+
+class TestSelectionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120), d=st.integers(1, 3),
+           gamma=st.floats(0.2, 3.0), tau=st.floats(0.05, 3.0),
+           design=st.sampled_from(["uniform", "normal"]))
+    def test_row_permutation(self, seed, n, d, gamma, tau, design):
+        # Permuting the rows permutes the selected coefficients and keeps r_hat,
+        # unless the two cells' totals tie to 1e-9.  The pivot order changes
+        # with the row order (ties on the constant diagonal go to the first
+        # row), so fits agree only to the tolerances of the decomposition's
+        # oracle test: 1e-4 of the radius in the function-space norm, 1e-7 of
+        # max|y| in fitted values.
+        rng = np.random.default_rng(seed)
+        x = _random_design(rng, n, d, design)
+        y = np.sin(3.0 * x.sum(axis=1)) + 0.3 * rng.normal(size=n)
+        kernel = GaussianKernel(gamma, d)
+        cfg = _quiet_config(tau, 0.5, 0.3, kernel.diag_sup)
+        grid = radius_grid(1.0, 0.5, n)
+        perm = rng.permutation(n)
+        a = select_radius(Dataset(x=x, y=y), kernel, grid, cfg)
+        b = select_radius(Dataset(x=x[perm], y=y[perm]), kernel, grid, cfg)
+        if a.r_hat != b.r_hat:
+            totals = {row.r: row.total for row in a.criterion}
+            assert abs(totals[a.r_hat] - totals[b.r_hat]) <= 1e-9
+            return
+        dc = a.fit_hat.coeffs[perm] - b.fit_hat.coeffs
+        k = gram(kernel, x[perm])
+        assert math.sqrt(max(float(dc @ k @ dc), 0.0)) <= 1e-4 * a.r_hat
+        assert np.abs(a.fit_hat.train_pred[perm] - b.fit_hat.train_pred).max() \
+            <= 1e-7 * np.abs(y).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), d=st.integers(1, 3),
+           gamma=st.floats(0.2, 3.0), tau=st.floats(0.01, 5.0), nu=st.floats(0.05, 2.0),
+           y_scale=st.floats(1e-3, 1e3), design=st.sampled_from(["uniform", "normal"]))
+    def test_totals_respect_floor(self, seed, n, d, gamma, tau, nu, y_scale, design):
+        # Each cell is its own comparison partner at distance exactly 0, so its
+        # total is at least 2 * nu * tau * r / sqrt(n).
+        rng = np.random.default_rng(seed)
+        data = Dataset(x=_random_design(rng, n, d, design), y=y_scale * rng.normal(size=n))
+        kernel = GaussianKernel(gamma, d)
+        cfg = _quiet_config(tau, nu, 0.1, kernel.diag_sup)
+        result = select_radius(data, kernel, radius_grid(1.0, 0.5, n), cfg)
+        for row in result.criterion:
+            floor = 2.0 * nu * tau * row.r / math.sqrt(n)
+            assert row.total >= floor - 1e-12 * max(1.0, floor)
+
+
 class TestComparisonExcess:
     @settings(max_examples=200, deadline=None)
     @given(table=_comparison_tables())

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_gauss_criterion
 from rkhsball.data import Dataset
@@ -224,3 +226,25 @@ class TestSelectWidthRadius:
         best = min(range(len(fixed_rows)),
                    key=lambda i: (fixed_rows[i].total, fixed_rows[i].r))
         assert gauss_result.r_hat == fixed_rows[best].r
+
+
+class TestSelectWidthRadiusProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.integers(1, 3),
+           u=st.floats(0.2, 1.0), ratio=st.floats(1.3, 3.0), tau=st.floats(0.01, 5.0),
+           nu=st.floats(0.05, 2.0), y_scale=st.floats(1e-3, 1e3),
+           design=st.sampled_from(["uniform", "normal"]))
+    def test_totals_respect_floor(self, seed, n, d, u, ratio, tau, nu, y_scale, design):
+        # Each cell is its own comparison partner at distance exactly 0, so its
+        # total is at least 2 * nu * tau * gamma**(-d/2) * r / sqrt(n).
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(n, d)) if design == "uniform" else rng.normal(size=(n, d))
+        data = Dataset(x=x, y=y_scale * rng.normal(size=n))
+        cfg = _quiet_gauss_config(tau=tau, nu=nu, sigma=0.1, dim=d,
+                                  width_grid=width_grid(u, 4.0 * u, ratio),
+                                  radius_grid=radius_grid(1.0, 0.5, n))
+        result = select_width_radius(data, cfg)
+        assert len(result.criterion) == len(cfg.width_grid) * len(cfg.radius_grid)
+        for row in result.criterion:
+            floor = 2.0 * nu * tau * row.gamma ** (-d / 2.0) * row.r / math.sqrt(n)
+            assert row.total >= floor - 1e-12 * max(1.0, floor)
