@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConstraintError, InputError, NumericalError, RkhsBallError
-from .estimator import fit_constrained
 from .experiments import (
     ExperimentRecord,
     HatTarget,
@@ -43,10 +42,11 @@ from .experiments import (
     write_csv,
     write_records_csv,
     write_summary_json,
-    _json_value,
+    json_value,
 )
-from .kernels import GaussianKernel, chaining_constant_bound, gram, width_grid
-from .selection_fixed import GLConfig, radius_grid, select_radius, tau_min_fixed
+from .kernels import GaussianKernel, chaining_constant_bound, width_grid
+from .selection_fixed import (GLConfig, fit_radius_path, radius_grid, select_radius,
+                              tau_min_fixed)
 from .selection_gauss import GaussGLConfig, select_width_radius, tau_min_gauss
 from .theory import (
     fixed_kernel_risk_bound,
@@ -273,6 +273,18 @@ def _number(value, key: str, kind=float):
         raise InputError(f"config key {key} must be {what}, got {value!r}") from None
 
 
+def _numbers(value, key: str, kind=float) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"config key {key} must be a list, got {value!r}")
+    return [_number(v, key, kind) for v in value]
+
+
+def _flag(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"config key {key} must be true or false, got {value!r}")
+    return value
+
+
 def _build_target(spec: dict):
     if not isinstance(spec, dict):
         raise InputError("scenario.target must be a mapping")
@@ -310,14 +322,14 @@ def _build_scenario(cfg: dict, seed_override: int | None) -> ScenarioConfig:
         holdout_size=_number(scen["holdout_size"], "scenario.holdout_size", int))
 
 
-def _build_settings(cfg: dict, theory_mode: bool) -> SelectionSettings:
+def _build_settings(cfg: dict) -> SelectionSettings:
     sel = cfg["selection"]
     return SelectionSettings(
         tau=None if sel["tau"] is None else _number(sel["tau"], "selection.tau"),
         nu=_number(sel["nu"], "selection.nu"),
         grid_a=_number(sel["grid_a"], "selection.grid_a"),
         grid_b=_number(sel["grid_b"], "selection.grid_b"),
-        theory_mode=theory_mode,
+        theory_mode=_flag(cfg["theory_mode"], "theory_mode"),
         kernel_gamma=(None if sel["kernel_gamma"] is None
                       else _number(sel["kernel_gamma"], "selection.kernel_gamma")))
 
@@ -346,8 +358,7 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "fit"))
     r = _number(_require(cfg, "r", "fit"), "r")
     kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
-    k = gram(kernel, data.x)
-    fit = fit_constrained(k, data.y, r, kernel_id=kernel.kernel_id)
+    fit = fit_radius_path(data, kernel, [r])[0]
     summary = {
         "kernel": {"gamma": kernel.gamma, "dim": kernel.dim},
         "r": fit.r,
@@ -361,25 +372,24 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     return [path]
 
 
-def _resolve_tau_fixed(cfg: dict, k_diag: float) -> float:
+def _tau(cfg: dict, tau_min, *args) -> float:
+    """The configured ``tau``, else the rule's theoretical minimum ``tau_min(*args)``."""
     if cfg["tau"] is not None:
         return _number(cfg["tau"], "tau")
-    return tau_min_fixed(k_diag, _number(cfg["sigma"], "sigma"))
+    return tau_min(*args)
 
 
-def cmd_select(cfg: dict, out_dir: str) -> list[str]:
-    data = read_data_csv(_require(cfg, "data", "select"))
-    kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
-    tau = _resolve_tau_fixed(cfg, kernel.diag_sup)
-    gl = GLConfig(tau=tau, nu=_number(cfg["nu"], "nu"), sigma=_number(cfg["sigma"], "sigma"),
-                  k_diag=kernel.diag_sup, theory_mode=bool(cfg["theory_mode"]))
-    grid = radius_grid(*_grid(cfg), data.n)
-    result = select_radius(data, kernel, grid, gl)
-    crit_path = os.path.join(out_dir, "criterion.csv")
-    write_csv(crit_path, ("r", "bias_proxy", "variance_term", "total"),
-              [(row.r, row.bias_proxy, row.variance_term, row.total)
-               for row in result.criterion])
-    summary = {
+def _write_selection(out_dir: str, data: Dataset, result, gl, rule: dict) -> list[str]:
+    """Write a selection's criterion CSV and summary, with the rule's entries ``rule``;
+    a width-family result adds ``gamma`` and ``gamma_hat`` and ``_gauss`` file names."""
+    family = result.gamma_hat is not None
+    suffix = "_gauss" if family else ""
+    crit_path = os.path.join(out_dir, f"criterion{suffix}.csv")
+    columns = (("gamma",) if family else ()) + ("r", "bias_proxy", "variance_term", "total")
+    write_csv(crit_path, columns,
+              [[getattr(row, col) for col in columns] for row in result.criterion])
+    summary = {"gamma_hat": result.gamma_hat} if family else {}
+    summary.update({
         "r_hat": result.r_hat,
         "mu": result.fit_hat.mu,
         "h_norm": result.fit_hat.h_norm,
@@ -387,13 +397,25 @@ def cmd_select(cfg: dict, out_dir: str) -> list[str]:
         "tau": gl.tau,
         "nu": gl.nu,
         "sigma": gl.sigma,
-        "k_diag": gl.k_diag,
-        "grid": {"a": grid.a, "b": grid.b, "size": len(grid)},
+        **rule,
         "coefficients": [float(a) for a in result.fit_hat.coeffs],
-    }
-    sel_path = os.path.join(out_dir, "selection.json")
+    })
+    sel_path = os.path.join(out_dir, f"selection{suffix}.json")
     write_summary_json(sel_path, summary)
     return [sel_path, crit_path]
+
+
+def cmd_select(cfg: dict, out_dir: str) -> list[str]:
+    data = read_data_csv(_require(cfg, "data", "select"))
+    kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
+    sigma = _number(cfg["sigma"], "sigma")
+    gl = GLConfig(tau=_tau(cfg, tau_min_fixed, kernel.diag_sup, sigma),
+                  nu=_number(cfg["nu"], "nu"), sigma=sigma, k_diag=kernel.diag_sup,
+                  theory_mode=_flag(cfg["theory_mode"], "theory_mode"))
+    grid = radius_grid(*_grid(cfg), data.n)
+    return _write_selection(out_dir, data, select_radius(data, kernel, grid, gl), gl,
+                            {"k_diag": gl.k_diag,
+                             "grid": {"a": grid.a, "b": grid.b, "size": len(grid)}})
 
 
 def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
@@ -402,50 +424,38 @@ def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
     j_const = (_number(cfg["j_const"], "j_const") if cfg["j_const"] is not None
                else chaining_constant_bound(widths.u, widths.v))
     sigma = _number(cfg["sigma"], "sigma")
-    tau = _number(cfg["tau"], "tau") if cfg["tau"] is not None else tau_min_gauss(j_const, sigma)
     grid = radius_grid(*_grid(cfg), data.n)
-    gauss_cfg = GaussGLConfig(tau=tau, nu=_number(cfg["nu"], "nu"), sigma=sigma,
-                              dim=data.d, width_grid=widths, radius_grid=grid,
-                              j_const=j_const, theory_mode=bool(cfg["theory_mode"]))
-    result = select_width_radius(data, gauss_cfg)
-    crit_path = os.path.join(out_dir, "criterion_gauss.csv")
-    write_csv(crit_path, ("gamma", "r", "bias_proxy", "variance_term", "total"),
-              [(row.gamma, row.r, row.bias_proxy, row.variance_term, row.total)
-               for row in result.criterion])
-    summary = {
-        "gamma_hat": result.gamma_hat,
-        "r_hat": result.r_hat,
-        "mu": result.fit_hat.mu,
-        "h_norm": result.fit_hat.h_norm,
-        "train_loss": result.fit_hat.train_loss(data.y),
-        "tau": gauss_cfg.tau,
-        "nu": gauss_cfg.nu,
-        "sigma": gauss_cfg.sigma,
-        "j_const": gauss_cfg.j_const,
-        "widths": list(widths),
-        "grid_size": len(grid),
-        "coefficients": [float(a) for a in result.fit_hat.coeffs],
-    }
-    sel_path = os.path.join(out_dir, "selection_gauss.json")
-    write_summary_json(sel_path, summary)
-    return [sel_path, crit_path]
+    gl = GaussGLConfig(tau=_tau(cfg, tau_min_gauss, j_const, sigma),
+                       nu=_number(cfg["nu"], "nu"), sigma=sigma, dim=data.d,
+                       width_grid=widths, radius_grid=grid, j_const=j_const,
+                       theory_mode=_flag(cfg["theory_mode"], "theory_mode"))
+    return _write_selection(out_dir, data, select_width_radius(data, gl), gl,
+                            {"j_const": gl.j_const, "widths": list(widths),
+                             "grid_size": len(grid)})
+
+
+def _write_report(out_dir: str, stem: str, cfg: dict, summary: dict, records=None) -> list[str]:
+    """Write ``records`` (when given) to ``{stem}.csv`` and the echoed config followed by
+    ``summary`` to ``{stem}_summary.json``."""
+    paths = [] if records is None else [os.path.join(out_dir, f"{stem}.csv")]
+    if paths:
+        write_records_csv(paths[0], records)
+    paths.append(os.path.join(out_dir, f"{stem}_summary.json"))
+    write_summary_json(paths[-1], {"config": _echo_config(cfg), **summary})
+    return paths
 
 
 def cmd_rates(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
     scenario = _build_scenario(cfg, seed_override)
-    settings = _build_settings(cfg, bool(cfg["theory_mode"]))
-    n_list = [_number(n, "n_list", int) for n in cfg["n_list"]]
+    settings = _build_settings(cfg)
+    n_list = _numbers(cfg["n_list"], "n_list", int)
     report = rate_experiment(scenario, n_list, settings, threads=threads)
-    csv_path = os.path.join(out_dir, "rates.csv")
-    write_records_csv(csv_path, report.records)
-    summary = {"config": _echo_config(cfg), "aggregates": report.as_dict()}
+    summary = {"aggregates": report.as_dict()}
     if cfg["slope_threshold"] is not None:
         thr = _number(cfg["slope_threshold"], "slope_threshold")
         summary["passed"] = (not report.degenerate and report.slope is not None
                              and report.slope <= thr)
-    sum_path = os.path.join(out_dir, "rates_summary.json")
-    write_summary_json(sum_path, summary)
-    return [csv_path, sum_path]
+    return _write_report(out_dir, "rates", cfg, summary, report.records)
 
 
 def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
@@ -463,46 +473,32 @@ def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: in
                                             replicates=reps, threads=threads)
     else:
         raise InputError(f"unknown event {event!r}; expected majorant, bias or gauss-majorant")
-    records = []
-    for i, ind in enumerate(report.indicators):
-        records.append(ExperimentRecord(
-            replicate=i, n=scenario.n, gamma_hat=None, r_hat=None,
-            err_adaptive=None, err_oracle_grid=None,
-            event_bias=ind if event == "bias" else None,
-            event_majorant=ind if event != "bias" else None,
-            seed=replicate_seed(scenario.master_seed, i)))
-    csv_path = os.path.join(out_dir, "majorant.csv")
-    write_records_csv(csv_path, records)
-    summary = {"config": _echo_config(cfg), **report.as_dict()}
-    sum_path = os.path.join(out_dir, "majorant_summary.json")
-    write_summary_json(sum_path, summary)
-    return [csv_path, sum_path]
+    records = [ExperimentRecord(replicate=i, n=scenario.n, gamma_hat=None, r_hat=None,
+                                err_adaptive=None, err_oracle_grid=None,
+                                event_bias=ind if event == "bias" else None,
+                                event_majorant=ind if event != "bias" else None,
+                                seed=replicate_seed(scenario.master_seed, i))
+               for i, ind in enumerate(report.indicators)]
+    return _write_report(out_dir, "majorant", cfg, report.as_dict(), records)
 
 
 def cmd_oracle_gap(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
     scenario = _build_scenario(cfg, seed_override)
-    settings = _build_settings(cfg, bool(cfg["theory_mode"]))
+    settings = _build_settings(cfg)
     report = oracle_gap_check(scenario, settings, replicates=_replicates(cfg),
                               threshold=_number(cfg["threshold"], "threshold"),
                               pass_fraction=_number(cfg["pass_fraction"], "pass_fraction"),
                               threads=threads)
-    csv_path = os.path.join(out_dir, "oracle_gap.csv")
-    write_records_csv(csv_path, report.records)
-    summary = {"config": _echo_config(cfg), **report.as_dict()}
-    sum_path = os.path.join(out_dir, "oracle_gap_summary.json")
-    write_summary_json(sum_path, summary)
-    return [csv_path, sum_path]
+    return _write_report(out_dir, "oracle_gap", cfg, report.as_dict(), report.records)
 
 
 def cmd_quadform(cfg: dict, out_dir: str, seed_override: int | None) -> list[str]:
     seed = seed_override if seed_override is not None else _number(cfg["seed"], "seed", int)
     report = quadform_tail_check(_number(cfg["n"], "n", int), _number(cfg["sigma"], "sigma"),
-                                 t_list=[_number(t, "t_list") for t in cfg["t_list"]],
+                                 t_list=_numbers(cfg["t_list"], "t_list"),
                                  replicates=_number(cfg["replicates"], "replicates", int),
                                  master_seed=seed)
-    sum_path = os.path.join(out_dir, "quadform_summary.json")
-    write_summary_json(sum_path, {"config": _echo_config(cfg), **report.as_dict()})
-    return [sum_path]
+    return _write_report(out_dir, "quadform", cfg, report.as_dict())
 
 
 def _approx_fn(cfg: dict):
@@ -513,12 +509,13 @@ def _approx_fn(cfg: dict):
         raise InputError("approx must be null or a mapping with a 'kind'")
     if spec["kind"] == "interpolation":
         _reject_unknown(spec, {"kind", "b_norm", "beta"}, "approx")
-        b_norm = _number(spec["b_norm"], "approx.b_norm")
-        beta = _number(spec["beta"], "approx.beta")
+        b_norm = _number(spec.get("b_norm"), "approx.b_norm")
+        beta = _number(spec.get("beta"), "approx.beta")
         return lambda r: interpolation_approx_bound(b_norm, beta, r)
     if spec["kind"] == "element":
         _reject_unknown(spec, {"kind", "norm", "sup"}, "approx")
-        norm, sup = _number(spec["norm"], "approx.norm"), _number(spec["sup"], "approx.sup")
+        norm = _number(spec.get("norm"), "approx.norm")
+        sup = _number(spec.get("sup"), "approx.sup")
         return lambda r: scaled_element_approx_bound(norm, sup, r)
     raise InputError(f"unknown approx kind {spec['kind']!r}")
 
@@ -585,7 +582,7 @@ def run(argv=None) -> int:
     if args.theory_mode:
         cfg["theory_mode"] = True
     if args.print_config:
-        sys.stdout.write(_json_value(cfg) + "\n")
+        sys.stdout.write(json_value(cfg) + "\n")
         return 0
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)

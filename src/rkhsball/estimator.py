@@ -104,7 +104,7 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
       assumes that the decay does not speed up faster than it has; where it
       does, the full ``eigh`` runs on a Gram the Cholesky would have finished.
 
-    Raises :class:`NumericalError` when the matrix is asymmetric or not PSD.
+    Raises :class:`NumericalError` when the matrix is non-finite, asymmetric or not PSD.
     The full path rejects an eigenvalue below ``-PSD_RTOL * max(D)``.  The
     Cholesky path rejects a Ritz value below that, or an entry of S larger in
     magnitude than ``max_i S_ii + PSD_RTOL * lb`` plus the asymmetry; what it
@@ -153,7 +153,11 @@ def _scale_and_asymmetry(k: np.ndarray):
     scale = asym = 0.0
     for start in range(0, n, height):
         rows, right = slice(start, start + height), slice(start, n)
-        scale = max(scale, _max_abs(k[rows]))
+        block = _max_abs(k[rows])
+        # ``max`` keeps its first argument against a NaN, so test before folding in.
+        if not math.isfinite(block):
+            raise NumericalError("Gram matrix has a non-finite entry")
+        scale = max(scale, block)
         asym = max(asym, _max_abs(k[rows, right] - k[right, rows].T))
     return scale, asym
 

@@ -16,7 +16,8 @@ necessary condition.
 
 Fits come from :func:`rkhsball.selection_fixed.fit_radius_path`.  Both majorant
 events are read off :func:`rkhsball.selection_fixed.comparison_excess`, the
-comparison the selection rules penalise, the fixed kernel as its one-width case.
+comparison the selection rules penalise, in one body: the fixed kernel is its
+one-width case.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "oracle_gap_check",
     "quadform_tail_check",
     "wilson_interval",
+    "json_value",
     "write_csv",
     "write_records_csv",
     "write_summary_json",
@@ -219,7 +221,7 @@ class HoldoutError:
 
 def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
                     c: float | None, n_test: int, rng: np.random.Generator):
-    """Fresh-sample squared errors for a batch of coefficient vectors."""
+    """Fresh-sample squared errors of a batch of coefficient vectors, one column each."""
     x_new = _sample_design(rng, n_test, scenario)
     g_new = scenario.target.evaluate(x_new)
     # The (n_test x n) kernel matrix is built a block of rows at a time: a
@@ -234,9 +236,7 @@ def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfi
         np.clip(sq, -c, c, out=sq)
     sq -= g_new[:, None]
     sq *= sq
-    means = sq.mean(axis=0)
-    stderrs = sq.std(axis=0, ddof=1) / math.sqrt(n_test) if n_test > 1 else np.zeros(sq.shape[1])
-    return means, stderrs
+    return sq
 
 
 def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
@@ -254,9 +254,9 @@ def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
         raise InputError(f"holdout size must be at least 1, got {n_test}")
     if rng is None:
         rng = replicate_rng(scenario.master_seed, 0, stream=1)
-    means, stderrs = _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario,
-                                     c, n_test, rng)
-    return HoldoutError(mean=float(means[0]), stderr=float(stderrs[0]))
+    sq = _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, c, n_test, rng)
+    stderr = sq.std(axis=0, ddof=1)[0] / math.sqrt(n_test) if n_test > 1 else 0.0
+    return HoldoutError(mean=float(sq.mean(axis=0)[0]), stderr=float(stderr))
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -309,13 +309,14 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _event_inputs(scenario: ScenarioConfig, t: float,
-                  replicates: int | None) -> tuple[RkhsTarget, int]:
+def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid, t: float,
+                  replicates: int | None) -> tuple[RkhsTarget, np.ndarray, int]:
     if not isinstance(scenario.target, RkhsTarget):
         raise InputError("event checks need a target with a known space norm")
     if t < 1:
         raise InputError(f"confidence level t must be at least 1, got {t}")
-    return scenario.target, _replicate_count(replicates, scenario.replicates)
+    reps = _replicate_count(replicates, scenario.replicates)
+    return scenario.target, np.asarray(list(grid)), reps
 
 
 def _approx_upper(target: RkhsTarget, radii) -> np.ndarray:
@@ -352,10 +353,9 @@ def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
 
     simultaneously over the grid.
     """
-    target, reps = _event_inputs(scenario, t, replicates)
+    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
     kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
     k_diag = kernel.diag_sup
-    radii = np.asarray(list(grid))
     r0 = target.h_norm
     # Zero target: every ball contains it, so the comparator is g itself.
     shrink = np.minimum(radii, r0) / r0 if r0 > 0 else np.ones_like(radii)
@@ -373,6 +373,19 @@ def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
     return _event_report("bias", t, _map_indexed(one, reps, threads))
 
 
+def _majorant_check(name: str, scenario: ScenarioConfig, kernels, radii, scales,
+                    const: float, approx, t: float, reps: int, threads: int) -> EventReport:
+    """Frequency of ``comparison_excess <= 40 * approx`` over the table of the
+    ``kernels`` (ascending widths) at coefficient ``const * sigma * sqrt(t / n)``."""
+    def one(i: int) -> bool:
+        data = generate(scenario, i)
+        preds = np.stack([_path_preds(data, kernel, radii) for kernel in kernels])
+        coef = const * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
+        return bool(np.all(comparison_excess(preds, scales, coef) <= 40.0 * approx))
+
+    return _event_report(name, t, _map_indexed(one, reps, threads))
+
+
 def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
                          replicates: int | None = None, threads: int = 1) -> EventReport:
     """Frequency of the pairwise-comparison majorant event for a fixed kernel.
@@ -381,21 +394,14 @@ def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *
 
         ||fit_r - fit_s||_n^2 <= 80*sqrt(k_diag)*sigma*(r+s)*sqrt(t)/sqrt(n)
                                  + 40 * approx_sq_upper(r).
+
+    It is the one-width case of the family check, with ``80*sqrt(k_diag)`` for ``84*J``.
     """
-    target, reps = _event_inputs(scenario, t, replicates)
+    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
     kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
-    k_diag = kernel.diag_sup
-    radii = np.asarray(list(grid))
-    approx = _approx_upper(target, radii)
-
-    def one(i: int) -> bool:
-        data = generate(scenario, i)
-        preds = _path_preds(data, kernel, radii)
-        coef = 80.0 * math.sqrt(k_diag) * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
-        excess = comparison_excess(preds[None], radii[None], coef)[0]
-        return bool(np.all(excess <= 40.0 * approx))
-
-    return _event_report("majorant", t, _map_indexed(one, reps, threads))
+    return _majorant_check("majorant", scenario, [kernel], radii, radii[None],
+                           80.0 * math.sqrt(kernel.diag_sup),
+                           _approx_upper(target, radii)[None], t, reps, threads)
 
 
 def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid,
@@ -411,24 +417,16 @@ def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid,
     scaled-target bound applies (nested balls); wider kernels fall back to the
     sup-norm bound of the zero approximant.
     """
-    target, reps = _event_inputs(scenario, t, replicates)
+    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
     if j_const is None:
         j_const = chaining_constant_bound(widths.u, widths.v)
-    d = scenario.d
     gammas = np.asarray(list(widths))
-    radii = np.asarray(list(grid))
-    scales = _penalty_scales(gammas, radii, d)
     approx = np.where(gammas[:, None] <= target.gamma0, _approx_upper(target, radii)[None, :],
                       target.sup_bound ** 2)
-
-    def one(i: int) -> bool:
-        data = generate(scenario, i)
-        preds = np.stack([_path_preds(data, GaussianKernel(gamma=g, dim=d), radii)
-                          for g in gammas])
-        coef = 84.0 * j_const * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
-        return bool(np.all(comparison_excess(preds, scales, coef) <= 40.0 * approx))
-
-    return _event_report("gauss-majorant", t, _map_indexed(one, reps, threads))
+    return _majorant_check("gauss-majorant", scenario,
+                           [GaussianKernel(gamma=g, dim=scenario.d) for g in gammas], radii,
+                           _penalty_scales(gammas, radii, scenario.d), 84.0 * j_const,
+                           approx, t, reps, threads)
 
 
 @dataclass(frozen=True)
@@ -503,8 +501,8 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     result = select_radius(data, kernel, grid, cfg)
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
     coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
-    means, _ = _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
-                               scenario.holdout_size, rng)
+    means = _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
+                            scenario.holdout_size, rng).mean(axis=0)
     return ExperimentRecord(
         replicate=replicate, n=scenario.n, gamma_hat=None, r_hat=result.r_hat,
         err_adaptive=float(means[grid.values.index(result.r_hat)]),
@@ -680,7 +678,8 @@ def write_records_csv(path, records) -> None:
               ([getattr(rec, col) for col in RECORD_COLUMNS] for rec in records))
 
 
-def _json_value(value) -> str:
+def json_value(value) -> str:
+    """JSON text of ``value``; floats carry 17 significant digits, NaN and inf are null."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -694,14 +693,14 @@ def _json_value(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        items = [f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in value.items()]
+        items = [f"{json.dumps(str(k))}: {json_value(v)}" for k, v in value.items()]
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+        return "[" + ", ".join(json_value(v) for v in value) + "]"
     if isinstance(value, np.floating):
-        return _json_value(float(value))
+        return json_value(float(value))
     if dataclasses.is_dataclass(value):
-        return _json_value(dataclasses.asdict(value))
+        return json_value(dataclasses.asdict(value))
     raise InputError(f"cannot serialise {type(value).__name__} to JSON")
 
 
@@ -709,4 +708,4 @@ def write_summary_json(path, summary: dict) -> None:
     """Write a JSON summary; floats carry 17 significant digits so round-trips
     are exact and outputs are byte-stable."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_value(summary) + "\n")
+        fh.write(json_value(summary) + "\n")

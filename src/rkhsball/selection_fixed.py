@@ -2,7 +2,6 @@
 every selection rule and majorant check in the package: :func:`fit_radius_path`
 fits a radius grid from one Gram decomposition, and :func:`comparison_excess`
 makes the penalised pairwise comparisons of a width x radius table of fits.
-The fixed rule is its one-width case, with the radii as penalty scales.
 
 The selection rule fits the constrained estimator at every radius of a finite
 grid and picks the radius minimising
@@ -19,6 +18,11 @@ and ``variance_term(r) = 2 * (1 + nu) * tau * r / sqrt(n)``.  Comparisons use
 unclipped fits.  Since the comparison set contains ``r`` itself, every total
 is at least ``2 * nu * tau * r / sqrt(n)``.  Ties in the argmin go to the
 smallest radius.
+
+The rule is the one-width case of the width-family rule of
+:mod:`rkhsball.selection_gauss`, with the radii as penalty scales: both make
+their rows, argmin and result here, with ``gamma`` and ``gamma_hat`` None for a
+fixed kernel.  ``SelectionResult.fits`` is the selected width's radius path.
 """
 
 from __future__ import annotations
@@ -87,8 +91,7 @@ def radius_grid(a: float, b: float, n: int) -> RadiusGrid:
 
 def tau_min_fixed(k_diag: float, sigma: float) -> float:
     """Smallest penalty scale with a theoretical guarantee: 80*sqrt(k_diag)*sigma."""
-    if not (k_diag > 0 and sigma > 0):
-        raise InputError(f"k_diag and sigma must be positive, got {k_diag}, {sigma}")
+    _check_positive("k_diag and sigma", k_diag, sigma)
     return 80.0 * math.sqrt(k_diag) * sigma
 
 
@@ -99,20 +102,28 @@ def t_of_tau(tau: float, k_diag: float, sigma: float) -> float:
 
 def _confidence_level(tau: float, lo: float) -> float:
     """Confidence level ``(tau / lo)**2`` of a penalty scale against its minimum ``lo``."""
-    if not tau > 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     if tau < lo:
         warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}; "
                       "the implied confidence level is below 1")
     return (tau / lo) ** 2
 
 
-def _check_tau_minimum(tau: float, lo: float, theory_mode: bool) -> None:
-    """Reject (theory mode) or warn about a penalty scale below its minimum ``lo``."""
-    if tau < lo:
-        if theory_mode:
-            raise ConstraintError(f"theory mode requires tau >= {lo:g}, got {tau:g}")
-        warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}")
+def _check_positive(label: str, *values) -> None:
+    if not all(v > 0 for v in values):
+        raise InputError(f"{label} must be positive, got {', '.join(map(str, values))}")
+
+
+def _check_rule(cfg, positive: dict, tau_min) -> None:
+    """Check a rule's config: the values of each labelled group in ``positive``
+    are positive; a tau below ``tau_min()`` is an error in theory mode, else a warning."""
+    for label, values in positive.items():
+        _check_positive(label, *values)
+    lo = tau_min()
+    if cfg.tau < lo:
+        if cfg.theory_mode:
+            raise ConstraintError(f"theory mode requires tau >= {lo:g}, got {cfg.tau:g}")
+        warnings.warn(f"tau={cfg.tau:g} is below the theoretical minimum {lo:g}")
 
 
 @dataclass(frozen=True)
@@ -131,30 +142,33 @@ class GLConfig:
     theory_mode: bool = False
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.nu > 0):
-            raise InputError(f"tau and nu must be positive, got {self.tau}, {self.nu}")
-        if not (self.sigma > 0 and self.k_diag > 0):
-            raise InputError(f"sigma and k_diag must be positive, got {self.sigma}, {self.k_diag}")
-        _check_tau_minimum(self.tau, tau_min_fixed(self.k_diag, self.sigma), self.theory_mode)
+        _check_rule(self, {"tau and nu": (self.tau, self.nu),
+                           "sigma and k_diag": (self.sigma, self.k_diag)},
+                    lambda: tau_min_fixed(self.k_diag, self.sigma))
 
 
 @dataclass(frozen=True)
 class CriterionRow:
+    """One cell of a selection criterion; ``gamma`` is None for a fixed kernel."""
+
     r: float
     bias_proxy: float
     variance_term: float
     total: float
+    gamma: float | None = None
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen radius, criterion table, selected fit and all grid fits (ascending)."""
+    """Chosen cell, criterion table, selected fit and the selected width's radius
+    path ``fits`` (ascending); ``gamma_hat`` is None for a fixed kernel."""
 
     r_hat: float
     criterion: tuple[CriterionRow, ...]
     fit_hat: ConstrainedFit
     clipped: bool = False
     fits: tuple[ConstrainedFit, ...] = ()
+    gamma_hat: float | None = None
 
 
 def comparison_excess(preds, scales, coef: float) -> np.ndarray:
@@ -179,6 +193,32 @@ def comparison_excess(preds, scales, coef: float) -> np.ndarray:
     return np.where(partners, excess, -np.inf).max(axis=1).reshape(w, r)
 
 
+def _criterion_rows(fits, widths, radii, scales, cfg, n: int) -> list[CriterionRow]:
+    """Criterion rows of a ``(W, R)`` table of fits with penalty scales ``scales``,
+    row-major; ``widths`` label the table's rows (``[None]`` for a fixed kernel)."""
+    preds = np.stack([np.stack([f.train_pred for f in row]) for row in fits])
+    sqrt_n = math.sqrt(n)
+    bias = comparison_excess(preds, scales, cfg.tau / sqrt_n).ravel()
+    variance = (2.0 * (1.0 + cfg.nu) * cfg.tau * scales / sqrt_n).ravel()
+    cells = [(gamma, r) for gamma in widths for r in radii]
+    return [CriterionRow(r=float(r), bias_proxy=float(b), variance_term=float(v),
+                         total=float(b + v), gamma=gamma)
+            for (gamma, r), b, v in zip(cells, bias, variance)]
+
+
+def _select(fits, rows: list[CriterionRow], data: Dataset) -> SelectionResult:
+    """The minimiser of a ``(W, R)`` table's criterion rows; ties go to the largest
+    width, then the smallest radius."""
+    per_width = len(fits[0])
+    best = min(range(len(rows)),
+               key=lambda i: (rows[i].total, -(i // per_width), rows[i].r))
+    row = rows[best]
+    path = fits[best // per_width]
+    return SelectionResult(r_hat=row.r, criterion=tuple(rows),
+                           fit_hat=path[best % per_width], clipped=data.c is not None,
+                           fits=tuple(path), gamma_hat=row.gamma)
+
+
 def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[CriterionRow]:
     """Evaluate the selection criterion over a table of fits.
 
@@ -190,13 +230,7 @@ def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[Crit
     radii = np.asarray([f.r for f in fits])
     if np.any(radii[:-1] > radii[1:]):
         raise InputError("fits must be ordered by ascending radius")
-    preds = np.stack([f.train_pred for f in fits])
-    sqrt_n = math.sqrt(n)
-    bias = comparison_excess(preds[None], radii[None], cfg.tau / sqrt_n)[0]
-    variance = 2.0 * (1.0 + cfg.nu) * cfg.tau * radii / sqrt_n
-    return [CriterionRow(r=float(r), bias_proxy=float(b), variance_term=float(v),
-                         total=float(b + v))
-            for r, b, v in zip(radii, bias, variance)]
+    return _criterion_rows([fits], [None], radii, radii[None], cfg, n)
 
 
 def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
@@ -219,8 +253,4 @@ def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> Sel
     if len(grid) == 0:
         raise InputError("radius grid is empty")
     fits = fit_radius_path(data, kernel, grid)
-    rows = gl_criterion(fits, cfg, data.n)
-    best = min(range(len(rows)), key=lambda i: (rows[i].total, rows[i].r))
-    return SelectionResult(r_hat=rows[best].r, criterion=tuple(rows),
-                           fit_hat=fits[best], clipped=data.c is not None,
-                           fits=tuple(fits))
+    return _select([fits], gl_criterion(fits, cfg, data.n), data)

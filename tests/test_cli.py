@@ -281,17 +281,25 @@ class TestConfigHandling:
 
 
 class TestReplicatesBoundary:
-    @pytest.mark.parametrize("command,config,minimum", [
+    @pytest.mark.parametrize("command,config,expected", [
         ("quadform", {"n": 8, "replicates": -3}, 2),
         ("quadform", {"n": 8, "replicates": 1}, 2),
         ("oracle-gap", {"scenario": {"n": 16, "replicates": 3, "holdout_size": 100},
                         "replicates": 0}, 1),
         ("majorant", {"scenario": {"n": 16, "replicates": 3}, "replicates": 0}, 1),
+        ("quadform", {"n": 8, "t_list": 5}, "config key t_list must be a list, got 5"),
+        ("rates", {"n_list": 5}, "config key n_list must be a list, got 5"),
+        ("bounds", {"approx": {"kind": "element", "sup": 1.0}},
+         "config key approx.norm must be a number, got None"),
+        ("rates", {"theory_mode": "abc"}, "config key theory_mode must be true or false"),
     ])
-    def test_rejected_as_input_error(self, tmp_path, capsys, command, config, minimum):
+    def test_rejected_as_input_error(self, tmp_path, capsys, command, config, expected):
+        # An integer is the smallest replicate count the command accepts.
+        if isinstance(expected, int):
+            expected = f"replicates must be at least {expected}"
         cfg = _write(tmp_path / "c.json", json.dumps(config))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"replicates must be at least {minimum}" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
 
 class TestNonNumericConfig:

@@ -78,6 +78,18 @@ class TestEigenGram:
         with pytest.raises(NumericalError):
             eigen_gram(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("cells,value", [
+        (((1, 2),), float("nan")),
+        (((1, 2), (2, 1)), float("nan")),
+        (((0, 0),), float("inf")),
+    ])
+    def test_non_finite_rejected(self, cells, value):
+        k = np.eye(4)
+        for cell in cells:
+            k[cell] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            eigen_gram(k, np.ones(4))
+
     def test_indefinite_rejected(self):
         with pytest.raises(NumericalError):
             eigen_gram(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))

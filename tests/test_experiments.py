@@ -233,6 +233,17 @@ class TestEventChecks:
         assert rep.indicators == loop_gauss_majorant_indicators(scen, widths, grid, 1.0,
                                                                 j_const=1e-4)
 
+    def test_one_width_family_is_the_fixed_check(self):
+        # At gamma0 = 1 and d = 1 the width-family penalty scale gamma**(-d/2)*r is r,
+        # and this J makes 84*J equal to 80*sqrt(k_diag).
+        scen = default_scenario(n=60, replicates=20, master_seed=24)
+        grid = radius_grid(1.0, 1.0, 60)
+        j_const = 80.0 * math.sqrt(GaussianKernel(1.0, 1).diag_sup) / 84.0
+        assert 84.0 * j_const == 80.0 * math.sqrt(GaussianKernel(1.0, 1).diag_sup)
+        family = gauss_majorant_event_check(scen, width_grid(1.0, 1.0, 2.0), grid, 1.0,
+                                            j_const=j_const)
+        assert family.indicators == majorant_event_check(scen, grid, 1.0).indicators
+
     @pytest.mark.parametrize("check", ["majorant", "bias", "gauss-majorant", "oracle-gap"])
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_replicates_below_one_rejected(self, check, replicates):

@@ -232,6 +232,8 @@ class TestSelectRadius:
         assert result.r_hat in set(grid)
         assert [f.r for f in result.fits] == list(grid)
         assert result.fits[grid.values.index(result.r_hat)] is result.fit_hat
+        assert result.gamma_hat is None
+        assert all(row.gamma is None for row in result.criterion)
 
 
 @st.composite

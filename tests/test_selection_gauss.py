@@ -11,9 +11,12 @@ from rkhsball.data import Dataset
 from rkhsball.errors import ConstraintError, InputError
 from rkhsball.estimator import eigen_gram, fit_constrained
 from rkhsball.kernels import GaussianKernel, gram, width_grid
-from rkhsball.selection_fixed import GLConfig, RadiusGrid, gl_criterion, radius_grid
+from rkhsball.selection_fixed import (CriterionRow, GLConfig, RadiusGrid, SelectionResult,
+                                      fit_radius_path, gl_criterion, radius_grid)
 from rkhsball.selection_gauss import (
+    GaussCriterionRow,
     GaussGLConfig,
+    GaussSelectionResult,
     gauss_gl_criterion,
     select_width_radius,
     t_of_tau_gauss,
@@ -200,6 +203,20 @@ class TestSelectWidthRadius:
                 assert rows[idx].bias_proxy == pytest.approx(best, abs=1e-10)
                 assert arg[0] <= gamma and arg[1] >= r
                 idx += 1
+
+    def test_result_keeps_the_selected_path(self, rng):
+        data = Dataset(x=rng.uniform(size=(30, 1)), y=rng.normal(size=30))
+        widths, grid = width_grid(0.5, 2.0, 2.0), radius_grid(1.0, 0.5, 30)
+        cfg = _quiet_gauss_config(tau=0.3, nu=0.5, sigma=0.1, dim=1,
+                                  width_grid=widths, radius_grid=grid)
+        result = select_width_radius(data, cfg)
+        path = fit_radius_path(data, GaussianKernel(result.gamma_hat, 1), grid)
+        assert [f.r for f in result.fits] == list(grid)
+        for mine, ref in zip(result.fits, path):
+            assert np.array_equal(mine.train_pred, ref.train_pred)
+        assert any(f is result.fit_hat for f in result.fits)
+        assert [row.gamma for row in result.criterion] == [g for g in widths for _ in grid]
+        assert GaussCriterionRow is CriterionRow and GaussSelectionResult is SelectionResult
 
     def test_reduction_to_fixed_selection(self, rng):
         # A single width reduces to the fixed-kernel rule with a scaled penalty.
