@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Subcommands wrap the library: ``fit`` and ``select``/``select-gauss`` operate
-on CSV data files (header ``x_1,...,x_d,y``), ``rates``/``majorant`` run the
-seeded Monte Carlo harness and ``bounds`` tabulates the theoretical curves.
-All parameters live in a config file (``--config``): either JSON or simple
-``dotted.key = value`` lines.  Unknown keys are rejected.  Outputs are
-deterministic functions of (config, seed); floats are serialised with 17
-significant digits so round-trips are exact.
+on CSV data files (header ``x_1,...,x_d,y``), ``rates``/``majorant``/
+``oracle-gap``/``quadform`` run the seeded Monte Carlo harness and ``bounds``
+tabulates the theoretical curves.  All parameters live in a config file
+(``--config``): either JSON or simple ``dotted.key = value`` lines.  A
+subcommand accepts only the keys of its :data:`DEFAULTS` entry, and reads them
+all.  ``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
+``seed``); it, ``--threads`` and ``--theory-mode`` exist only where the key
+does.  Outputs are deterministic functions of the config; floats are
+serialised with 17 significant digits so round-trips are exact.
 
 Exit codes: 0 success, 2 input error, 3 constraint violation, 4 numerical
 failure.
@@ -44,7 +47,7 @@ from .experiments import (
     write_summary_json,
     json_value,
 )
-from .kernels import GaussianKernel, chaining_constant_bound, width_grid
+from .kernels import GaussianKernel, _chaining_constant, width_grid
 from .selection_fixed import (GLConfig, fit_radius_path, radius_grid, select_radius,
                               tau_min_fixed)
 from .selection_gauss import GaussGLConfig, select_width_radius, tau_min_gauss
@@ -54,12 +57,6 @@ from .theory import (
     kernel_family_risk_bound,
     scaled_element_approx_bound,
 )
-
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "threads": 1,
-    "theory_mode": False,
-}
 
 _SCENARIO_DEFAULTS = {
     "n": 200,
@@ -84,24 +81,21 @@ _SELECTION_DEFAULTS = {
 
 DEFAULTS = {
     "fit": {
-        **_COMMON_DEFAULTS,
         "data": None,
         "r": None,
         "kernel": {"gamma": 1.0},
-        "clip": None,
     },
     "select": {
-        **_COMMON_DEFAULTS,
+        "theory_mode": False,
         "data": None,
         "kernel": {"gamma": 1.0},
         "grid": {"a": 1.0, "b": 0.5},
         "tau": None,
         "nu": 0.5,
         "sigma": 0.1,
-        "clip": None,
     },
     "select-gauss": {
-        **_COMMON_DEFAULTS,
+        "theory_mode": False,
         "data": None,
         "widths": {"u": 0.5, "v": 2.0, "c": 2.0},
         "grid": {"a": 1.0, "b": 0.5},
@@ -109,17 +103,17 @@ DEFAULTS = {
         "nu": 0.5,
         "sigma": 0.1,
         "j_const": None,
-        "clip": None,
     },
     "rates": {
-        **_COMMON_DEFAULTS,
+        "threads": 1,
+        "theory_mode": False,
         "scenario": _SCENARIO_DEFAULTS,
         "n_list": [50, 100, 200, 400, 800],
         "selection": _SELECTION_DEFAULTS,
         "slope_threshold": None,
     },
     "majorant": {
-        **_COMMON_DEFAULTS,
+        "threads": 1,
         "scenario": _SCENARIO_DEFAULTS,
         "event": "majorant",
         "t": 1.0,
@@ -128,7 +122,6 @@ DEFAULTS = {
         "replicates": None,
     },
     "bounds": {
-        **_COMMON_DEFAULTS,
         "k_diag": 1.0,
         "c": 1.0,
         "sigma": 0.1,
@@ -140,7 +133,8 @@ DEFAULTS = {
         "approx": None,
     },
     "oracle-gap": {
-        **_COMMON_DEFAULTS,
+        "threads": 1,
+        "theory_mode": False,
         "scenario": _SCENARIO_DEFAULTS,
         "selection": _SELECTION_DEFAULTS,
         "replicates": None,
@@ -148,7 +142,7 @@ DEFAULTS = {
         "pass_fraction": 0.9,
     },
     "quadform": {
-        **_COMMON_DEFAULTS,
+        "seed": 0,
         "n": 20,
         "sigma": 1.0,
         "t_list": [1.0, 4.0],
@@ -265,12 +259,15 @@ def read_data_csv(path: str) -> Dataset:
 
 def _number(value, key: str, kind=float):
     """``kind(value)`` for the config value at ``key``; an input error naming the key
-    when the value does not convert."""
+    when the value does not convert, or converts to an integer only by truncation."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
-        raise InputError(f"config key {key} must be {what}, got {value!r}") from None
+        raise InputError(f"config key {key} must be {what}, got {value!r}")
+    return number
 
 
 def _numbers(value, key: str, kind=float) -> list:
@@ -310,28 +307,26 @@ def _reject_unknown(spec: dict, allowed: set, where: str) -> None:
         raise InputError(f"unknown config key: {where}.{sorted(extra)[0]}")
 
 
-def _build_scenario(cfg: dict, seed_override: int | None) -> ScenarioConfig:
+def _build_scenario(cfg: dict) -> ScenarioConfig:
     scen = cfg["scenario"]
-    master_seed = seed_override if seed_override is not None else scen["master_seed"]
     return ScenarioConfig(
         n=_number(scen["n"], "scenario.n", int), d=_number(scen["d"], "scenario.d", int),
         design=scen["design"], target=_build_target(scen["target"]), noise=scen["noise"],
         sigma=_number(scen["sigma"], "scenario.sigma"), c=_number(scen["c"], "scenario.c"),
         replicates=_number(scen["replicates"], "scenario.replicates", int),
-        master_seed=_number(master_seed, "scenario.master_seed", int),
+        master_seed=_number(scen["master_seed"], "scenario.master_seed", int),
         holdout_size=_number(scen["holdout_size"], "scenario.holdout_size", int))
 
 
 def _build_settings(cfg: dict) -> SelectionSettings:
     sel = cfg["selection"]
     return SelectionSettings(
-        tau=None if sel["tau"] is None else _number(sel["tau"], "selection.tau"),
+        tau=_optional_number(sel["tau"], "selection.tau"),
         nu=_number(sel["nu"], "selection.nu"),
         grid_a=_number(sel["grid_a"], "selection.grid_a"),
         grid_b=_number(sel["grid_b"], "selection.grid_b"),
         theory_mode=_flag(cfg["theory_mode"], "theory_mode"),
-        kernel_gamma=(None if sel["kernel_gamma"] is None
-                      else _number(sel["kernel_gamma"], "selection.kernel_gamma")))
+        kernel_gamma=_optional_number(sel["kernel_gamma"], "selection.kernel_gamma"))
 
 
 def _grid(cfg: dict) -> tuple[float, float]:
@@ -343,9 +338,9 @@ def _widths(cfg: dict):
                         for key in ("u", "v", "c")))
 
 
-def _replicates(cfg: dict) -> int | None:
-    reps = cfg["replicates"]
-    return None if reps is None else _number(reps, "replicates", int)
+def _optional_number(value, key: str, kind=float):
+    """``_number(value, key, kind)``, or None for a null ``value``."""
+    return None if value is None else _number(value, key, kind)
 
 
 def _require(cfg: dict, key: str, command: str):
@@ -374,9 +369,8 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
 
 def _tau(cfg: dict, tau_min, *args) -> float:
     """The configured ``tau``, else the rule's theoretical minimum ``tau_min(*args)``."""
-    if cfg["tau"] is not None:
-        return _number(cfg["tau"], "tau")
-    return tau_min(*args)
+    tau = _optional_number(cfg["tau"], "tau")
+    return tau_min(*args) if tau is None else tau
 
 
 def _write_selection(out_dir: str, data: Dataset, result, gl, rule: dict) -> list[str]:
@@ -421,8 +415,7 @@ def cmd_select(cfg: dict, out_dir: str) -> list[str]:
 def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "select-gauss"))
     widths = _widths(cfg)
-    j_const = (_number(cfg["j_const"], "j_const") if cfg["j_const"] is not None
-               else chaining_constant_bound(widths.u, widths.v))
+    j_const = _chaining_constant(_optional_number(cfg["j_const"], "j_const"), widths.u, widths.v)
     sigma = _number(cfg["sigma"], "sigma")
     grid = radius_grid(*_grid(cfg), data.n)
     gl = GaussGLConfig(tau=_tau(cfg, tau_min_gauss, j_const, sigma),
@@ -445,24 +438,26 @@ def _write_report(out_dir: str, stem: str, cfg: dict, summary: dict, records=Non
     return paths
 
 
-def cmd_rates(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
-    scenario = _build_scenario(cfg, seed_override)
+def cmd_rates(cfg: dict, out_dir: str) -> list[str]:
+    scenario = _build_scenario(cfg)
     settings = _build_settings(cfg)
     n_list = _numbers(cfg["n_list"], "n_list", int)
-    report = rate_experiment(scenario, n_list, settings, threads=threads)
+    report = rate_experiment(scenario, n_list, settings,
+                             threads=_number(cfg["threads"], "threads", int))
     summary = {"aggregates": report.as_dict()}
-    if cfg["slope_threshold"] is not None:
-        thr = _number(cfg["slope_threshold"], "slope_threshold")
+    thr = _optional_number(cfg["slope_threshold"], "slope_threshold")
+    if thr is not None:
         summary["passed"] = (not report.degenerate and report.slope is not None
                              and report.slope <= thr)
     return _write_report(out_dir, "rates", cfg, summary, report.records)
 
 
-def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
-    scenario = _build_scenario(cfg, seed_override)
+def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
+    scenario = _build_scenario(cfg)
     t = _number(cfg["t"], "t")
     grid = radius_grid(*_grid(cfg), scenario.n)
-    reps = _replicates(cfg)
+    reps = _optional_number(cfg["replicates"], "replicates", int)
+    threads = _number(cfg["threads"], "threads", int)
     event = cfg["event"]
     if event == "majorant":
         report = majorant_event_check(scenario, grid, t, replicates=reps, threads=threads)
@@ -482,22 +477,22 @@ def cmd_majorant(cfg: dict, out_dir: str, seed_override: int | None, threads: in
     return _write_report(out_dir, "majorant", cfg, report.as_dict(), records)
 
 
-def cmd_oracle_gap(cfg: dict, out_dir: str, seed_override: int | None, threads: int) -> list[str]:
-    scenario = _build_scenario(cfg, seed_override)
+def cmd_oracle_gap(cfg: dict, out_dir: str) -> list[str]:
+    scenario = _build_scenario(cfg)
     settings = _build_settings(cfg)
-    report = oracle_gap_check(scenario, settings, replicates=_replicates(cfg),
+    report = oracle_gap_check(scenario, settings,
+                              replicates=_optional_number(cfg["replicates"], "replicates", int),
                               threshold=_number(cfg["threshold"], "threshold"),
                               pass_fraction=_number(cfg["pass_fraction"], "pass_fraction"),
-                              threads=threads)
+                              threads=_number(cfg["threads"], "threads", int))
     return _write_report(out_dir, "oracle_gap", cfg, report.as_dict(), report.records)
 
 
-def cmd_quadform(cfg: dict, out_dir: str, seed_override: int | None) -> list[str]:
-    seed = seed_override if seed_override is not None else _number(cfg["seed"], "seed", int)
+def cmd_quadform(cfg: dict, out_dir: str) -> list[str]:
     report = quadform_tail_check(_number(cfg["n"], "n", int), _number(cfg["sigma"], "sigma"),
                                  t_list=_numbers(cfg["t_list"], "t_list"),
                                  replicates=_number(cfg["replicates"], "replicates", int),
-                                 master_seed=seed)
+                                 master_seed=_number(cfg["seed"], "seed", int))
     return _write_report(out_dir, "quadform", cfg, report.as_dict())
 
 
@@ -529,9 +524,9 @@ def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
     approx = _approx_fn(cfg)
     if cfg["approx"] is not None and cfg["approx"].get("kind") == "interpolation" and r_min == 0:
         raise InputError("interpolation approx bound is undefined at r = 0; use r.min > 0")
-    j_const = (_number(cfg["j_const"], "j_const") if cfg["j_const"] is not None
-               else chaining_constant_bound(_number(cfg["widths"]["u"], "widths.u"),
-                                            _number(cfg["widths"]["v"], "widths.v")))
+    j_const = _chaining_constant(_optional_number(cfg["j_const"], "j_const"),
+                                 _number(cfg["widths"]["u"], "widths.u"),
+                                 _number(cfg["widths"]["v"], "widths.v"))
     k_diag, c = _number(cfg["k_diag"], "k_diag"), _number(cfg["c"], "c")
     sigma, t = _number(cfg["sigma"], "sigma"), _number(cfg["t"], "t")
     n = _number(cfg["n"], "n", int)
@@ -552,19 +547,42 @@ def _echo_config(cfg: dict) -> dict:
     return {key: copy.deepcopy(val) for key, val in cfg.items() if key != "threads"}
 
 
+COMMANDS = {
+    "fit": cmd_fit,
+    "select": cmd_select,
+    "select-gauss": cmd_select_gauss,
+    "rates": cmd_rates,
+    "majorant": cmd_majorant,
+    "bounds": cmd_bounds,
+    "oracle-gap": cmd_oracle_gap,
+    "quadform": cmd_quadform,
+}
+
+
+def _seed_slot(cfg: dict):
+    """The mapping and key of a subcommand's seed, or None when it draws no random numbers."""
+    if "scenario" in cfg:
+        return cfg["scenario"], "master_seed"
+    return (cfg, "seed") if "seed" in cfg else None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rkhsball",
                                      description="Constrained kernel regression with "
                                                  "adaptive radius/width selection")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in DEFAULTS:
+    for name in COMMANDS:
+        defaults = DEFAULTS[name]
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON or key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+        if _seed_slot(defaults) is not None:
+            p.add_argument("--seed", type=int, default=None, help="override the seed key")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
-        p.add_argument("--theory-mode", action="store_true",
-                       help="enforce theoretical tuning constraints strictly")
+        if "threads" in defaults:
+            p.add_argument("--threads", type=int, default=None, help="worker thread cap")
+        if "theory_mode" in defaults:
+            p.add_argument("--theory-mode", action="store_true",
+                           help="enforce theoretical tuning constraints strictly")
         p.add_argument("--print-config", action="store_true",
                        help="print the effective config and exit")
     return parser
@@ -572,39 +590,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = vars(args)
     cfg = copy.deepcopy(DEFAULTS[args.command])
     if args.config is not None:
         cfg = _merge_config(cfg, load_config_file(args.config))
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    if args.threads is not None:
-        cfg["threads"] = int(args.threads)
-    if args.theory_mode:
+    if flags.get("seed") is not None:
+        node, key = _seed_slot(cfg)
+        node[key] = args.seed
+    if flags.get("threads") is not None:
+        cfg["threads"] = args.threads
+    if flags.get("theory_mode"):
         cfg["theory_mode"] = True
     if args.print_config:
         sys.stdout.write(json_value(cfg) + "\n")
         return 0
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    threads = _number(cfg["threads"], "threads", int)
-    seed_override = None if args.seed is None else int(args.seed)
-    if args.command == "fit":
-        paths = cmd_fit(cfg, out_dir)
-    elif args.command == "select":
-        paths = cmd_select(cfg, out_dir)
-    elif args.command == "select-gauss":
-        paths = cmd_select_gauss(cfg, out_dir)
-    elif args.command == "rates":
-        paths = cmd_rates(cfg, out_dir, seed_override, threads)
-    elif args.command == "majorant":
-        paths = cmd_majorant(cfg, out_dir, seed_override, threads)
-    elif args.command == "oracle-gap":
-        paths = cmd_oracle_gap(cfg, out_dir, seed_override, threads)
-    elif args.command == "quadform":
-        paths = cmd_quadform(cfg, out_dir, seed_override)
-    else:
-        paths = cmd_bounds(cfg, out_dir)
-    for path in paths:
+    os.makedirs(args.out, exist_ok=True)
+    for path in COMMANDS[args.command](cfg, args.out):
         sys.stdout.write(path + "\n")
     return 0
 

@@ -13,17 +13,12 @@ __all__ = ["Dataset"]
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariates ``x`` (n points in d dims), responses ``y`` (n reals).
+    """Covariates ``x`` (n points in d dims) and responses ``y`` (n reals), all finite.
 
-    ``c`` is the known sup-norm bound on the regression function (used for
-    clipping predictions) and ``sigma`` the noise scale; both are optional
-    metadata consumed by selection and experiment code.
-    """
+    Clipping acts where predictions are evaluated (``predict(..., c=)``)."""
 
     x: np.ndarray
     y: np.ndarray
-    c: float | None = None
-    sigma: float | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -36,10 +31,6 @@ class Dataset:
             raise InputError("dataset must contain at least one point")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise InputError("covariates and responses must be finite (found NaN or inf)")
-        if self.c is not None and not self.c > 0:
-            raise InputError(f"clip bound must be positive, got {self.c}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise InputError(f"noise scale must be positive, got {self.sigma}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -40,6 +40,8 @@ __all__ = [
 RANK_RTOL = 1e-12
 # An eigenvalue below -PSD_RTOL * max(D) makes the Gram matrix not PSD.
 PSD_RTOL = 1e-10
+# max |K_ij - K_ji| above SYM_RTOL * (1 + max |K_ij|) makes it asymmetric.
+SYM_RTOL = 1e-12
 # The pivoted Cholesky stops at a residual trace of lb * n * RANK_RTOL times
 # this margin.  A margin of 1 already loses no eigenvalue above the rank
 # threshold, but the span of the factor then misses the eigenvectors with
@@ -120,7 +122,7 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
     if y.shape[0] != n:
         raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
     scale, asym = _scale_and_asymmetry(k)
-    if asym > 1e-12 * (1.0 + scale):
+    if asym > SYM_RTOL * (1.0 + scale):
         raise NumericalError(f"Gram matrix asymmetric beyond tolerance ({asym:.3e})")
     factor = _pivoted_cholesky(k) if n else None
     if factor is None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .kernels import GaussianKernel, WidthGrid, chaining_constant_bound, cross_gram, gram
+from .kernels import GaussianKernel, WidthGrid, _chaining_constant, cross_gram, gram
 # ``gl_criterion`` is not called here; bench/test_bench.py patches it by this name.
 from .selection_fixed import (  # noqa: F401
     GLConfig, RadiusGrid, comparison_excess, fit_radius_path, gl_criterion, radius_grid,
@@ -159,6 +159,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n < 1 or self.replicates < 1 or self.holdout_size < 1:
             raise InputError("n, replicates and holdout_size must all be at least 1")
+        if self.master_seed < 0:
+            raise InputError(f"master seed must be non-negative, got {self.master_seed}")
         if self.design not in ("uniform-cube", "standard-normal"):
             raise InputError(f"unknown design {self.design!r}")
         if self.noise not in ("gaussian", "rademacher"):
@@ -210,7 +212,7 @@ def generate(scenario: ScenarioConfig, replicate_index: int) -> Dataset:
     x = _sample_design(rng, scenario.n, scenario)
     eps = _sample_noise(rng, scenario.n, scenario)
     y = scenario.target.evaluate(x) + eps
-    return Dataset(x=x, y=y, c=scenario.c, sigma=scenario.sigma)
+    return Dataset(x=x, y=y)
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,9 @@ def _event_report(name: str, t: float, indicators: list[bool]) -> EventReport:
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
-    if threads <= 1:
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
+    if threads == 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
@@ -418,8 +422,7 @@ def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid,
     sup-norm bound of the zero approximant.
     """
     target, radii, reps = _event_inputs(scenario, grid, t, replicates)
-    if j_const is None:
-        j_const = chaining_constant_bound(widths.u, widths.v)
+    j_const = _chaining_constant(j_const, widths.u, widths.v)
     gammas = np.asarray(list(widths))
     approx = np.where(gammas[:, None] <= target.gamma0, _approx_upper(target, radii)[None, :],
                       target.sup_bound ** 2)
@@ -620,6 +623,8 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
         raise InputError(f"quadratic form needs n >= 2, got {n}")
     if not sigma > 0:
         raise InputError(f"sigma must be positive, got {sigma}")
+    if master_seed < 0:
+        raise InputError(f"master seed must be non-negative, got {master_seed}")
     replicates = _replicate_count(replicates, minimum=2)
     if m is None:
         rng_m = replicate_rng(master_seed, 0, stream=2)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .estimator import PSD_RTOL, SYM_RTOL, _scale_and_asymmetry
 
 __all__ = [
     "GaussianKernel",
@@ -33,10 +34,6 @@ __all__ = [
     "chaining_constant_bound",
     "width_grid",
 ]
-
-# Relative tolerances for validating user-supplied Gram matrices.
-SYM_RTOL = 1e-12
-PSD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,15 @@ class PrecomputedKernel:
         g = np.asarray(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError(f"precomputed Gram must be square, got shape {g.shape}")
-        scale = float(np.abs(g).max()) if g.size else 0.0
-        asym = float(np.abs(g - g.T).max()) if g.size else 0.0
+        scale, asym = _scale_and_asymmetry(g)
         if asym > SYM_RTOL * (1.0 + scale):
             raise InputError(f"precomputed Gram is asymmetric (max deviation {asym:.3e})")
         eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
         lo, hi = float(eigvals.min()), float(eigvals.max())
         if lo < -PSD_RTOL * max(hi, 0.0):
             raise NumericalError(f"precomputed Gram has eigenvalue {lo:.3e} below the PSD tolerance")
-        if not (self.diag_sup > 0):
-            raise InputError(f"diag_sup must be positive, got {self.diag_sup}")
+        if not (self.diag_sup > 0 and math.isfinite(self.diag_sup)):
+            raise InputError(f"diag_sup must be positive and finite, got {self.diag_sup}")
         object.__setattr__(self, "gram", g)
 
     @property
@@ -235,6 +231,11 @@ def chaining_constant_bound(u: float, v: float) -> float:
     """
     _check_interval(u, v)
     return math.sqrt(81.0 * (math.log(8.0 * math.log(v / u) + 4.0) + 2.0) + 1.0)
+
+
+def _chaining_constant(j_const: float | None, u: float, v: float) -> float:
+    """``j_const``, or the closed-form bound for the width interval [u, v] when None."""
+    return j_const if j_const is not None else chaining_constant_bound(u, v)
 
 
 def _check_interval(u: float, v: float) -> None:

@@ -166,7 +166,6 @@ class SelectionResult:
     r_hat: float
     criterion: tuple[CriterionRow, ...]
     fit_hat: ConstrainedFit
-    clipped: bool = False
     fits: tuple[ConstrainedFit, ...] = ()
     gamma_hat: float | None = None
 
@@ -206,7 +205,7 @@ def _criterion_rows(fits, widths, radii, scales, cfg, n: int) -> list[CriterionR
             for (gamma, r), b, v in zip(cells, bias, variance)]
 
 
-def _select(fits, rows: list[CriterionRow], data: Dataset) -> SelectionResult:
+def _select(fits, rows: list[CriterionRow]) -> SelectionResult:
     """The minimiser of a ``(W, R)`` table's criterion rows; ties go to the largest
     width, then the smallest radius."""
     per_width = len(fits[0])
@@ -215,8 +214,8 @@ def _select(fits, rows: list[CriterionRow], data: Dataset) -> SelectionResult:
     row = rows[best]
     path = fits[best // per_width]
     return SelectionResult(r_hat=row.r, criterion=tuple(rows),
-                           fit_hat=path[best % per_width], clipped=data.c is not None,
-                           fits=tuple(path), gamma_hat=row.gamma)
+                           fit_hat=path[best % per_width], fits=tuple(path),
+                           gamma_hat=row.gamma)
 
 
 def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[CriterionRow]:
@@ -253,4 +252,4 @@ def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> Sel
     if len(grid) == 0:
         raise InputError("radius grid is empty")
     fits = fit_radius_path(data, kernel, grid)
-    return _select([fits], gl_criterion(fits, cfg, data.n), data)
+    return _select([fits], gl_criterion(fits, cfg, data.n))

@@ -29,7 +29,7 @@ from .data import Dataset
 from .errors import InputError
 # ``fit_constrained`` is not called here; bench/test_bench.py patches it by this name.
 from .estimator import ConstrainedFit, fit_constrained  # noqa: F401
-from .kernels import GaussianKernel, WidthGrid, chaining_constant_bound
+from .kernels import GaussianKernel, WidthGrid, _chaining_constant
 from .selection_fixed import (CriterionRow, RadiusGrid, SelectionResult, _check_positive,
                               _check_rule, _confidence_level, _criterion_rows, _select,
                               fit_radius_path)
@@ -76,10 +76,8 @@ class GaussGLConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"dimension must be at least 1, got {self.dim}")
-        if self.j_const is None:
-            object.__setattr__(
-                self, "j_const",
-                chaining_constant_bound(self.width_grid.u, self.width_grid.v))
+        object.__setattr__(self, "j_const", _chaining_constant(
+            self.j_const, self.width_grid.u, self.width_grid.v))
         _check_rule(self, {"tau, nu and sigma": (self.tau, self.nu, self.sigma),
                            "chaining constant": (self.j_const,)},
                     lambda: tau_min_gauss(self.j_const, self.sigma))
@@ -122,4 +120,4 @@ def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> SelectionResult:
         raise InputError(f"dataset dimension {data.d} does not match config dimension {cfg.dim}")
     fits = [fit_radius_path(data, GaussianKernel(gamma=gamma, dim=cfg.dim), radii)
             for gamma in widths]
-    return _select(fits, gauss_gl_criterion(fits, cfg, data.n), data)
+    return _select(fits, gauss_gl_criterion(fits, cfg, data.n))

@@ -157,6 +157,9 @@ class TestRates:
         assert main(["rates", "--config", cfg, "--out", str(out1), "--seed", "4"]) == 0
         assert main(["rates", "--config", cfg, "--out", str(out2), "--seed", "5"]) == 0
         assert (out1 / "rates.csv").read_bytes() != (out2 / "rates.csv").read_bytes()
+        for out, seed in ((out1, 4), (out2, 5)):
+            echoed = json.loads((out / "rates_summary.json").read_text())["config"]
+            assert echoed["scenario"]["master_seed"] == seed and "seed" not in echoed
 
 
 class TestThreadCount:
@@ -239,10 +242,27 @@ class TestConfigHandling:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["k_diag"] == 1.0 and parsed["r"]["count"] == 11
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "c.json", json.dumps({"bogus": 1}))
-        assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "bogus" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,key", [
+        ("bounds", "bogus"),
+        ("select", "clip"),
+        ("rates", "seed"),
+        ("fit", "threads"),
+        ("majorant", "theory_mode"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
+        cfg = _write(tmp_path / "c.json", json.dumps({key: 1}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("fit", ["--seed", "1"]),
+        ("bounds", ["--threads", "2"]),
+        ("quadform", ["--theory-mode"]),
+    ])
+    def test_flag_without_its_key_is_a_usage_error(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
 
     def test_nested_unknown_key_rejected(self, tmp_path):
         cfg = _write(tmp_path / "c.json", json.dumps({"scenario": {"bogus": 1}}))
@@ -280,6 +300,12 @@ class TestConfigHandling:
         assert 0.0 <= summary["fraction_within"] <= 1.0
 
 
+# A rates config that runs in well under a second.
+_SMALL_SCENARIO = {"n": 16, "replicates": 2, "holdout_size": 100}
+_SMALL_RATES = {"scenario": _SMALL_SCENARIO, "n_list": [8, 12, 16, 24],
+                "selection": {"tau": 1.0}}
+
+
 class TestReplicatesBoundary:
     @pytest.mark.parametrize("command,config,expected", [
         ("quadform", {"n": 8, "replicates": -3}, 2),
@@ -292,6 +318,15 @@ class TestReplicatesBoundary:
         ("bounds", {"approx": {"kind": "element", "sup": 1.0}},
          "config key approx.norm must be a number, got None"),
         ("rates", {"theory_mode": "abc"}, "config key theory_mode must be true or false"),
+        ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "master_seed": -1}},
+         "master seed must be non-negative, got -1"),
+        ("quadform", {"n": 8, "replicates": 500, "seed": -2},
+         "master seed must be non-negative, got -2"),
+        ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "master_seed": 1.5}},
+         "config key scenario.master_seed must be an integer, got 1.5"),
+        ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "n": 30.7}},
+         "config key scenario.n must be an integer, got 30.7"),
+        ("rates", {**_SMALL_RATES, "threads": 0}, "threads must be at least 1, got 0"),
     ])
     def test_rejected_as_input_error(self, tmp_path, capsys, command, config, expected):
         # An integer is the smallest replicate count the command accepts.

@@ -127,6 +127,14 @@ class TestPrecomputed:
         with pytest.raises(NumericalError):
             PrecomputedKernel(gram=np.array([[1.0, 2.0], [2.0, 1.0]]), diag_sup=1.0)
 
+    def test_non_finite_rejected(self):
+        for k in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                  [[1.0, np.nan], [0.0, 1.0]]):
+            with pytest.raises(NumericalError):
+                PrecomputedKernel(gram=np.array(k), diag_sup=1.0)
+        with pytest.raises(InputError):
+            PrecomputedKernel(gram=np.eye(2), diag_sup=np.inf)
+
     def test_size_mismatch(self):
         kern = PrecomputedKernel(gram=np.eye(2), diag_sup=1.0)
         with pytest.raises(InputError):
