@@ -6,7 +6,9 @@ on CSV data files (header ``x_1,...,x_d,y``), ``rates``/``majorant``/
 tabulates the theoretical curves.  All parameters live in a config file
 (``--config``): either JSON or simple ``dotted.key = value`` lines.  A
 subcommand accepts only the keys of its :data:`DEFAULTS` entry, and reads them
-all.  ``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
+all.  Each value is checked against the type of its default when the config is
+read, so ``--print-config`` too rejects a malformed config (exit code 2).
+``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
 ``seed``); it, ``--threads`` and ``--theory-mode`` exist only where the key
 does.  Outputs are deterministic functions of the config; floats are
 serialised with 17 significant digits so round-trips are exact.
@@ -153,6 +155,13 @@ DEFAULTS = {
 # Subtrees whose keys are validated downstream, not against the defaults.
 _OPEN_SUBTREES = {"scenario.target", "approx"}
 
+# The type of each key whose default is null; such a key may also stay null.
+_NULL_DEFAULT_TYPES = {"tau": float, "selection.tau": float, "selection.kernel_gamma": float,
+                       "j_const": float, "slope_threshold": float, "r": float,
+                       "replicates": int, "data": str}
+
+_KIND_NAMES = {dict: "a mapping", list: "a list", bool: "true or false", str: "a string"}
+
 
 def _parse_kv_config(text: str) -> dict:
     cfg: dict = {}
@@ -203,18 +212,27 @@ def load_config_file(path: str) -> dict:
 
 
 def _merge_config(defaults: dict, override: dict, path: str = "") -> dict:
+    """``defaults`` with the values of ``override``, each checked against the type of
+    the default it replaces and stored converted to that type."""
     out = copy.deepcopy(defaults)
     for key, val in override.items():
         full = f"{path}.{key}" if path else key
         if key not in defaults:
             raise InputError(f"unknown config key: {full}")
         base = defaults[key]
-        if isinstance(base, dict) and full in _OPEN_SUBTREES:
+        kind = _NULL_DEFAULT_TYPES.get(full) if base is None else type(base)
+        if full in _OPEN_SUBTREES or (base is None and val is None):
             out[key] = copy.deepcopy(val)
-        elif isinstance(base, dict) and isinstance(val, dict):
+        elif kind in (int, float):
+            out[key] = _number(val, full, kind)
+        elif not isinstance(val, kind):
+            raise InputError(f"config key {full} must be {_KIND_NAMES[kind]}, got {val!r}")
+        elif kind is dict:
             out[key] = _merge_config(base, val, full)
+        elif kind is list:
+            out[key] = [_number(v, full, type(base[0])) for v in val]
         else:
-            out[key] = copy.deepcopy(val)
+            out[key] = val
     return out
 
 
@@ -259,27 +277,16 @@ def read_data_csv(path: str) -> Dataset:
 
 def _number(value, key: str, kind=float):
     """``kind(value)`` for the config value at ``key``; an input error naming the key
-    when the value does not convert, or converts to an integer only by truncation."""
+    when the value is a bool, does not convert, or converts to an integer only by
+    truncation."""
     try:
-        number = kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (kind is int and isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
         raise InputError(f"config key {key} must be {what}, got {value!r}")
     return number
-
-
-def _numbers(value, key: str, kind=float) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"config key {key} must be a list, got {value!r}")
-    return [_number(v, key, kind) for v in value]
-
-
-def _flag(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise InputError(f"config key {key} must be true or false, got {value!r}")
-    return value
 
 
 def _build_target(spec: dict):
@@ -309,38 +316,11 @@ def _reject_unknown(spec: dict, allowed: set, where: str) -> None:
 
 def _build_scenario(cfg: dict) -> ScenarioConfig:
     scen = cfg["scenario"]
-    return ScenarioConfig(
-        n=_number(scen["n"], "scenario.n", int), d=_number(scen["d"], "scenario.d", int),
-        design=scen["design"], target=_build_target(scen["target"]), noise=scen["noise"],
-        sigma=_number(scen["sigma"], "scenario.sigma"), c=_number(scen["c"], "scenario.c"),
-        replicates=_number(scen["replicates"], "scenario.replicates", int),
-        master_seed=_number(scen["master_seed"], "scenario.master_seed", int),
-        holdout_size=_number(scen["holdout_size"], "scenario.holdout_size", int))
+    return ScenarioConfig(**{**scen, "target": _build_target(scen["target"])})
 
 
 def _build_settings(cfg: dict) -> SelectionSettings:
-    sel = cfg["selection"]
-    return SelectionSettings(
-        tau=_optional_number(sel["tau"], "selection.tau"),
-        nu=_number(sel["nu"], "selection.nu"),
-        grid_a=_number(sel["grid_a"], "selection.grid_a"),
-        grid_b=_number(sel["grid_b"], "selection.grid_b"),
-        theory_mode=_flag(cfg["theory_mode"], "theory_mode"),
-        kernel_gamma=_optional_number(sel["kernel_gamma"], "selection.kernel_gamma"))
-
-
-def _grid(cfg: dict) -> tuple[float, float]:
-    return _number(cfg["grid"]["a"], "grid.a"), _number(cfg["grid"]["b"], "grid.b")
-
-
-def _widths(cfg: dict):
-    return width_grid(*(_number(cfg["widths"][key], f"widths.{key}")
-                        for key in ("u", "v", "c")))
-
-
-def _optional_number(value, key: str, kind=float):
-    """``_number(value, key, kind)``, or None for a null ``value``."""
-    return None if value is None else _number(value, key, kind)
+    return SelectionSettings(**cfg["selection"], theory_mode=cfg["theory_mode"])
 
 
 def _require(cfg: dict, key: str, command: str):
@@ -351,8 +331,8 @@ def _require(cfg: dict, key: str, command: str):
 
 def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "fit"))
-    r = _number(_require(cfg, "r", "fit"), "r")
-    kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
+    r = _require(cfg, "r", "fit")
+    kernel = GaussianKernel(gamma=cfg["kernel"]["gamma"], dim=data.d)
     fit = fit_radius_path(data, kernel, [r])[0]
     summary = {
         "kernel": {"gamma": kernel.gamma, "dim": kernel.dim},
@@ -369,8 +349,7 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
 
 def _tau(cfg: dict, tau_min, *args) -> float:
     """The configured ``tau``, else the rule's theoretical minimum ``tau_min(*args)``."""
-    tau = _optional_number(cfg["tau"], "tau")
-    return tau_min(*args) if tau is None else tau
+    return tau_min(*args) if cfg["tau"] is None else cfg["tau"]
 
 
 def _write_selection(out_dir: str, data: Dataset, result, gl, rule: dict) -> list[str]:
@@ -401,12 +380,10 @@ def _write_selection(out_dir: str, data: Dataset, result, gl, rule: dict) -> lis
 
 def cmd_select(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "select"))
-    kernel = GaussianKernel(gamma=_number(cfg["kernel"]["gamma"], "kernel.gamma"), dim=data.d)
-    sigma = _number(cfg["sigma"], "sigma")
-    gl = GLConfig(tau=_tau(cfg, tau_min_fixed, kernel.diag_sup, sigma),
-                  nu=_number(cfg["nu"], "nu"), sigma=sigma, k_diag=kernel.diag_sup,
-                  theory_mode=_flag(cfg["theory_mode"], "theory_mode"))
-    grid = radius_grid(*_grid(cfg), data.n)
+    kernel = GaussianKernel(gamma=cfg["kernel"]["gamma"], dim=data.d)
+    gl = GLConfig(tau=_tau(cfg, tau_min_fixed, kernel.diag_sup, cfg["sigma"]), nu=cfg["nu"],
+                  sigma=cfg["sigma"], k_diag=kernel.diag_sup, theory_mode=cfg["theory_mode"])
+    grid = radius_grid(**cfg["grid"], n=data.n)
     return _write_selection(out_dir, data, select_radius(data, kernel, grid, gl), gl,
                             {"k_diag": gl.k_diag,
                              "grid": {"a": grid.a, "b": grid.b, "size": len(grid)}})
@@ -414,14 +391,12 @@ def cmd_select(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
     data = read_data_csv(_require(cfg, "data", "select-gauss"))
-    widths = _widths(cfg)
-    j_const = _chaining_constant(_optional_number(cfg["j_const"], "j_const"), widths.u, widths.v)
-    sigma = _number(cfg["sigma"], "sigma")
-    grid = radius_grid(*_grid(cfg), data.n)
-    gl = GaussGLConfig(tau=_tau(cfg, tau_min_gauss, j_const, sigma),
-                       nu=_number(cfg["nu"], "nu"), sigma=sigma, dim=data.d,
-                       width_grid=widths, radius_grid=grid, j_const=j_const,
-                       theory_mode=_flag(cfg["theory_mode"], "theory_mode"))
+    widths = width_grid(**cfg["widths"])
+    j_const = _chaining_constant(cfg["j_const"], widths.u, widths.v)
+    grid = radius_grid(**cfg["grid"], n=data.n)
+    gl = GaussGLConfig(tau=_tau(cfg, tau_min_gauss, j_const, cfg["sigma"]), nu=cfg["nu"],
+                       sigma=cfg["sigma"], dim=data.d, width_grid=widths, radius_grid=grid,
+                       j_const=j_const, theory_mode=cfg["theory_mode"])
     return _write_selection(out_dir, data, select_width_radius(data, gl), gl,
                             {"j_const": gl.j_const, "widths": list(widths),
                              "grid_size": len(grid)})
@@ -440,12 +415,10 @@ def _write_report(out_dir: str, stem: str, cfg: dict, summary: dict, records=Non
 
 def cmd_rates(cfg: dict, out_dir: str) -> list[str]:
     scenario = _build_scenario(cfg)
-    settings = _build_settings(cfg)
-    n_list = _numbers(cfg["n_list"], "n_list", int)
-    report = rate_experiment(scenario, n_list, settings,
-                             threads=_number(cfg["threads"], "threads", int))
+    report = rate_experiment(scenario, cfg["n_list"], _build_settings(cfg),
+                             threads=cfg["threads"])
     summary = {"aggregates": report.as_dict()}
-    thr = _optional_number(cfg["slope_threshold"], "slope_threshold")
+    thr = cfg["slope_threshold"]
     if thr is not None:
         summary["passed"] = (not report.degenerate and report.slope is not None
                              and report.slope <= thr)
@@ -454,17 +427,14 @@ def cmd_rates(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
     scenario = _build_scenario(cfg)
-    t = _number(cfg["t"], "t")
-    grid = radius_grid(*_grid(cfg), scenario.n)
-    reps = _optional_number(cfg["replicates"], "replicates", int)
-    threads = _number(cfg["threads"], "threads", int)
-    event = cfg["event"]
+    t, reps, threads, event = cfg["t"], cfg["replicates"], cfg["threads"], cfg["event"]
+    grid = radius_grid(**cfg["grid"], n=scenario.n)
     if event == "majorant":
         report = majorant_event_check(scenario, grid, t, replicates=reps, threads=threads)
     elif event == "bias":
         report = bias_event_check(scenario, grid, t, replicates=reps, threads=threads)
     elif event == "gauss-majorant":
-        report = gauss_majorant_event_check(scenario, _widths(cfg), grid, t,
+        report = gauss_majorant_event_check(scenario, width_grid(**cfg["widths"]), grid, t,
                                             replicates=reps, threads=threads)
     else:
         raise InputError(f"unknown event {event!r}; expected majorant, bias or gauss-majorant")
@@ -478,21 +448,15 @@ def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
 
 
 def cmd_oracle_gap(cfg: dict, out_dir: str) -> list[str]:
-    scenario = _build_scenario(cfg)
-    settings = _build_settings(cfg)
-    report = oracle_gap_check(scenario, settings,
-                              replicates=_optional_number(cfg["replicates"], "replicates", int),
-                              threshold=_number(cfg["threshold"], "threshold"),
-                              pass_fraction=_number(cfg["pass_fraction"], "pass_fraction"),
-                              threads=_number(cfg["threads"], "threads", int))
+    report = oracle_gap_check(_build_scenario(cfg), _build_settings(cfg),
+                              replicates=cfg["replicates"], threshold=cfg["threshold"],
+                              pass_fraction=cfg["pass_fraction"], threads=cfg["threads"])
     return _write_report(out_dir, "oracle_gap", cfg, report.as_dict(), report.records)
 
 
 def cmd_quadform(cfg: dict, out_dir: str) -> list[str]:
-    report = quadform_tail_check(_number(cfg["n"], "n", int), _number(cfg["sigma"], "sigma"),
-                                 t_list=_numbers(cfg["t_list"], "t_list"),
-                                 replicates=_number(cfg["replicates"], "replicates", int),
-                                 master_seed=_number(cfg["seed"], "seed", int))
+    report = quadform_tail_check(cfg["n"], cfg["sigma"], t_list=cfg["t_list"],
+                                 replicates=cfg["replicates"], master_seed=cfg["seed"])
     return _write_report(out_dir, "quadform", cfg, report.as_dict())
 
 
@@ -517,19 +481,14 @@ def _approx_fn(cfg: dict):
 
 def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
     r_spec = cfg["r"]
-    r_min, r_max = _number(r_spec["min"], "r.min"), _number(r_spec["max"], "r.max")
-    count = _number(r_spec["count"], "r.count", int)
+    r_min, r_max, count = r_spec["min"], r_spec["max"], r_spec["count"]
     if count < 1 or r_max < r_min or r_min < 0:
         raise InputError(f"invalid radius range {r_spec!r}")
     approx = _approx_fn(cfg)
     if cfg["approx"] is not None and cfg["approx"].get("kind") == "interpolation" and r_min == 0:
         raise InputError("interpolation approx bound is undefined at r = 0; use r.min > 0")
-    j_const = _chaining_constant(_optional_number(cfg["j_const"], "j_const"),
-                                 _number(cfg["widths"]["u"], "widths.u"),
-                                 _number(cfg["widths"]["v"], "widths.v"))
-    k_diag, c = _number(cfg["k_diag"], "k_diag"), _number(cfg["c"], "c")
-    sigma, t = _number(cfg["sigma"], "sigma"), _number(cfg["t"], "t")
-    n = _number(cfg["n"], "n", int)
+    j_const = _chaining_constant(cfg["j_const"], **cfg["widths"])
+    k_diag, c, sigma, t, n = (cfg[key] for key in ("k_diag", "c", "sigma", "t", "n"))
     radii = np.linspace(r_min, r_max, count)
     rows = []
     for r in radii:

@@ -223,22 +223,21 @@ class HoldoutError:
 
 def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
                     c: float | None, n_test: int, rng: np.random.Generator):
-    """Fresh-sample squared errors of a batch of coefficient vectors, one column each."""
+    """Fresh-sample squared errors of a batch of coefficient vectors, one column each,
+    yielded a block of rows at a time."""
     x_new = _sample_design(rng, n_test, scenario)
     g_new = scenario.target.evaluate(x_new)
-    # The (n_test x n) kernel matrix is built a block of rows at a time: a
-    # 10 000-row matrix freed on each of several pool threads leaves the
+    # Callers reduce each block before the next is built: a 10 000-row kernel
+    # matrix or error table freed on each of several pool threads leaves the
     # process's peak memory dependent on thread timing and allocator state.
-    sq = np.empty((n_test, coeffs.shape[1]))
     step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
     for start in range(0, n_test, step):
-        np.matmul(cross_gram(kernel, x_train, x_new[start:start + step]), coeffs,
-                  out=sq[start:start + step])
-    if c is not None:
-        np.clip(sq, -c, c, out=sq)
-    sq -= g_new[:, None]
-    sq *= sq
-    return sq
+        sq = cross_gram(kernel, x_train, x_new[start:start + step]) @ coeffs
+        if c is not None:
+            np.clip(sq, -c, c, out=sq)
+        sq -= g_new[start:start + step, None]
+        sq *= sq
+        yield sq
 
 
 def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
@@ -256,9 +255,17 @@ def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
         raise InputError(f"holdout size must be at least 1, got {n_test}")
     if rng is None:
         rng = replicate_rng(scenario.master_seed, 0, stream=1)
-    sq = _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, c, n_test, rng)
-    stderr = sq.std(axis=0, ddof=1)[0] / math.sqrt(n_test) if n_test > 1 else 0.0
-    return HoldoutError(mean=float(sq.mean(axis=0)[0]), stderr=float(stderr))
+    count, mean, m2 = 0, 0.0, 0.0
+    for sq in _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, c, n_test, rng):
+        # Chan, Golub & LeVeque's update of the mean and the sum of squared
+        # deviations by one block.
+        block_mean = float(sq.mean())
+        delta = block_mean - mean
+        count += len(sq)
+        mean += delta * len(sq) / count
+        m2 += float(((sq - block_mean) ** 2).sum()) + delta * (block_mean - mean) * len(sq)
+    stderr = math.sqrt(m2 / (n_test - 1) / n_test) if n_test > 1 else 0.0
+    return HoldoutError(mean=mean, stderr=stderr)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -504,8 +511,14 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     result = select_radius(data, kernel, grid, cfg)
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
     coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
-    means = _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
-                            scenario.holdout_size, rng).mean(axis=0)
+    total = np.zeros(coeffs.shape[1])
+    for sq in _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
+                              scenario.holdout_size, rng):
+        # Adding each block's rows to the total in order, as ``mean(axis=0)`` of the
+        # whole table does for two or more columns (a grid has at least two radii),
+        # keeps the means bit-identical to it.
+        total = np.add.reduce(np.vstack((total, sq)), axis=0)
+    means = total / scenario.holdout_size
     return ExperimentRecord(
         replicate=replicate, n=scenario.n, gamma_hat=None, r_hat=result.r_hat,
         err_adaptive=float(means[grid.values.index(result.r_hat)]),

@@ -77,6 +77,8 @@ class PrecomputedKernel:
         g = np.asarray(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError(f"precomputed Gram must be square, got shape {g.shape}")
+        if g.size == 0:
+            raise InputError("precomputed Gram is empty")
         scale, asym = _scale_and_asymmetry(g)
         if asym > SYM_RTOL * (1.0 + scale):
             raise InputError(f"precomputed Gram is asymmetric (max deviation {asym:.3e})")

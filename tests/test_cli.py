@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rkhsball.cli import main
+from rkhsball.cli import COMMANDS, main
 
 
 def _write(path, text):
@@ -242,6 +242,15 @@ class TestConfigHandling:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["k_diag"] == 1.0 and parsed["r"]["count"] == 11
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_printed_config_reads_back_unchanged(self, tmp_path, capsys, command):
+        # Every default passes the type check that the config file's values get.
+        assert main([command, "--print-config"]) == 0
+        printed = capsys.readouterr().out
+        cfg = _write(tmp_path / "c.json", printed)
+        assert main([command, "--config", cfg, "--print-config"]) == 0
+        assert capsys.readouterr().out == printed
+
     @pytest.mark.parametrize("command,key", [
         ("bounds", "bogus"),
         ("select", "clip"),
@@ -327,11 +336,23 @@ class TestReplicatesBoundary:
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "n": 30.7}},
          "config key scenario.n must be an integer, got 30.7"),
         ("rates", {**_SMALL_RATES, "threads": 0}, "threads must be at least 1, got 0"),
+        ("rates", {"scenario": 5}, "config key scenario must be a mapping, got 5"),
+        ("select", {"data": 0}, "config key data must be a string, got 0"),
+        ("fit", {"data": "data.csv", "r": True}, "config key r must be a number, got True"),
+        ("select", {"data": "data.csv", "grid": {"a": True}},
+         "config key grid.a must be a number, got True"),
+        ("rates", {**_SMALL_RATES, "n_list": [8, True, 16, 24]},
+         "config key n_list must be an integer, got True"),
+        ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "design": 5}},
+         "config key scenario.design must be a string, got 5"),
     ])
-    def test_rejected_as_input_error(self, tmp_path, capsys, command, config, expected):
+    def test_rejected_as_input_error(self, tmp_path, capsys, monkeypatch, command, config,
+                                     expected):
         # An integer is the smallest replicate count the command accepts.
         if isinstance(expected, int):
             expected = f"replicates must be at least {expected}"
+        _data_csv(tmp_path / "data.csv", [[0.0, 2.0], [0.5, 1.0]])
+        monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path / "c.json", json.dumps(config))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert expected in capsys.readouterr().err

@@ -135,6 +135,10 @@ class TestPrecomputed:
         with pytest.raises(InputError):
             PrecomputedKernel(gram=np.eye(2), diag_sup=np.inf)
 
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="precomputed Gram is empty"):
+            PrecomputedKernel(gram=np.zeros((0, 0)), diag_sup=1.0)
+
     def test_size_mismatch(self):
         kern = PrecomputedKernel(gram=np.eye(2), diag_sup=1.0)
         with pytest.raises(InputError):
