@@ -277,8 +277,8 @@ def read_data_csv(path: str) -> Dataset:
 
 def _number(value, key: str, kind=float):
     """``kind(value)`` for the config value at ``key``; an input error naming the key
-    when the value is a bool, does not convert, or converts to an integer only by
-    truncation."""
+    when the value is a bool, does not convert, is not finite (JSON's ``Infinity``
+    and ``NaN``), or converts to an integer only by truncation."""
     try:
         number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -286,6 +286,8 @@ def _number(value, key: str, kind=float):
     if number is None or (kind is int and isinstance(value, float) and number != value):
         what = "an integer" if kind is int else "a number"
         raise InputError(f"config key {key} must be {what}, got {value!r}")
+    if not math.isfinite(number):
+        raise InputError(f"config key {key} must be finite, got {value!r}")
     return number
 
 

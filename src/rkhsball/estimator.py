@@ -130,7 +130,7 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
         # saves an n x n copy.
         values, vectors = _full_eigen(k if asym == 0.0 else 0.5 * (k + k.T))
     else:
-        values, vectors = _ritz_eigen(k, *factor, asym)
+        values, vectors = _ritz_eigen(k, *factor[:3], asym)
     proj = vectors.T @ y
     rho = math.sqrt(float(np.sum(proj**2 / values))) if values.size else 0.0
     return GramEigen(vectors=vectors, values=values, rank=values.shape[0], proj=proj, rho=rho)
@@ -185,35 +185,38 @@ def _full_eigen(k: np.ndarray):
     return values[:rank], vectors[:, order[:rank]]
 
 
-def _pivoted_cholesky(k: np.ndarray):
-    """Rows of L with ``K ~ L L^T`` and the residual diagonal, or None when hopeless.
+def _pivoted_cholesky(k: np.ndarray, margin: float = CHOLESKY_MARGIN):
+    """``L^T`` (p x n) with ``K ~ L L^T``, the residual diagonal, ``lb`` and the p
+    pivots in order, or None when hopeless.
 
     Pivots on the largest residual diagonal entry and stops once the residual
-    trace is at most ``stop = lb * n * RANK_RTOL * CHOLESKY_MARGIN``.  Returns
-    None at the cap of ``PIVOT_FRACTION * n`` pivots, or earlier, at a
-    multiple of ``BLOCK_ROWS`` pivots from ``2 * BLOCK_ROWS`` on, once
-    :func:`_out_of_reach` finds that the trace cannot reach the stop within
-    the cap at the pace it has decayed so far.
+    trace is at most ``stop = lb * n * RANK_RTOL * margin``.  Column j of L is
+    zero at the first j pivots, so ``L[pivots]`` is lower triangular up to
+    rounding.  Returns None at the cap of ``PIVOT_FRACTION * n`` pivots,
+    or earlier, at a multiple of ``BLOCK_ROWS`` pivots from ``2 * BLOCK_ROWS``
+    on, once :func:`_out_of_reach` finds that the trace cannot reach the stop
+    within the cap at the pace it has decayed so far.
     """
     n = k.shape[0]
     resid = k.diagonal().copy()
     lb = max(float(resid.max()), float(k.sum()) / n)
-    rel_stop = n * RANK_RTOL * CHOLESKY_MARGIN
+    rel_stop = n * RANK_RTOL * margin
     stop = lb * rel_stop
     cap = int(PIVOT_FRACTION * n)
     lt = np.empty((cap, n))
+    pivots = np.empty(cap, dtype=np.intp)
     gaps = []
     for j in range(cap + 1):
         trace = float(resid.sum())
         # Past this test the largest entry is positive: lb < 0 stops at once.
         if trace <= stop:
-            return lt[:j], resid, lb
+            return lt[:j], resid, lb, pivots[:j]
         # log(trace / stop), with no underflow in stop for a tiny lb.
         gaps.append(math.log(trace / lb / rel_stop))
         if j == cap or (j >= 2 * BLOCK_ROWS and j % BLOCK_ROWS == 0
                         and _out_of_reach(gaps, cap)):
             return None
-        i = int(np.argmax(resid))
+        i = pivots[j] = int(np.argmax(resid))
         row = lt[j]
         np.subtract(k[i], lt[:j, i] @ lt[:j], out=row)
         row /= math.sqrt(resid[i])

@@ -18,6 +18,16 @@ Fits come from :func:`rkhsball.selection_fixed.fit_radius_path`.  Both majorant
 events are read off :func:`rkhsball.selection_fixed.comparison_excess`, the
 comparison the selection rules penalise, in one body: the fixed kernel is its
 one-width case.
+
+The rate and oracle-gap records evaluate the whole radius grid on a fresh
+holdout in row blocks.  The first block comes from the full holdout x training
+cross-Gram; the later ones, through the pivoted-Cholesky (Nystrom) basis of the
+training Gram, need the kernel on its p pivots only (p ~ 12 where the Gram has
+numerical rank 7).  That basis is used only when it reproduces the first
+block's values to within half the full product's worst-case rounding; when it
+does not, when the Cholesky gives up, or when the holdout is a single block,
+every block comes from the full cross-Gram.  :func:`holdout_sq_error` always
+uses the full cross-Gram and is the reference for the fast path.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
+from .estimator import _pivoted_cholesky
 from .kernels import GaussianKernel, WidthGrid, _chaining_constant, cross_gram, gram
 # ``gl_criterion`` is not called here; bench/test_bench.py patches it by this name.
 from .selection_fixed import (  # noqa: F401
@@ -79,6 +90,12 @@ PRACTICAL_TAU_FACTOR = 8.0
 
 # Holdout kernel rows are evaluated in blocks of about this many entries (2 MB).
 HOLDOUT_BLOCK_ENTRIES = 2**18
+# The holdout's pivoted Cholesky stops at a residual trace of
+# lb * n * RANK_RTOL * HOLDOUT_CHOLESKY_MARGIN = lb * n * 1e-28, far past
+# eigen_gram's stop: the residual diagonal is then down to rounding, so the
+# pivots span every direction a fit can use.  On a rank-7 Gram at n = 200,
+# d = 1 that takes 11 to 13 pivots.
+HOLDOUT_CHOLESKY_MARGIN = 1e-16
 
 
 @dataclass(frozen=True)
@@ -221,21 +238,87 @@ class HoldoutError:
     stderr: float
 
 
+def _pivot_basis(kernel, x_train, coeffs: np.ndarray, x_first, first: np.ndarray):
+    """Nystrom evaluation of the fits ``x -> k(x, X) coeffs`` through a pivoted
+    Cholesky ``K ~ L L^T`` of the training Gram, checked against their full
+    values ``first`` at the points ``x_first``; None when the Cholesky gives up,
+    a pivot degenerates or the check fails.
+
+    ``k(x, X) ~ l(x) L^T`` where ``l(x) L[P]^T = k(x, P)`` on the pivots P
+    (Williams & Seeger 2001), so a block of points needs the kernel on the p
+    pivots only, a solve with the lower triangle ``L[P]`` and a product with
+    the p x R matrix ``L^T coeffs``.  The check asks every value to agree
+    within half of the full product's worst-case rounding,
+    ``n * eps * diag_sup * ||c||_1`` for a fit column c, so the blocks it
+    vouches for keep a factor of two in hand: ``first`` is only a sample.
+    """
+    factor = _pivoted_cholesky(gram(kernel, x_train), HOLDOUT_CHOLESKY_MARGIN)
+    if factor is None:
+        return None
+    lt, _, _, pivots = factor
+    lower = np.tril(lt[:, pivots].T)
+    # Past the numerical rank the pivots are taken on rounding noise, and a
+    # diagonal entry can come out as zero.
+    if not np.all(np.diagonal(lower) > 0.0):
+        return None
+    weights = lt @ coeffs
+    x_pivots = np.asarray(x_train)[pivots]
+
+    def evaluate(x_block):
+        basis = np.linalg.solve(lower, cross_gram(kernel, x_pivots, x_block).T)
+        return basis.T @ weights
+
+    tol = 0.5 * len(x_train) * np.finfo(float).eps * kernel.diag_sup
+    if np.all(np.abs(evaluate(x_first) - first) <= tol * np.abs(coeffs).sum(axis=0)):
+        return evaluate
+    return None
+
+
+def _block_predictions(coeffs: np.ndarray, kernel, x_train, x_new, *, pivot_basis: bool):
+    """Values of a batch of fits ``k(x, X) coeffs`` (one column each) at the rows
+    of ``x_new``, yielded a block of rows at a time.
+
+    Every block comes from the full cross-Gram, unless ``pivot_basis`` is set
+    and there is more than one block: then the blocks after the first come from
+    :func:`_pivot_basis` when it passes its check on the first block.
+    """
+    step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
+
+    def full(x_block):
+        return cross_gram(kernel, x_train, x_block) @ coeffs
+
+    evaluate = full
+    for start in range(0, len(x_new), step):
+        x_block = x_new[start:start + step]
+        values = evaluate(x_block)
+        if start == 0 and pivot_basis and len(x_new) > step:
+            evaluate = _pivot_basis(kernel, x_train, coeffs, x_block, values) or full
+        yield values
+
+
 def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
-                    c: float | None, n_test: int, rng: np.random.Generator):
+                    c: float | None, n_test: int, rng: np.random.Generator, *,
+                    pivot_basis: bool = False):
     """Fresh-sample squared errors of a batch of coefficient vectors, one column each,
-    yielded a block of rows at a time."""
+    yielded a block of rows at a time.
+
+    The first block is always evaluated with the full cross-Gram.  With
+    ``pivot_basis`` the later blocks go through the pivot basis of
+    :func:`_pivot_basis` when it reproduces the first block; when it does not,
+    when the Cholesky gives up, or when there is one block, every block is
+    evaluated in full (see :func:`_block_predictions`).
+    """
     x_new = _sample_design(rng, n_test, scenario)
     g_new = scenario.target.evaluate(x_new)
     # Callers reduce each block before the next is built: a 10 000-row kernel
     # matrix or error table freed on each of several pool threads leaves the
     # process's peak memory dependent on thread timing and allocator state.
-    step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
-    for start in range(0, n_test, step):
-        sq = cross_gram(kernel, x_train, x_new[start:start + step]) @ coeffs
+    start = 0
+    for sq in _block_predictions(coeffs, kernel, x_train, x_new, pivot_basis=pivot_basis):
         if c is not None:
             np.clip(sq, -c, c, out=sq)
-        sq -= g_new[start:start + step, None]
+        sq -= g_new[start:start + len(sq), None]
+        start += len(sq)
         sq *= sq
         yield sq
 
@@ -513,7 +596,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
     total = np.zeros(coeffs.shape[1])
     for sq in _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
-                              scenario.holdout_size, rng):
+                              scenario.holdout_size, rng, pivot_basis=True):
         # Adding each block's rows to the total in order, as ``mean(axis=0)`` of the
         # whole table does for two or more columns (a grid has at least two radii),
         # keeps the means bit-identical to it.
@@ -530,9 +613,12 @@ def rate_experiment(scenario: ScenarioConfig, n_list, settings: SelectionSetting
                     threads: int = 1) -> RateReport:
     """Median adaptive error against n, with the fitted log-log slope.
 
-    Requires at least four ascending sample sizes.  The slope is left
-    undefined (and the report flagged degenerate) when a median falls below
-    1e-12, as happens in noiseless well-specified scenarios.
+    The holdout errors come through the pivot basis where it passes its check
+    on the first holdout block (see the module notes), so they can differ from
+    the full evaluation's in the last digits.  Requires at least four ascending
+    sample sizes.  The slope is left undefined (and the report flagged
+    degenerate) when a median falls below 1e-12, as happens in noiseless
+    well-specified scenarios.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -573,7 +659,10 @@ def oracle_gap_check(scenario: ScenarioConfig, settings: SelectionSettings, *,
     """Fraction of replicates where the adaptive estimator is within a factor
     ``threshold`` of the best clipped grid estimator (both on fresh holdouts).
 
-    The ratio counts as 1 when both errors are below 1e-12.
+    The holdout is evaluated block by block, through the pivot basis where it
+    passes its check on the first block and through the full cross-Gram
+    otherwise (see the module notes).  The ratio counts as 1 when both errors
+    are below 1e-12.
     """
     reps = _replicate_count(replicates, scenario.replicates)
     records = tuple(_map_indexed(functools.partial(_adaptive_record, scenario, settings),

@@ -177,7 +177,9 @@ def cross_gram(kernel: Kernel, x_train, x_new) -> np.ndarray:
         raise InputError("cross-evaluation is not available for precomputed kernels")
     a = _as_points(x_new, kernel.dim)
     b = _as_points(x_train, kernel.dim)
-    # The holdout matrix is large (10 000 x n), so it is built in one buffer.
+    # The holdout is built in blocks of up to 2**18 entries: the first against
+    # all n training points, the later ones against the pivots of the training
+    # Gram.  Each is built in one buffer, with no temporaries of its size.
     out = a @ b.T
     out *= -2.0
     out += np.sum(a * a, axis=1)[:, None]

@@ -345,6 +345,13 @@ class TestReplicatesBoundary:
          "config key n_list must be an integer, got True"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "design": 5}},
          "config key scenario.design must be a string, got 5"),
+        # JSON's Infinity and NaN load as floats.
+        ("select", {"data": "data.csv", "grid": {"a": math.inf}},
+         "config key grid.a must be finite, got inf"),
+        ("select-gauss", {"data": "data.csv", "widths": {"v": math.inf}},
+         "config key widths.v must be finite, got inf"),
+        ("fit", {"data": "data.csv", "r": math.inf}, "config key r must be finite, got inf"),
+        ("fit", {"data": "data.csv", "r": math.nan}, "config key r must be finite, got nan"),
     ])
     def test_rejected_as_input_error(self, tmp_path, capsys, monkeypatch, command, config,
                                      expected):

@@ -1,12 +1,17 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import loop_gauss_majorant_indicators, loop_majorant_indicators
+from rkhsball import experiments
+from rkhsball.data import Dataset
 from rkhsball.errors import InputError
-from rkhsball.estimator import fit_constrained
+from rkhsball.estimator import _pivoted_cholesky, fit_constrained
 from rkhsball.experiments import (
     ExperimentRecord,
     HatTarget,
@@ -29,7 +34,7 @@ from rkhsball.experiments import (
     write_summary_json,
 )
 from rkhsball.kernels import GaussianKernel, cross_gram, gaussian_eval, gram, width_grid
-from rkhsball.selection_fixed import radius_grid
+from rkhsball.selection_fixed import fit_radius_path, radius_grid, select_radius
 
 
 class ConstantTarget:
@@ -172,6 +177,105 @@ class TestHoldout:
         fit = fit_constrained(gram(kernel, x_train), np.array([50.0]), 100.0)
         err = holdout_sq_error(fit, kernel, x_train, scen, c=scen.c, n_test=500)
         assert err.mean <= (2.0 * scen.c) ** 2
+
+
+def full_holdout_means(scen, selection, replicate):
+    """The grid's clipped holdout errors from the full cross-Gram, block by block
+    as ``_holdout_errors`` builds them, reduced by ``mean(axis=0)``."""
+    data = generate(scen, replicate)
+    kernel = selection.resolve_kernel(scen)
+    result = select_radius(data, kernel, radius_grid(selection.grid_a, selection.grid_b, scen.n),
+                           selection.gl_config(kernel.diag_sup, scen.sigma))
+    coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
+    x_new = replicate_rng(scen.master_seed, replicate, stream=1).uniform(
+        size=(scen.holdout_size, scen.d))
+    g_new = scen.target.evaluate(x_new)
+    step = experiments.HOLDOUT_BLOCK_ENTRIES // scen.n
+    sq = np.vstack([(np.clip(cross_gram(kernel, data.x, x_new[s:s + step]) @ coeffs,
+                             -scen.c, scen.c) - g_new[s:s + step, None]) ** 2
+                    for s in range(0, scen.holdout_size, step)])
+    return result.r_hat, [f.r for f in result.fits], sq.mean(axis=0)
+
+
+class TestPivotBasisHoldout:
+    """The grid holdout through the pivoted-Cholesky (Nystrom) basis against the
+    full cross-Gram."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), d=st.integers(1, 3),
+           gamma=st.floats(0.2, 4.0))
+    def test_within_rounding_bound_of_full_evaluation(self, seed, n, d, gamma):
+        # Every holdout value within the full product's worst-case rounding,
+        # n * eps * diag_sup * ||c||_1 per fit column, whichever path each block took.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(n, d))
+        data = Dataset(x=x, y=np.sin(3.0 * x.sum(axis=1)) + 0.1 * rng.normal(size=n))
+        kernel = GaussianKernel(gamma, d)
+        fits = fit_radius_path(data, kernel, radius_grid(1.0, 0.5, n))
+        coeffs = np.stack([f.coeffs for f in fits], axis=1)
+        x_new = rng.uniform(size=(10000, d))
+        got = np.vstack(list(experiments._block_predictions(coeffs, kernel, x, x_new,
+                                                            pivot_basis=True)))
+        bound = n * np.finfo(float).eps * kernel.diag_sup * np.abs(coeffs).sum(axis=0)
+        assert np.all(np.abs(got - cross_gram(kernel, x, x_new) @ coeffs) <= bound)
+        # The first block is the full evaluation's, bit for bit.
+        step = experiments.HOLDOUT_BLOCK_ENTRIES // n
+        assert np.array_equal(got[:step], cross_gram(kernel, x, x_new[:step]) @ coeffs)
+
+    def test_one_block_holdout_is_the_full_evaluation(self):
+        # 40 training points take 6553 holdout rows per block.
+        scen = default_scenario(n=40, replicates=3, master_seed=5, holdout_size=6553)
+        selection = SelectionSettings()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = oracle_gap_check(scen, selection)
+            for rec in rep.records:
+                r_hat, radii, means = full_holdout_means(scen, selection, rec.replicate)
+                assert rec.r_hat == r_hat
+                assert rec.err_adaptive == means[radii.index(r_hat)]
+                assert rec.err_oracle_grid == means.min()
+
+    @pytest.mark.parametrize("gamma,gives_up", [(1e-3, True), (0.3, False)])
+    def test_fallback_is_the_full_evaluation(self, monkeypatch, gamma, gives_up):
+        # Two holdout blocks at n = 40.  At width 1e-3 the Gram is nearly
+        # 1000 * I and the Cholesky reaches its cap of 20 pivots; at width 0.3
+        # it finishes, but the pivot basis misses the first block's full values.
+        # Either way both blocks come from the full cross-Gram.
+        taken = []
+        real = experiments._pivot_basis
+        monkeypatch.setattr(experiments, "_pivot_basis",
+                            lambda *args: taken.append(real(*args)) or taken[-1])
+        scen = default_scenario(n=40, replicates=2, master_seed=0)
+        selection = SelectionSettings(kernel_gamma=gamma)
+        kernel = selection.resolve_kernel(scen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = oracle_gap_check(scen, selection)
+            assert taken == [None, None]
+            for rec in rep.records:
+                x = generate(scen, rec.replicate).x
+                factor = _pivoted_cholesky(gram(kernel, x), experiments.HOLDOUT_CHOLESKY_MARGIN)
+                assert (factor is None) == gives_up
+                r_hat, radii, means = full_holdout_means(scen, selection, rec.replicate)
+                assert rec.err_adaptive == means[radii.index(r_hat)]
+                assert rec.err_oracle_grid == means.min()
+
+    def test_threaded_records_match_serial(self, monkeypatch):
+        # 10 000 holdout points at n = 40 to 64 are two blocks, so the later
+        # block goes through the pivot basis.
+        taken = []
+        real = experiments._pivot_basis
+        monkeypatch.setattr(experiments, "_pivot_basis",
+                            lambda *args: taken.append(real(*args)) or taken[-1])
+        scen = default_scenario(n=40, replicates=4, master_seed=21)
+        selection = SelectionSettings()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            gap = [oracle_gap_check(scen, selection, threads=t).records for t in (1, 3)]
+            rates = [rate_experiment(dataclasses.replace(scen, replicates=2), [40, 48, 56, 64],
+                                     selection, threads=t).records for t in (1, 3)]
+        assert gap[0] == gap[1] and rates[0] == rates[1]
+        assert len(taken) == 2 * (4 + 4 * 2) and any(f is not None for f in taken)
 
 
 class TestWilson:
