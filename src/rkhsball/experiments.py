@@ -20,14 +20,15 @@ comparison the selection rules penalise, in one body: the fixed kernel is its
 one-width case.
 
 The rate and oracle-gap records evaluate the whole radius grid on a fresh
-holdout in row blocks.  The first block comes from the full holdout x training
-cross-Gram; the later ones, through the pivoted-Cholesky (Nystrom) basis of the
-training Gram, need the kernel on its p pivots only (p ~ 12 where the Gram has
-numerical rank 7).  That basis is used only when it reproduces the first
-block's values to within half the full product's worst-case rounding; when it
-does not, when the Cholesky gives up, or when the holdout is a single block,
-every block comes from the full cross-Gram.  :func:`holdout_sq_error` always
-uses the full cross-Gram and is the reference for the fast path.
+holdout in row blocks, each one product ``cross_gram(kernel, points, x_block)
+@ weights``: the first with the training points and the fits' coefficients,
+the later ones with the p pivots of the training Gram's pivoted Cholesky
+(p ~ 12 at numerical rank 7) and a p x R Nystrom weight matrix from one
+triangular solve per replicate.  That form is used only when it reproduces the
+first block's values to within half the full product's worst-case rounding;
+when it does not, when the Cholesky gives up, or when the holdout is a single
+block, every block comes from the full cross-Gram.  :func:`holdout_sq_error`
+always uses the full cross-Gram and is the reference for the fast path.
 """
 
 from __future__ import annotations
@@ -239,18 +240,19 @@ class HoldoutError:
 
 
 def _pivot_basis(kernel, x_train, coeffs: np.ndarray, x_first, first: np.ndarray):
-    """Nystrom evaluation of the fits ``x -> k(x, X) coeffs`` through a pivoted
-    Cholesky ``K ~ L L^T`` of the training Gram, checked against their full
-    values ``first`` at the points ``x_first``; None when the Cholesky gives up,
-    a pivot degenerates or the check fails.
+    """Nystrom form ``(points, weights)`` of the fits ``x -> k(x, X) coeffs``,
+    so that ``cross_gram(kernel, points, x) @ weights`` approximates them,
+    checked against their full values ``first`` at the points ``x_first``; None
+    when the pivoted Cholesky ``K ~ L L^T`` of the training Gram gives up, a
+    pivot degenerates or the check fails.
 
-    ``k(x, X) ~ l(x) L^T`` where ``l(x) L[P]^T = k(x, P)`` on the pivots P
-    (Williams & Seeger 2001), so a block of points needs the kernel on the p
-    pivots only, a solve with the lower triangle ``L[P]`` and a product with
-    the p x R matrix ``L^T coeffs``.  The check asks every value to agree
-    within half of the full product's worst-case rounding,
-    ``n * eps * diag_sup * ||c||_1`` for a fit column c, so the blocks it
-    vouches for keep a factor of two in hand: ``first`` is only a sample.
+    ``k(x, X) ~ k(x, P) L[P]^{-T} L^T`` on the pivots P (Williams & Seeger
+    2001), so the points are the p pivots and the p x R weights are
+    ``L[P]^{-T} (L^T coeffs)``, one solve with the triangle ``L[P]^T``.  The
+    check asks every value to agree within half of the full product's
+    worst-case rounding, ``n * eps * diag_sup * ||c||_1`` for a fit column c,
+    so the blocks it vouches for keep a factor of two in hand: ``first`` is
+    only a sample.
     """
     factor = _pivoted_cholesky(gram(kernel, x_train), HOLDOUT_CHOLESKY_MARGIN)
     if factor is None:
@@ -261,16 +263,12 @@ def _pivot_basis(kernel, x_train, coeffs: np.ndarray, x_first, first: np.ndarray
     # diagonal entry can come out as zero.
     if not np.all(np.diagonal(lower) > 0.0):
         return None
-    weights = lt @ coeffs
-    x_pivots = np.asarray(x_train)[pivots]
-
-    def evaluate(x_block):
-        basis = np.linalg.solve(lower, cross_gram(kernel, x_pivots, x_block).T)
-        return basis.T @ weights
-
+    points = np.asarray(x_train)[pivots]
+    weights = np.linalg.solve(lower.T, lt @ coeffs)
     tol = 0.5 * len(x_train) * np.finfo(float).eps * kernel.diag_sup
-    if np.all(np.abs(evaluate(x_first) - first) <= tol * np.abs(coeffs).sum(axis=0)):
-        return evaluate
+    if np.all(np.abs(cross_gram(kernel, points, x_first) @ weights - first)
+              <= tol * np.abs(coeffs).sum(axis=0)):
+        return points, weights
     return None
 
 
@@ -278,21 +276,20 @@ def _block_predictions(coeffs: np.ndarray, kernel, x_train, x_new, *, pivot_basi
     """Values of a batch of fits ``k(x, X) coeffs`` (one column each) at the rows
     of ``x_new``, yielded a block of rows at a time.
 
-    Every block comes from the full cross-Gram, unless ``pivot_basis`` is set
-    and there is more than one block: then the blocks after the first come from
-    :func:`_pivot_basis` when it passes its check on the first block.
+    Every block is ``cross_gram(kernel, points, x_block) @ weights``.  The
+    first block takes the training points and ``coeffs``; with ``pivot_basis``
+    and more than one block, the later blocks take the pivot points and
+    weights of :func:`_pivot_basis` when it passes its check on the first
+    block.
     """
     step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
-
-    def full(x_block):
-        return cross_gram(kernel, x_train, x_block) @ coeffs
-
-    evaluate = full
+    points, weights = x_train, coeffs
     for start in range(0, len(x_new), step):
         x_block = x_new[start:start + step]
-        values = evaluate(x_block)
+        values = cross_gram(kernel, points, x_block) @ weights
         if start == 0 and pivot_basis and len(x_new) > step:
-            evaluate = _pivot_basis(kernel, x_train, coeffs, x_block, values) or full
+            points, weights = (_pivot_basis(kernel, x_train, coeffs, x_block, values)
+                               or (points, weights))
         yield values
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rkhsball
 from rkhsball.cli import COMMANDS, main
 
 
@@ -169,15 +174,51 @@ class TestThreadCount:
                    "n_list": [8, 12, 16, 24], "selection": {"tau": 1.0}}),
         ("majorant", {"scenario": {"n": 30, "replicates": 6}, "t": 1.0,
                       "grid": {"a": 1.0, "b": 1.0}}),
+        # The default 10 000 holdout points at n = 40 are two blocks, so the
+        # later one goes through the pivot basis.
+        ("oracle-gap", {"scenario": {"n": 40, "replicates": 4}}),
     ])
-    def test_summary_identical_across_threads(self, tmp_path, command, config):
+    def test_outputs_identical_across_threads(self, tmp_path, command, config):
         cfg = _write(tmp_path / "c.json", json.dumps(config))
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
             assert main([command, "--config", cfg, "--out", str(out),
                          "--threads", str(threads)]) == 0
-        name = f"{command}_summary.json"
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        stem = command.replace("-", "_")
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == [f"{stem}.csv", f"{stem}_summary.json"]
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestBlasThreadCount:
+    def test_selection_stable_across_blas_threads(self, tmp_path):
+        # Bytes are fixed only for a given BLAS thread count: at another count
+        # the BLAS sums in another order.  The selected cell must stay, and the
+        # criterion totals and coefficients may move in their last digits only.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(600, 3))
+        y = np.sin(3.0 * x.sum(axis=1)) + 0.1 * rng.normal(size=600)
+        data = _data_csv(tmp_path / "d.csv", np.column_stack([x, y]).tolist(), d=3)
+        cfg = _write(tmp_path / "c.json", json.dumps({"data": data, "tau": 0.8}))
+        src = str(Path(rkhsball.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+            subprocess.run([sys.executable, "-m", "rkhsball.cli", "select-gauss",
+                            "--config", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=600)
+            runs.append((json.loads((out / "selection_gauss.json").read_text()),
+                         np.loadtxt(out / "criterion_gauss.csv", delimiter=",", skiprows=1)))
+        (sel1, crit1), (sel2, crit2) = runs
+        assert (sel1["gamma_hat"], sel1["r_hat"]) == (sel2["gamma_hat"], sel2["r_hat"])
+        assert np.array_equal(crit1[:, :2], crit2[:, :2])
+        np.testing.assert_allclose(crit2[:, 4], crit1[:, 4], rtol=1e-12, atol=0.0)
+        coeffs1, coeffs2 = np.array(sel1["coefficients"]), np.array(sel2["coefficients"])
+        assert np.abs(coeffs1 - coeffs2).max() <= 1e-7 * np.abs(coeffs1).max()
 
 
 class TestMajorant:

@@ -278,6 +278,24 @@ class TestPivotBasisHoldout:
         assert len(taken) == 2 * (4 + 4 * 2) and any(f is not None for f in taken)
 
 
+class TestPivotBasisWeights:
+    def test_one_solve_per_replicate(self, monkeypatch):
+        # 10 000 holdout points at n = 200 are eight blocks.  The pivot weights
+        # take one solve per replicate, however many blocks they evaluate.
+        solves, taken = [], []
+        real_solve, real_basis = np.linalg.solve, experiments._pivot_basis
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(1) or real_solve(*args))
+        monkeypatch.setattr(experiments, "_pivot_basis",
+                            lambda *args: taken.append(real_basis(*args)) or taken[-1])
+        scen = default_scenario(n=200, replicates=3, master_seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            oracle_gap_check(scen, SelectionSettings())
+        assert len(taken) == 3 and all(basis is not None for basis in taken)
+        assert len(solves) == 3
+
+
 class TestWilson:
     def test_against_direct_formula(self):
         z = 1.959963984540054
