@@ -13,11 +13,19 @@ otherwise the unique root of a strictly decreasing rational equation, solved
 here by a safeguarded Newton iteration.  Only the eigenpairs above the rank
 threshold are computed, by pivoted Cholesky and a Rayleigh-Ritz step when the
 Gram matrix is numerically low-rank and by a full ``eigh`` otherwise.
+
+:func:`fit_constrained` fits a whole radius path from one decomposition: given
+a sequence of R radii it stacks their weights into an ``R x rank`` matrix
+``W``, so that every coefficient vector comes from the one product ``W A^T``
+and every fitted value from the one product ``(W diag(D)) A^T``.  The
+multipliers are still solved one radius at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +114,8 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
       assumes that the decay does not speed up faster than it has; where it
       does, the full ``eigh`` runs on a Gram the Cholesky would have finished.
 
-    Raises :class:`NumericalError` when the matrix is non-finite, asymmetric or not PSD.
+    Raises :class:`InputError` when the responses are non-finite and
+    :class:`NumericalError` when the matrix is non-finite, asymmetric or not PSD.
     The full path rejects an eigenvalue below ``-PSD_RTOL * max(D)``.  The
     Cholesky path rejects a Ritz value below that, or an entry of S larger in
     magnitude than ``max_i S_ii + PSD_RTOL * lb`` plus the asymmetry; what it
@@ -121,6 +130,8 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
     n = k.shape[0]
     if y.shape[0] != n:
         raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
+    if not np.isfinite(y).all():
+        raise InputError("responses have a non-finite entry")
     scale, asym = _scale_and_asymmetry(k)
     if asym > SYM_RTOL * (1.0 + scale):
         raise NumericalError(f"Gram matrix asymmetric beyond tolerance ({asym:.3e})")
@@ -377,12 +388,21 @@ class ConstrainedFit:
 def fit_constrained(
     k: np.ndarray,
     y: np.ndarray,
-    r: float,
+    r: float | Iterable[float],
     *,
     eigen: GramEigen | None = None,
     kernel_id: str | None = None,
-) -> ConstrainedFit:
+) -> ConstrainedFit | list[ConstrainedFit]:
     """Fit the least-squares estimator constrained to the radius-``r`` ball.
+
+    ``r`` is one radius, giving one :class:`ConstrainedFit`, or a sequence of
+    radii, giving the list of their fits in the same order.  Every positive
+    radius's multiplier comes from :func:`mu_of_r`.  With the eigenvectors
+    ``A`` and the ``R x rank`` weights ``W = c / (D + n * mu)``, every
+    coefficient vector comes from one product ``W A^T`` and every fitted value
+    from one product ``(W diag(D)) A^T``; each fit holds one row of each.
+    ``r = 0`` gives the zero fit, all ``+0.0``, as does a Gram of rank 0.
+    Every radius is checked before any is fitted.
 
     Parameters
     ----------
@@ -390,32 +410,39 @@ def fit_constrained(
         Symmetric PSD Gram matrix on the training points.
     y : ndarray
         Responses.
-    r : float
-        Ball radius; ``r = 0`` yields the zero fit.
+    r : float or sequence of float
+        Ball radius or radii, each non-negative.
     eigen : GramEigen, optional
         Reuse a decomposition from :func:`eigen_gram` (one per dataset-kernel
         pair suffices for any number of radii).
     """
-    if r < 0:
-        raise InputError(f"radius must be non-negative, got {r}")
+    single = isinstance(r, numbers.Real) or isinstance(r, np.ndarray) and r.ndim == 0
+    radii = np.array([r] if single else list(r), dtype=float)
+    # ``not >=`` also catches NaN.
+    bad = radii[~(radii >= 0.0)]
+    if bad.size:
+        raise InputError(f"radius must be non-negative, got {bad[0]}")
     y = np.asarray(y, dtype=float).ravel()
     ge = eigen if eigen is not None else eigen_gram(k, y)
     n = ge.n
     if y.shape[0] != n:
         raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
-    if r == 0.0 or ge.rank == 0:
-        zero = np.zeros(n)
-        return ConstrainedFit(r=float(r), mu=0.0, coeffs=zero, train_pred=np.zeros(n),
-                              h_norm=0.0, kernel_id=kernel_id)
-    mu = mu_of_r(ge, r, n)
+    mus = [mu_of_r(ge, float(s), n) if s > 0.0 else 0.0 for s in radii]
     d = ge.values[: ge.rank]
-    c = ge.proj[: ge.rank]
-    w = c / (d + n * mu)
-    coeffs = ge.vectors[:, : ge.rank] @ w
-    train_pred = ge.vectors[:, : ge.rank] @ (d * w)
-    h_norm = math.sqrt(float(np.sum(d * w**2)))
-    return ConstrainedFit(r=float(r), mu=mu, coeffs=coeffs, train_pred=train_pred,
-                          h_norm=h_norm, kernel_id=kernel_id)
+    vectors = ge.vectors[:, : ge.rank]
+    w = ge.proj[: ge.rank] / (d + n * np.array(mus)[:, None])
+    zero = radii == 0.0
+    w[zero] = 0.0
+    coeffs = w @ vectors.T
+    train_pred = (w * d) @ vectors.T
+    # A product of zero weights can round to -0.0; the zero fit is +0.0.
+    coeffs[zero] = train_pred[zero] = 0.0
+    h_norms = np.sqrt((d * w**2).sum(axis=1))
+    fits = [ConstrainedFit(r=float(radii[i]), mu=mus[i], coeffs=coeffs[i],
+                           train_pred=train_pred[i], h_norm=float(h_norms[i]),
+                           kernel_id=kernel_id)
+            for i in range(len(radii))]
+    return fits[0] if single else fits
 
 
 def clip(value, c: float):

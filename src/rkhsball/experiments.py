@@ -333,6 +333,8 @@ def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
         n_test = scenario.holdout_size
     if n_test < 1:
         raise InputError(f"holdout size must be at least 1, got {n_test}")
+    if fit.n != len(x_train):
+        raise InputError(f"fit has {fit.n} coefficients but {len(x_train)} training points given")
     if rng is None:
         rng = replicate_rng(scenario.master_seed, 0, stream=1)
     count, mean, m2 = 0, 0.0, 0.0

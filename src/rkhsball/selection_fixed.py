@@ -1,7 +1,10 @@
 """Adaptive radius selection for a fixed kernel, and the two primitives of
 every selection rule and majorant check in the package: :func:`fit_radius_path`
-fits a radius grid from one Gram decomposition, and :func:`comparison_excess`
-makes the penalised pairwise comparisons of a width x radius table of fits.
+fits a radius grid from one Gram decomposition, in one
+:func:`~rkhsball.estimator.fit_constrained` call whose coefficients and fitted
+values for all radii are one matrix product each, and
+:func:`comparison_excess` makes the penalised pairwise comparisons of a
+width x radius table of fits.
 
 The selection rule fits the constrained estimator at every radius of a finite
 grid and picks the radius minimising
@@ -195,6 +198,8 @@ def comparison_excess(preds, scales, coef: float) -> np.ndarray:
 def _criterion_rows(fits, widths, radii, scales, cfg, n: int) -> list[CriterionRow]:
     """Criterion rows of a ``(W, R)`` table of fits with penalty scales ``scales``,
     row-major; ``widths`` label the table's rows (``[None]`` for a fixed kernel)."""
+    if len({f.n for row in fits for f in row}) > 1:
+        raise InputError("fits come from different training sets")
     preds = np.stack([np.stack([f.train_pred for f in row]) for row in fits])
     sqrt_n = math.sqrt(n)
     bias = comparison_excess(preds, scales, cfg.tau / sqrt_n).ravel()
@@ -235,13 +240,14 @@ def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[Crit
 def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
     """Fit every radius in ``radii`` on one dataset and kernel.
 
-    The Gram matrix is built and decomposed once and shared by all radii; both
-    are released on return.
+    The Gram matrix is built and decomposed once, and one
+    :func:`~rkhsball.estimator.fit_constrained` call fits every radius from
+    that decomposition; both are released on return.
     """
     k = gram(kernel, data.x)
     ge = eigen_gram(k, data.y)
-    kid = getattr(kernel, "kernel_id", None)
-    return [fit_constrained(k, data.y, r, eigen=ge, kernel_id=kid) for r in radii]
+    return fit_constrained(k, data.y, radii, eigen=ge,
+                           kernel_id=getattr(kernel, "kernel_id", None))
 
 
 def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> SelectionResult:

@@ -14,7 +14,7 @@ from conftest import (
     random_instance,
     stable_radius_scale,
 )
-from rkhsball import estimator
+from rkhsball import estimator, selection_fixed
 from rkhsball.data import Dataset
 from rkhsball.errors import InputError, NumericalError
 from rkhsball.estimator import (
@@ -97,6 +97,16 @@ class TestEigenGram:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             eigen_gram(K1, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_responses_rejected(self, value):
+        y = np.ones(4)
+        y[2] = value
+        with pytest.raises(InputError, match="responses have a non-finite entry"):
+            eigen_gram(np.eye(4), y)
+        # The shape is checked first.
+        with pytest.raises(InputError, match="response length"):
+            eigen_gram(np.eye(3), y)
 
 
 def smooth_instance(seed, n, d, gamma):
@@ -376,7 +386,7 @@ class TestMuOfR:
     def test_nan_response_raises(self):
         k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
         y = np.array([0.1, np.nan, 0.3, 0.2, 0.0])
-        with pytest.raises(NumericalError):
+        with pytest.raises(InputError, match="responses have a non-finite entry"):
             fit_constrained(k, y, 0.5)
         with pytest.raises(InputError):
             Dataset(x=np.linspace(0, 1, 5), y=y)
@@ -461,6 +471,78 @@ class TestFitConstrained:
         fit = fit_constrained(k, np.zeros(5), 2.0)
         assert fit.h_norm == 0.0
         assert np.all(fit.coeffs == 0.0)
+
+
+class TestRadiusPath:
+    """A sequence of radii against one scalar call per radius."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), d=st.integers(1, 3),
+           gamma=st.floats(0.2, 4.0),
+           fracs=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=12))
+    def test_matches_scalar_calls(self, seed, n, d, gamma, fracs):
+        k, y = smooth_instance(seed, n, d, gamma)
+        ge = eigen_gram(k, y)
+        # The selection grid, radii around rho, and 0 again between them.
+        radii = list(radius_grid(1.0, 0.5, n)) + [f * max(ge.rho, 1e-3) for f in fracs] + [0.0]
+        path = fit_constrained(k, y, radii, eigen=ge)
+        assert [f.r for f in path] == radii
+        eps = np.finfo(float).eps
+        for r, fit in zip(radii, path):
+            one = fit_constrained(k, y, r, eigen=ge)
+            assert fit.mu == one.mu
+            # Both are products of the same weights with orthonormal columns, so
+            # each entry of either is within rank * eps / 2 * ||weights||_2 of
+            # the exact value; ||weights||_2 is the product's own norm, rank <= n.
+            for a, b in ((fit.coeffs, one.coeffs), (fit.train_pred, one.train_pred)):
+                assert np.abs(a - b).max() <= n * eps * np.linalg.norm(b)
+            assert abs(fit.h_norm - one.h_norm) <= 1e-12 * one.h_norm
+
+    def test_zero_radius_rows_are_positive_zero(self):
+        k, y = smooth_instance(4, 50, 2, 1.0)
+        for fit in fit_constrained(k, -y, [0.0, 1.0, 0.0, 2.0])[::2]:
+            assert fit.mu == 0.0 and fit.h_norm == 0.0
+            for a in (fit.coeffs, fit.train_pred):
+                assert np.all(a == 0.0) and not np.signbit(a).any()
+
+    def test_rank_zero_gram_gives_zero_fits(self):
+        path = fit_constrained(np.zeros((4, 4)), np.ones(4), [0.0, 0.5, 3.0])
+        assert len(path) == 3
+        for fit in path:
+            assert fit.n == 4 and fit.mu == 0.0 and fit.h_norm == 0.0
+            assert not np.any(fit.coeffs) and not np.any(fit.train_pred)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("k", [np.eye(3), np.zeros((3, 3))], ids=["rank3", "rank0"])
+    def test_bad_radius_anywhere_rejected(self, bad, at, k):
+        radii = [0.5, 1.0, 1.5]
+        radii[at] = bad
+        with pytest.raises(InputError, match="radius must be non-negative"):
+            fit_constrained(k, np.ones(3), radii)
+        with pytest.raises(InputError, match="radius must be non-negative"):
+            fit_constrained(k, np.ones(3), bad)
+
+    def test_radius_path_is_one_call(self, monkeypatch):
+        # The path makes one fit_constrained call and one mu_of_r call per
+        # positive radius; the benchmark traces both layers by these names.
+        calls = {"fit_constrained": 0, "mu_of_r": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(selection_fixed, "fit_constrained",
+                            counting("fit_constrained", fit_constrained))
+        monkeypatch.setattr(estimator, "mu_of_r", counting("mu_of_r", mu_of_r))
+        x = np.random.default_rng(2).uniform(size=(200, 1))
+        data = Dataset(x=x, y=np.sin(3.0 * x[:, 0]))
+        grid = radius_grid(1.0, 0.5, data.n)
+        fits = selection_fixed.fit_radius_path(data, GaussianKernel(1.0, 1), grid)
+        assert len(fits) == len(grid) == 30
+        assert calls == {"fit_constrained": 1, "mu_of_r": 29}
 
 
 class TestClip:

@@ -170,6 +170,14 @@ class TestHoldout:
         assert err.mean == pytest.approx(sq.mean(), rel=1e-12)
         assert err.stderr == pytest.approx(sq.std(ddof=1) / math.sqrt(20001), rel=1e-12)
 
+    def test_training_set_length_mismatch(self):
+        scen = default_scenario(n=10)
+        kernel = GaussianKernel(1.0, 1)
+        x_train = np.array([[0.2], [0.5], [0.8]])
+        fit = fit_constrained(gram(kernel, x_train), np.ones(3), 1.0)
+        with pytest.raises(InputError, match="3 coefficients but 2 training points"):
+            holdout_sq_error(fit, kernel, x_train[:2], scen, c=scen.c, n_test=50)
+
     def test_clipped_error_bounded(self):
         scen = default_scenario(n=10)
         kernel = GaussianKernel(1.0, 1)

@@ -144,6 +144,14 @@ class TestCriterion:
         with pytest.raises(InputError):
             gl_criterion([], cfg, 5)
 
+    def test_mixed_training_sets_rejected(self, rng):
+        kernel = GaussianKernel(1.0, 1)
+        small = Dataset(x=rng.uniform(size=(5, 1)), y=rng.normal(size=5))
+        large = Dataset(x=rng.uniform(size=(6, 1)), y=rng.normal(size=6))
+        fits = _fits_for(small, kernel, [0.0, 1.0]) + _fits_for(large, kernel, [2.0])
+        with pytest.raises(InputError, match="fits come from different training sets"):
+            gl_criterion(fits, _config(), 5)
+
     def test_floor_on_seeded_datasets(self):
         # Criterion totals never drop below 2*nu*tau*r/sqrt(n).
         kernel = GaussianKernel(1.0, 1)

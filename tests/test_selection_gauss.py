@@ -125,6 +125,16 @@ class TestGaussCriterion:
                 floor = 2.0 * cfg.nu * cfg.tau * row.gamma ** -0.5 * row.r / math.sqrt(n)
                 assert row.total >= floor - 1e-12
 
+    def test_mixed_training_sets_rejected(self, rng):
+        widths = width_grid(0.5, 2.0, 2.0)
+        grid = radius_grid(1.0, 1.0, 4)
+        cfg = _quiet_gauss_config(tau=1.0, nu=0.5, sigma=0.1, dim=1,
+                                  width_grid=widths, radius_grid=grid)
+        table = _fit_table(Dataset(x=rng.uniform(size=(4, 1)), y=rng.normal(size=4)), cfg)
+        table[1] = _fit_table(Dataset(x=rng.uniform(size=(5, 1)), y=rng.normal(size=5)), cfg)[1]
+        with pytest.raises(InputError, match="fits come from different training sets"):
+            gauss_gl_criterion(table, cfg, 4)
+
     def test_empty_table_rejected(self):
         widths = width_grid(0.5, 2.0, 2.0)
         grid = radius_grid(1.0, 1.0, 4)
