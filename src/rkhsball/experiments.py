@@ -19,16 +19,17 @@ events are read off :func:`rkhsball.selection_fixed.comparison_excess`, the
 comparison the selection rules penalise, in one body: the fixed kernel is its
 one-width case.
 
-The rate and oracle-gap records evaluate the whole radius grid on a fresh
-holdout in row blocks, each one product ``cross_gram(kernel, points, x_block)
-@ weights``: the first with the training points and the fits' coefficients,
-the later ones with the p pivots of the training Gram's pivoted Cholesky
+The rate and oracle-gap records build one training Gram per replicate, select
+from it and hand it to the holdout, which evaluates the whole radius grid on
+fresh points in row blocks, each one product ``cross_gram(kernel, points,
+x_block) @ weights``: the first with the training points and the fits'
+coefficients, the later ones with the p pivots of that Gram's pivoted Cholesky
 (p ~ 12 at numerical rank 7) and a p x R Nystrom weight matrix from one
-triangular solve per replicate.  That form is used only when it reproduces the
-first block's values to within half the full product's worst-case rounding;
-when it does not, when the Cholesky gives up, or when the holdout is a single
-block, every block comes from the full cross-Gram.  :func:`holdout_sq_error`
-always uses the full cross-Gram and is the reference for the fast path.
+triangular solve.  The Gram is released once the factor exists.  That form is
+used only when it reproduces the first block's values to within half the full
+product's worst-case rounding; when it does not, when the Cholesky gives up,
+or when the holdout is a single block, every block comes from the full
+cross-Gram, as in :func:`holdout_sq_error`, the reference for the fast path.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .estimator import _pivoted_cholesky
+from .estimator import _pivoted_cholesky, eigen_gram, fit_constrained
 from .kernels import GaussianKernel, WidthGrid, _chaining_constant, cross_gram, gram
-# ``gl_criterion`` is not called here; bench/test_bench.py patches it by this name.
-from .selection_fixed import (  # noqa: F401
-    GLConfig, RadiusGrid, comparison_excess, fit_radius_path, gl_criterion, radius_grid,
-    select_radius)
-from .selection_gauss import _penalty_scales
+from .selection_fixed import (GLConfig, RadiusGrid, _select, comparison_excess,
+                              fit_radius_path, gl_criterion, radius_grid, tau_min_fixed)
+from .selection_gauss import _penalty_scales, tau_min_gauss
 from .theory import scaled_element_approx_bound
 
 __all__ = [
@@ -239,12 +238,12 @@ class HoldoutError:
     stderr: float
 
 
-def _pivot_basis(kernel, x_train, coeffs: np.ndarray, x_first, first: np.ndarray):
+def _pivot_basis(kernel, train_gram, x_train, coeffs: np.ndarray, x_first, first: np.ndarray):
     """Nystrom form ``(points, weights)`` of the fits ``x -> k(x, X) coeffs``,
     so that ``cross_gram(kernel, points, x) @ weights`` approximates them,
     checked against their full values ``first`` at the points ``x_first``; None
-    when the pivoted Cholesky ``K ~ L L^T`` of the training Gram gives up, a
-    pivot degenerates or the check fails.
+    when the pivoted Cholesky ``K ~ L L^T`` of the training Gram ``train_gram``
+    gives up, a pivot degenerates or the check fails.
 
     ``k(x, X) ~ k(x, P) L[P]^{-T} L^T`` on the pivots P (Williams & Seeger
     2001), so the points are the p pivots and the p x R weights are
@@ -254,7 +253,7 @@ def _pivot_basis(kernel, x_train, coeffs: np.ndarray, x_first, first: np.ndarray
     so the blocks it vouches for keep a factor of two in hand: ``first`` is
     only a sample.
     """
-    factor = _pivoted_cholesky(gram(kernel, x_train), HOLDOUT_CHOLESKY_MARGIN)
+    factor = _pivoted_cholesky(train_gram, HOLDOUT_CHOLESKY_MARGIN)
     if factor is None:
         return None
     lt, _, _, pivots = factor
@@ -272,46 +271,44 @@ def _pivot_basis(kernel, x_train, coeffs: np.ndarray, x_first, first: np.ndarray
     return None
 
 
-def _block_predictions(coeffs: np.ndarray, kernel, x_train, x_new, *, pivot_basis: bool):
+def _block_predictions(coeffs: np.ndarray, kernel, x_train, x_new, *, train_gram):
     """Values of a batch of fits ``k(x, X) coeffs`` (one column each) at the rows
     of ``x_new``, yielded a block of rows at a time.
 
     Every block is ``cross_gram(kernel, points, x_block) @ weights``.  The
-    first block takes the training points and ``coeffs``; with ``pivot_basis``
-    and more than one block, the later blocks take the pivot points and
-    weights of :func:`_pivot_basis` when it passes its check on the first
-    block.
+    first block takes the training points and ``coeffs``.  Given the training
+    Gram ``train_gram`` (None: the full path) and more than one block, the
+    later blocks take the pivot points and weights of :func:`_pivot_basis` when
+    it passes its check on the first block.
     """
     step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
     points, weights = x_train, coeffs
     for start in range(0, len(x_new), step):
         x_block = x_new[start:start + step]
         values = cross_gram(kernel, points, x_block) @ weights
-        if start == 0 and pivot_basis and len(x_new) > step:
-            points, weights = (_pivot_basis(kernel, x_train, coeffs, x_block, values)
+        if train_gram is not None and len(x_new) > step:
+            points, weights = (_pivot_basis(kernel, train_gram, x_train, coeffs, x_block, values)
                                or (points, weights))
+        # The Gram feeds only the pivot factor: drop it before the later blocks.
+        train_gram = None
         yield values
 
 
 def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
                     c: float | None, n_test: int, rng: np.random.Generator, *,
-                    pivot_basis: bool = False):
+                    train_gram: np.ndarray | None = None):
     """Fresh-sample squared errors of a batch of coefficient vectors, one column each,
-    yielded a block of rows at a time.
-
-    The first block is always evaluated with the full cross-Gram.  With
-    ``pivot_basis`` the later blocks go through the pivot basis of
-    :func:`_pivot_basis` when it reproduces the first block; when it does not,
-    when the Cholesky gives up, or when there is one block, every block is
-    evaluated in full (see :func:`_block_predictions`).
-    """
+    yielded a block of rows at a time from :func:`_block_predictions`, which takes
+    the training Gram ``train_gram`` the fits came from (None: the full path)."""
     x_new = _sample_design(rng, n_test, scenario)
     g_new = scenario.target.evaluate(x_new)
+    blocks = _block_predictions(coeffs, kernel, x_train, x_new, train_gram=train_gram)
+    del train_gram
     # Callers reduce each block before the next is built: a 10 000-row kernel
     # matrix or error table freed on each of several pool threads leaves the
     # process's peak memory dependent on thread timing and allocator state.
     start = 0
-    for sq in _block_predictions(coeffs, kernel, x_train, x_new, pivot_basis=pivot_basis):
+    for sq in blocks:
         if c is not None:
             np.clip(sq, -c, c, out=sq)
         sq -= g_new[start:start + len(sq), None]
@@ -406,8 +403,8 @@ def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid, t: float,
                   replicates: int | None) -> tuple[RkhsTarget, np.ndarray, int]:
     if not isinstance(scenario.target, RkhsTarget):
         raise InputError("event checks need a target with a known space norm")
-    if t < 1:
-        raise InputError(f"confidence level t must be at least 1, got {t}")
+    if not 1 <= t < math.inf:
+        raise InputError(f"confidence level t must be finite and at least 1, got {t}")
     reps = _replicate_count(replicates, scenario.replicates)
     return scenario.target, np.asarray(list(grid)), reps
 
@@ -467,13 +464,13 @@ def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
 
 
 def _majorant_check(name: str, scenario: ScenarioConfig, kernels, radii, scales,
-                    const: float, approx, t: float, reps: int, threads: int) -> EventReport:
+                    tau_min: float, approx, t: float, reps: int, threads: int) -> EventReport:
     """Frequency of ``comparison_excess <= 40 * approx`` over the table of the
-    ``kernels`` (ascending widths) at coefficient ``const * sigma * sqrt(t / n)``."""
+    ``kernels`` (ascending widths) at coefficient ``tau_min * sqrt(t / n)``."""
     def one(i: int) -> bool:
         data = generate(scenario, i)
         preds = np.stack([_path_preds(data, kernel, radii) for kernel in kernels])
-        coef = const * scenario.sigma * math.sqrt(t) / math.sqrt(data.n)
+        coef = tau_min * math.sqrt(t) / math.sqrt(data.n)
         return bool(np.all(comparison_excess(preds, scales, coef) <= 40.0 * approx))
 
     return _event_report(name, t, _map_indexed(one, reps, threads))
@@ -488,12 +485,12 @@ def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *
         ||fit_r - fit_s||_n^2 <= 80*sqrt(k_diag)*sigma*(r+s)*sqrt(t)/sqrt(n)
                                  + 40 * approx_sq_upper(r).
 
-    It is the one-width case of the family check, with ``80*sqrt(k_diag)`` for ``84*J``.
+    It is the one-width case of the family check, with tau_min_fixed for tau_min_gauss.
     """
     target, radii, reps = _event_inputs(scenario, grid, t, replicates)
     kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
     return _majorant_check("majorant", scenario, [kernel], radii, radii[None],
-                           80.0 * math.sqrt(kernel.diag_sup),
+                           tau_min_fixed(kernel.diag_sup, scenario.sigma),
                            _approx_upper(target, radii)[None], t, reps, threads)
 
 
@@ -517,8 +514,8 @@ def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid,
                       target.sup_bound ** 2)
     return _majorant_check("gauss-majorant", scenario,
                            [GaussianKernel(gamma=g, dim=scenario.d) for g in gammas], radii,
-                           _penalty_scales(gammas, radii, scenario.d), 84.0 * j_const,
-                           approx, t, reps, threads)
+                           _penalty_scales(gammas, radii, scenario.d),
+                           tau_min_gauss(j_const, scenario.sigma), approx, t, reps, threads)
 
 
 @dataclass(frozen=True)
@@ -590,12 +587,17 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     kernel = settings.resolve_kernel(scenario)
     grid = radius_grid(settings.grid_a, settings.grid_b, data.n)
     cfg = settings.gl_config(kernel.diag_sup, scenario.sigma)
-    result = select_radius(data, kernel, grid, cfg)
+    # ``select_radius``'s calls, keeping its Gram for the holdout's pivot factor.
+    k = gram(kernel, data.x)
+    fits = fit_constrained(k, data.y, grid, eigen=eigen_gram(k, data.y), kernel_id=kernel.kernel_id)
+    result = _select([fits], gl_criterion(fits, cfg, data.n))
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
-    coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
+    coeffs = np.stack([f.coeffs for f in fits], axis=1)
+    holdout = _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
+                              scenario.holdout_size, rng, train_gram=k)
+    del k
     total = np.zeros(coeffs.shape[1])
-    for sq in _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
-                              scenario.holdout_size, rng, pivot_basis=True):
+    for sq in holdout:
         # Adding each block's rows to the total in order, as ``mean(axis=0)`` of the
         # whole table does for two or more columns (a grid has at least two radii),
         # keeps the means bit-identical to it.
@@ -727,6 +729,8 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
     if master_seed < 0:
         raise InputError(f"master seed must be non-negative, got {master_seed}")
     replicates = _replicate_count(replicates, minimum=2)
+    if not all(math.isfinite(t) for t in t_list):
+        raise InputError(f"tail levels t must be finite, got {list(t_list)}")
     if m is None:
         rng_m = replicate_rng(master_seed, 0, stream=2)
         x = rng_m.standard_normal(size=(n, 1))

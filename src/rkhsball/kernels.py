@@ -136,14 +136,6 @@ def gaussian_eval(gamma: float, dim: int, x1, x2) -> float:
     return _diag_value(gamma, dim) * math.exp(-sq / gamma**2)
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # ||a_i - b_j||^2 without forming the full difference tensor.
-    a2 = np.sum(a * a, axis=1)[:, None]
-    b2 = np.sum(b * b, axis=1)[None, :]
-    sq = a2 + b2 - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
-
-
 def _as_points(x, dim: int | None = None) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -160,15 +152,14 @@ def gram(kernel: Kernel, x) -> np.ndarray:
     if isinstance(kernel, PrecomputedKernel):
         n = np.asarray(x).shape[0] if np.asarray(x).ndim else 1
         if kernel.gram.shape[0] != n:
-            raise InputError(
-                f"precomputed Gram is {kernel.gram.shape[0]}x{kernel.gram.shape[0]} "
-                f"but {n} points were supplied"
-            )
+            raise InputError(f"precomputed Gram is {kernel.gram.shape[0]}x{kernel.gram.shape[0]} "
+                             f"but {n} points were supplied")
         return kernel.gram
     pts = _as_points(x, kernel.dim)
-    sq = _pairwise_sq_dists(pts, pts)
-    k = kernel.gamma ** (-kernel.dim) * np.exp(-sq / kernel.gamma**2)
-    return 0.5 * (k + k.T)
+    s = np.sum(pts * pts, axis=1)
+    # The squared distances associate as (s_i + s_j) - 2 x_i.x_j: the sum and
+    # the product ``x x^T`` are both exactly symmetric, so K is too.
+    return _gaussian(kernel, pts @ pts.T, s[:, None] + s[None, :])
 
 
 def cross_gram(kernel: Kernel, x_train, x_new) -> np.ndarray:
@@ -177,13 +168,18 @@ def cross_gram(kernel: Kernel, x_train, x_new) -> np.ndarray:
         raise InputError("cross-evaluation is not available for precomputed kernels")
     a = _as_points(x_new, kernel.dim)
     b = _as_points(x_train, kernel.dim)
-    # The holdout is built in blocks of up to 2**18 entries: the first against
-    # all n training points, the later ones against the pivots of the training
-    # Gram.  Each is built in one buffer, with no temporaries of its size.
-    out = a @ b.T
+    return _gaussian(kernel, a @ b.T, np.sum(a * a, axis=1)[:, None],
+                     np.sum(b * b, axis=1)[None, :])
+
+
+def _gaussian(kernel: GaussianKernel, out: np.ndarray, *sq_norms) -> np.ndarray:
+    """Kernel values in place in ``out``, the inner products of two point sets:
+    ``gamma**(-d) * exp(-max(sq, 0) / gamma**2)``, ``sq = -2 * out`` plus each
+    of ``sq_norms`` in turn.  So a holdout block is built in one buffer, and a
+    Gram in one plus its n x n sum of squared norms."""
     out *= -2.0
-    out += np.sum(a * a, axis=1)[:, None]
-    out += np.sum(b * b, axis=1)[None, :]
+    for sq in sq_norms:
+        out += sq
     np.maximum(out, 0.0, out=out)
     out /= -kernel.gamma**2
     np.exp(out, out=out)

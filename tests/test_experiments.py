@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_gauss_majorant_indicators, loop_majorant_indicators
-from rkhsball import experiments
+from rkhsball import experiments, selection_fixed
 from rkhsball.data import Dataset
 from rkhsball.errors import InputError
 from rkhsball.estimator import _pivoted_cholesky, fit_constrained
@@ -223,7 +224,7 @@ class TestPivotBasisHoldout:
         coeffs = np.stack([f.coeffs for f in fits], axis=1)
         x_new = rng.uniform(size=(10000, d))
         got = np.vstack(list(experiments._block_predictions(coeffs, kernel, x, x_new,
-                                                            pivot_basis=True)))
+                                                            train_gram=gram(kernel, x))))
         bound = n * np.finfo(float).eps * kernel.diag_sup * np.abs(coeffs).sum(axis=0)
         assert np.all(np.abs(got - cross_gram(kernel, x, x_new) @ coeffs) <= bound)
         # The first block is the full evaluation's, bit for bit.
@@ -290,18 +291,46 @@ class TestPivotBasisWeights:
     def test_one_solve_per_replicate(self, monkeypatch):
         # 10 000 holdout points at n = 200 are eight blocks.  The pivot weights
         # take one solve per replicate, however many blocks they evaluate.
-        solves, taken = [], []
+        # The record's one Gram serves both the selection and the pivot factor.
+        solves, taken, grams = [], [], []
         real_solve, real_basis = np.linalg.solve, experiments._pivot_basis
+        # Made before counting: the scenario's target builds a Gram of its own.
+        scen = default_scenario(n=200, replicates=3, master_seed=0)
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *args: solves.append(1) or real_solve(*args))
         monkeypatch.setattr(experiments, "_pivot_basis",
                             lambda *args: taken.append(real_basis(*args)) or taken[-1])
-        scen = default_scenario(n=200, replicates=3, master_seed=0)
+        for module in (experiments, selection_fixed):
+            monkeypatch.setattr(module, "gram",
+                                lambda *args: grams.append(1) or gram(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             oracle_gap_check(scen, SelectionSettings())
         assert len(taken) == 3 and all(basis is not None for basis in taken)
         assert len(solves) == 3
+        assert len(grams) == 3
+
+    def test_gram_released_once_the_factor_exists(self, monkeypatch):
+        # The later holdout blocks are built with the record's Gram already freed.
+        refs, alive = [], []
+        real_basis, real_cross = experiments._pivot_basis, experiments.cross_gram
+
+        def basis(kernel, train_gram, *args):
+            out = real_basis(kernel, train_gram, *args)
+            refs.append(weakref.ref(train_gram))
+            return out
+
+        def cross(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return real_cross(*args)
+
+        monkeypatch.setattr(experiments, "_pivot_basis", basis)
+        monkeypatch.setattr(experiments, "cross_gram", cross)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            oracle_gap_check(default_scenario(n=200, replicates=2, master_seed=0),
+                             SelectionSettings())
+        assert len(refs) == 2 and len(alive) > 0 and not any(alive)
 
 
 class TestWilson:
@@ -397,8 +426,17 @@ class TestEventChecks:
 
     def test_requires_t_at_least_one(self):
         scen = default_scenario(n=20, replicates=5)
-        with pytest.raises(InputError):
-            majorant_event_check(scen, radius_grid(1.0, 1.0, 20), 0.5)
+        for check in (majorant_event_check, bias_event_check):
+            for t in (0.5, math.nan, math.inf):
+                with pytest.raises(InputError):
+                    check(scen, radius_grid(1.0, 1.0, 20), t)
+
+    @pytest.mark.parametrize("j_const", [0.0, -1.0, math.nan])
+    def test_gauss_majorant_rejects_nonpositive_chaining_constant(self, j_const):
+        scen = default_scenario(n=20, replicates=5)
+        with pytest.raises(InputError, match="chaining constant"):
+            gauss_majorant_event_check(scen, width_grid(0.5, 2.0, 2.0),
+                                       radius_grid(1.0, 1.0, 20), 1.0, j_const=j_const)
 
     def test_threaded_matches_serial(self):
         scen = default_scenario(n=40, replicates=12, master_seed=31)
@@ -493,6 +531,9 @@ class TestQuadform:
         for replicates in (-3, 0, 1):
             with pytest.raises(InputError, match="replicates must be at least 2"):
                 quadform_tail_check(4, 1.0, replicates=replicates)
+        for t in (math.nan, math.inf):
+            with pytest.raises(InputError, match="must be finite"):
+                quadform_tail_check(4, 1.0, t_list=[1.0, t], replicates=100)
 
 
 class TestOutputs:
