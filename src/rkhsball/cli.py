@@ -304,9 +304,8 @@ def _build_target(spec: dict):
     if kind in ("hat", "hat-function"):
         allowed = {"kind", "slope", "center"}
         _reject_unknown(spec, allowed, "scenario.target")
-        center = spec.get("center")
         return HatTarget(slope=_number(spec.get("slope", 1.0), "scenario.target.slope"),
-                         center=tuple(center) if center is not None else None)
+                         center=spec.get("center"))
     raise InputError(f"unknown target kind {kind!r}")
 
 

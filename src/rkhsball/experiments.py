@@ -14,10 +14,10 @@ only when the interval's upper end sits below the theoretical floor
 approximation error; this only weakens the events, so the floor remains a
 necessary condition.
 
-Fits come from :func:`rkhsball.selection_fixed.fit_radius_path`.  Both majorant
-events are read off :func:`rkhsball.selection_fixed.comparison_excess`, the
-comparison the selection rules penalise, in one body: the fixed kernel is its
-one-width case.
+The events share one replicate body, :func:`event_suite`: one draw and one
+:func:`rkhsball.selection_fixed.fit_radius_path` call per width, with both
+majorant events read off :func:`rkhsball.selection_fixed.comparison_excess`,
+the comparison the selection rules penalise.  Each check is its one-event case.
 
 The rate and oracle-gap records build one training Gram per replicate, select
 from it and hand it to the holdout, which evaluates the whole radius grid on
@@ -67,6 +67,7 @@ __all__ = [
     "replicate_rng",
     "generate",
     "holdout_sq_error",
+    "event_suite",
     "bias_event_check",
     "majorant_event_check",
     "gauss_majorant_event_check",
@@ -98,6 +99,18 @@ HOLDOUT_BLOCK_ENTRIES = 2**18
 HOLDOUT_CHOLESKY_MARGIN = 1e-16
 
 
+def _finite_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; an input error naming the target's field
+    ``name`` when it does not convert or holds a non-finite entry."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or not np.all(np.isfinite(array)):
+        raise InputError(f"target {name} must be finite numbers, got {value!r}")
+    return array
+
+
 @dataclass(frozen=True)
 class RkhsTarget:
     """Target g(x) = sum_j weights_j * k_gamma0(centers_j, x).
@@ -113,8 +126,8 @@ class RkhsTarget:
     sup_bound: float = field(init=False)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        centers = np.atleast_2d(_finite_floats(self.centers, "centers"))
+        weights = _finite_floats(self.weights, "weights").ravel()
         if centers.shape[0] != weights.shape[0]:
             raise InputError(f"{centers.shape[0]} centers but {weights.shape[0]} weights")
         if not self.gamma0 > 0:
@@ -146,6 +159,19 @@ class HatTarget:
 
     slope: float
     center: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "slope", float(_finite_floats(self.slope, "slope")))
+        if self.center is not None:
+            center = _finite_floats(self.center, "center")
+            if center.ndim != 1:
+                raise InputError(f"target center must be a list of numbers, got {self.center!r}")
+            object.__setattr__(self, "center", tuple(center.tolist()))
+
+    @property
+    def dim(self) -> int | None:
+        """Dimension of the center; None when it defaults to the origin of any R^d."""
+        return None if self.center is None else len(self.center)
 
     def evaluate(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -188,6 +214,9 @@ class ScenarioConfig:
             raise InputError(f"clip bound must be positive, got {self.c}")
         if self.target is None:
             raise InputError("scenario requires a target")
+        dim = getattr(self.target, "dim", None)
+        if dim is not None and dim != self.d:
+            raise InputError(f"target has dimension {dim} but the scenario has d = {self.d}")
 
 
 def default_scenario(n: int = 200, *, sigma: float = 0.1, replicates: int = 100,
@@ -426,96 +455,93 @@ def _replicate_count(replicates: int | None, default: int | None = None, *,
     return reps
 
 
-def _path_preds(data: Dataset, kernel, radii) -> np.ndarray:
-    return np.stack([f.train_pred for f in fit_radius_path(data, kernel, radii)])
+def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t: float, *,
+                j_const: float | None = None, replicates: int | None = None,
+                threads: int = 1) -> dict[str, EventReport]:
+    """Reports, keyed by event name, of the events behind the selection rules, all
+    read off one draw and one radius path per width (ascending) of each replicate.
+    An event holds when its bound holds simultaneously over its whole grid.
+
+    ``"gauss-majorant"``: each pair ((gamma, r), (eta, s)) with eta <= gamma and
+    s >= r has ``||fit_{gamma,r} - fit_{eta,s}||_n^2 <= 40*approx_sq_upper(gamma, r)
+    + 84*J*sigma*(gamma**(-d/2)*r + eta**(-d/2)*s)*sqrt(t)/sqrt(n)``, with J from
+    ``j_const`` or the chaining bound of the width interval.  Widths up to the
+    target's take the scaled-target bound (nested balls), wider ones the sup-norm
+    bound of the zero approximant.
+
+    When the target width is one of ``widths``, its path also gives ``"bias"``,
+    against the scaled target ``h_r = (min(r, R0)/R0) * g`` (in the radius-r ball,
+    with computable sup-distance to g), and ``"majorant"``, the one-width family
+    event with tau_min_fixed for tau_min_gauss:
+
+        ||fit_r - h_r||_n^2 <= 20*sqrt(k_diag)*sigma*r*sqrt(t)/sqrt(n) + 4*||h_r - g||_inf^2
+        ||fit_r - fit_s||_n^2 <= 80*sqrt(k_diag)*sigma*(r+s)*sqrt(t)/sqrt(n)
+                                 + 40*approx_sq_upper(r)   for s >= r
+    """
+    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
+    tau_gauss = tau_min_gauss(_chaining_constant(j_const, widths.u, widths.v), scenario.sigma)
+    gauss_coef = tau_gauss * math.sqrt(t) / math.sqrt(scenario.n)
+    gammas = np.asarray(widths.values)
+    kernels = [GaussianKernel(gamma=g, dim=scenario.d) for g in gammas]
+    scales = _penalty_scales(gammas, radii, scenario.d)
+    approx = _approx_upper(target, radii)
+    gauss_approx = np.where(gammas[:, None] <= target.gamma0, approx[None, :],
+                            target.sup_bound ** 2)
+    # The index of the target width's path, whose fits give the fixed-kernel events.
+    at = widths.values.index(target.gamma0) if target.gamma0 in widths.values else None
+    k_diag = GaussianKernel(gamma=target.gamma0, dim=scenario.d).diag_sup
+    fixed_coef = tau_min_fixed(k_diag, scenario.sigma) * math.sqrt(t) / math.sqrt(scenario.n)
+    r0 = target.h_norm
+    # Zero target: every ball contains it, so the comparator is g itself.
+    shrink = np.minimum(radii, r0) / r0 if r0 > 0 else np.ones_like(radii)
+    bias_rhs = (20.0 * math.sqrt(k_diag) * scenario.sigma * radii * math.sqrt(t)
+                / math.sqrt(scenario.n) + 4.0 * ((1.0 - shrink) * target.sup_bound) ** 2)
+
+    def one(i: int) -> dict[str, bool]:
+        data = generate(scenario, i)
+        paths = [np.stack([f.train_pred for f in fit_radius_path(data, kernel, radii)])
+                 for kernel in kernels]
+        excess = comparison_excess(np.stack(paths), scales, gauss_coef)
+        held = {"gauss-majorant": bool(np.all(excess <= 40.0 * gauss_approx))}
+        if at is not None:
+            preds, g_vals = paths[at], target.evaluate(data.x)
+            lhs = np.mean((preds - shrink[:, None] * g_vals[None, :]) ** 2, axis=1)
+            held["bias"] = bool(np.all(lhs <= bias_rhs))
+            excess = comparison_excess(preds[None], radii[None], fixed_coef)
+            held["majorant"] = bool(np.all(excess <= 40.0 * approx[None]))
+        return held
+
+    rows = _map_indexed(one, reps, threads)
+    return {name: _event_report(name, t, [row[name] for row in rows]) for name in rows[0]}
+
+
+def _target_width_event(name: str, scenario: ScenarioConfig, grid: RadiusGrid, t: float,
+                        replicates: int | None, threads: int) -> EventReport:
+    """Event ``name`` of :func:`event_suite` on the one-width grid of the target width."""
+    gamma0 = _event_inputs(scenario, grid, t, replicates)[0].gamma0
+    return event_suite(scenario, WidthGrid(gamma0, gamma0, 2.0), grid, t,
+                       replicates=replicates, threads=threads)[name]
 
 
 def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
                      replicates: int | None = None, threads: int = 1) -> EventReport:
-    """Frequency of the per-radius estimation event.
-
-    For every grid radius the fitted values are compared against the scaled
-    target ``(min(r, R0)/R0) * g`` (a feasible element of the radius-``r``
-    ball with computable sup-distance to g); the event holds when
-
-        ||fit_r - h_r||_n^2 <= 20*sqrt(k_diag)*sigma*r*sqrt(t)/sqrt(n)
-                               + 4*||h_r - g||_inf^2
-
-    simultaneously over the grid.
-    """
-    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
-    kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
-    k_diag = kernel.diag_sup
-    r0 = target.h_norm
-    # Zero target: every ball contains it, so the comparator is g itself.
-    shrink = np.minimum(radii, r0) / r0 if r0 > 0 else np.ones_like(radii)
-    sup_sq = ((1.0 - shrink) * target.sup_bound) ** 2
-
-    def one(i: int) -> bool:
-        data = generate(scenario, i)
-        g_vals = target.evaluate(data.x)
-        preds = _path_preds(data, kernel, radii)
-        lhs = np.mean((preds - shrink[:, None] * g_vals[None, :]) ** 2, axis=1)
-        rhs = (20.0 * math.sqrt(k_diag) * scenario.sigma * radii * math.sqrt(t)
-               / math.sqrt(data.n) + 4.0 * sup_sq)
-        return bool(np.all(lhs <= rhs))
-
-    return _event_report("bias", t, _map_indexed(one, reps, threads))
-
-
-def _majorant_check(name: str, scenario: ScenarioConfig, kernels, radii, scales,
-                    tau_min: float, approx, t: float, reps: int, threads: int) -> EventReport:
-    """Frequency of ``comparison_excess <= 40 * approx`` over the table of the
-    ``kernels`` (ascending widths) at coefficient ``tau_min * sqrt(t / n)``."""
-    def one(i: int) -> bool:
-        data = generate(scenario, i)
-        preds = np.stack([_path_preds(data, kernel, radii) for kernel in kernels])
-        coef = tau_min * math.sqrt(t) / math.sqrt(data.n)
-        return bool(np.all(comparison_excess(preds, scales, coef) <= 40.0 * approx))
-
-    return _event_report(name, t, _map_indexed(one, reps, threads))
+    """Frequency of the per-radius estimation event ``"bias"`` of :func:`event_suite`."""
+    return _target_width_event("bias", scenario, grid, t, replicates, threads)
 
 
 def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
                          replicates: int | None = None, threads: int = 1) -> EventReport:
-    """Frequency of the pairwise-comparison majorant event for a fixed kernel.
-
-    The event holds when, simultaneously for all grid pairs s >= r,
-
-        ||fit_r - fit_s||_n^2 <= 80*sqrt(k_diag)*sigma*(r+s)*sqrt(t)/sqrt(n)
-                                 + 40 * approx_sq_upper(r).
-
-    It is the one-width case of the family check, with tau_min_fixed for tau_min_gauss.
-    """
-    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
-    kernel = GaussianKernel(gamma=target.gamma0, dim=scenario.d)
-    return _majorant_check("majorant", scenario, [kernel], radii, radii[None],
-                           tau_min_fixed(kernel.diag_sup, scenario.sigma),
-                           _approx_upper(target, radii)[None], t, reps, threads)
+    """Frequency of the fixed-kernel majorant event ``"majorant"`` of :func:`event_suite`."""
+    return _target_width_event("majorant", scenario, grid, t, replicates, threads)
 
 
-def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid,
-                               grid: RadiusGrid, t: float, *,
-                               j_const: float | None = None,
-                               replicates: int | None = None,
-                               threads: int = 1) -> EventReport:
-    """Frequency of the majorant event across the Gaussian width family.
-
-    Pairs ((gamma, r), (eta, s)) with eta <= gamma and s >= r are compared
-    against ``84*J*sigma*(gamma**(-d/2)*r + eta**(-d/2)*s)*sqrt(t)/sqrt(n)
-    + 40*approx_sq_upper(gamma, r)``.  For widths at most the target width the
-    scaled-target bound applies (nested balls); wider kernels fall back to the
-    sup-norm bound of the zero approximant.
-    """
-    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
-    j_const = _chaining_constant(j_const, widths.u, widths.v)
-    gammas = np.asarray(list(widths))
-    approx = np.where(gammas[:, None] <= target.gamma0, _approx_upper(target, radii)[None, :],
-                      target.sup_bound ** 2)
-    return _majorant_check("gauss-majorant", scenario,
-                           [GaussianKernel(gamma=g, dim=scenario.d) for g in gammas], radii,
-                           _penalty_scales(gammas, radii, scenario.d),
-                           tau_min_gauss(j_const, scenario.sigma), approx, t, reps, threads)
+def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid,
+                               t: float, *, j_const: float | None = None,
+                               replicates: int | None = None, threads: int = 1) -> EventReport:
+    """Frequency of the width-family majorant event ``"gauss-majorant"`` of
+    :func:`event_suite`."""
+    return event_suite(scenario, widths, grid, t, j_const=j_const, replicates=replicates,
+                       threads=threads)["gauss-majorant"]
 
 
 @dataclass(frozen=True)

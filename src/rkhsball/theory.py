@@ -77,8 +77,8 @@ def scaled_element_approx_bound(target_norm: float, target_sup: float, r: float)
 
 
 def _check_t_n(t: float, n: int) -> None:
-    if t < 1:
-        raise InputError(f"confidence level t must be at least 1, got {t}")
+    if not 1 <= t < math.inf:
+        raise InputError(f"confidence level t must be finite and at least 1, got {t}")
     if n < 1:
         raise InputError(f"sample size must be at least 1, got {n}")
 

@@ -177,6 +177,10 @@ class TestThreadCount:
         # The default 10 000 holdout points at n = 40 are two blocks, so the
         # later one goes through the pivot basis.
         ("oracle-gap", {"scenario": {"n": 40, "replicates": 4}}),
+        ("majorant", {"scenario": {"n": 30, "replicates": 6}, "t": 1.0, "event": "bias",
+                      "grid": {"a": 1.0, "b": 1.0}}),
+        ("majorant", {"scenario": {"n": 30, "replicates": 6}, "t": 1.0,
+                      "event": "gauss-majorant", "grid": {"a": 1.0, "b": 1.0}}),
     ])
     def test_outputs_identical_across_threads(self, tmp_path, command, config):
         cfg = _write(tmp_path / "c.json", json.dumps(config))
@@ -356,6 +360,13 @@ _SMALL_RATES = {"scenario": _SMALL_SCENARIO, "n_list": [8, 12, 16, 24],
                 "selection": {"tau": 1.0}}
 
 
+def _target_config(target: dict) -> dict:
+    """A small oracle-gap config with scenario target ``target`` and the explicit
+    kernel width that a hat target needs."""
+    return {"scenario": {**_SMALL_SCENARIO, "target": target},
+            "selection": {"kernel_gamma": 1.0}}
+
+
 class TestReplicatesBoundary:
     @pytest.mark.parametrize("command,config,expected", [
         ("quadform", {"n": 8, "replicates": -3}, 2),
@@ -393,6 +404,18 @@ class TestReplicatesBoundary:
          "config key widths.v must be finite, got inf"),
         ("fit", {"data": "data.csv", "r": math.inf}, "config key r must be finite, got inf"),
         ("fit", {"data": "data.csv", "r": math.nan}, "config key r must be finite, got nan"),
+        ("oracle-gap", _target_config({"weights": "abc"}),
+         "target weights must be finite numbers, got 'abc'"),
+        ("oracle-gap", _target_config({"centers": "x"}),
+         "target centers must be finite numbers, got 'x'"),
+        ("oracle-gap", _target_config({"weights": [math.nan]}),
+         "target weights must be finite numbers, got [nan]"),
+        ("oracle-gap", _target_config({"kind": "hat", "center": 5}),
+         "target center must be a list of numbers, got 5"),
+        ("oracle-gap", _target_config({"kind": "hat", "center": "ab"}),
+         "target center must be finite numbers, got 'ab'"),
+        ("oracle-gap", _target_config({"kind": "hat", "center": [0.5, 0.5]}),
+         "target has dimension 2 but the scenario has d = 1"),
     ])
     def test_rejected_as_input_error(self, tmp_path, capsys, monkeypatch, command, config,
                                      expected):

@@ -21,6 +21,7 @@ from rkhsball.experiments import (
     SelectionSettings,
     bias_event_check,
     default_scenario,
+    event_suite,
     gauss_majorant_event_check,
     generate,
     holdout_sq_error,
@@ -83,6 +84,39 @@ class TestTargets:
     def test_mismatched_weights(self):
         with pytest.raises(InputError):
             RkhsTarget(gamma0=1.0, centers=[[0.0]], weights=[1.0, 2.0])
+
+    @pytest.mark.parametrize("centers, weights, field", [
+        ([[0.5]], "abc", "weights"),
+        ("x", [2.0], "centers"),
+        ([[0.5]], [math.nan], "weights"),
+        ([[math.inf]], [2.0], "centers"),
+        ([[0.5], [0.1, 0.2]], [1.0, 1.0], "centers"),
+    ])
+    def test_rkhs_arrays_must_be_finite_numbers(self, centers, weights, field):
+        with pytest.raises(InputError, match=f"target {field} must be"):
+            RkhsTarget(gamma0=1.0, centers=centers, weights=weights)
+
+    @pytest.mark.parametrize("slope, center, field", [
+        (1.0, 5, "center"), (1.0, "ab", "center"), (1.0, [[0.5]], "center"),
+        (1.0, [math.nan], "center"), (math.nan, None, "slope"), ("x", None, "slope"),
+    ])
+    def test_hat_values_must_be_finite_numbers(self, slope, center, field):
+        with pytest.raises(InputError, match=f"target {field} must be"):
+            HatTarget(slope=slope, center=center)
+
+    def test_hat_center_stored_as_floats(self):
+        target = HatTarget(slope=1.0, center=[1, "0.5"])
+        assert target.center == (1.0, 0.5) and target.dim == 2
+        assert HatTarget(slope=1.0).dim is None
+
+    @pytest.mark.parametrize("target", [
+        HatTarget(slope=1.0, center=(0.5, 0.5)),
+        RkhsTarget(gamma0=1.0, centers=[[0.5, 0.5]], weights=[2.0]),
+    ])
+    def test_scenario_rejects_target_of_another_dimension(self, target):
+        with pytest.raises(InputError, match="target has dimension 2 but the scenario has d = 1"):
+            ScenarioConfig(n=10, d=1, target=target)
+        assert ScenarioConfig(n=10, d=2, target=target).target is target
 
 
 class TestGenerate:
@@ -402,6 +436,70 @@ class TestEventChecks:
         family = gauss_majorant_event_check(scen, width_grid(1.0, 1.0, 2.0), grid, 1.0,
                                             j_const=j_const)
         assert family.indicators == majorant_event_check(scen, grid, 1.0).indicators
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["default", "d2", "failing"])
+    def test_suite_reports_are_the_checks(self, case, threads):
+        widths, grid, j_const = width_grid(0.5, 2.0, 2.0), radius_grid(1.0, 0.5, 40), None
+        if case == "default":
+            scen = default_scenario(n=40, replicates=8, master_seed=41)
+        elif case == "d2":
+            target = RkhsTarget(gamma0=1.0, centers=[[0.2, 0.4], [0.7, 0.6]],
+                                weights=[1.0, -0.7])
+            scen = ScenarioConfig(n=40, d=2, target=target, replicates=8, master_seed=42)
+        else:
+            # The config of test_gauss_majorant_failing_events_match_loop.
+            scen, grid, j_const = (default_scenario(n=60, replicates=20, master_seed=23),
+                                   radius_grid(1.0, 1.0, 60), 1e-4)
+        suite = event_suite(scen, widths, grid, 1.0, j_const=j_const, threads=threads)
+        checks = {
+            "bias": bias_event_check(scen, grid, 1.0, threads=threads),
+            "majorant": majorant_event_check(scen, grid, 1.0, threads=threads),
+            "gauss-majorant": gauss_majorant_event_check(scen, widths, grid, 1.0,
+                                                         j_const=j_const, threads=threads),
+        }
+        assert sorted(suite) == sorted(checks)
+        for name, rep in checks.items():
+            assert suite[name].name == name
+            assert suite[name].as_dict() == rep.as_dict()
+            assert suite[name].indicators == rep.indicators
+        if case == "failing":
+            family = suite["gauss-majorant"]
+            assert 0 < family.successes < family.replicates
+            assert family.indicators == loop_gauss_majorant_indicators(scen, widths, grid, 1.0,
+                                                                       j_const=j_const)
+            assert suite["majorant"].indicators == loop_majorant_indicators(scen, grid, 1.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_suite_without_the_target_width_reports_the_family_event(self, threads):
+        target = RkhsTarget(gamma0=0.7, centers=[[0.5]], weights=[1.5])
+        scen = ScenarioConfig(n=40, d=1, target=target, replicates=8, master_seed=43)
+        widths, grid = width_grid(0.5, 2.0, 2.0), radius_grid(1.0, 0.5, 40)
+        suite = event_suite(scen, widths, grid, 1.0, threads=threads)
+        family = gauss_majorant_event_check(scen, widths, grid, 1.0, threads=threads)
+        assert list(suite) == ["gauss-majorant"]
+        assert suite["gauss-majorant"].as_dict() == family.as_dict()
+        assert suite["gauss-majorant"].indicators == family.indicators
+
+    def test_suite_draws_once_and_fits_one_path_per_width(self, monkeypatch):
+        calls = {"generate": [], "fit_radius_path": []}
+        for name in calls:
+            real = getattr(experiments, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name].append(args)
+                return _real(*args)
+            monkeypatch.setattr(experiments, name, counted)
+        scen, grid = default_scenario(n=30, replicates=3), radius_grid(1.0, 1.0, 30)
+        widths = width_grid(0.5, 2.0, 2.0)
+        suite = event_suite(scen, widths, grid, 1.0)
+        assert sorted(suite) == ["bias", "gauss-majorant", "majorant"]
+        assert [args[1] for args in calls["generate"]] == [0, 1, 2]
+        assert [args[1].gamma for args in calls["fit_radius_path"]] == list(widths) * 3
+        # A fixed-kernel check runs the suite on the target width alone.
+        calls["fit_radius_path"].clear()
+        bias_event_check(scen, grid, 1.0)
+        assert [args[1].gamma for args in calls["fit_radius_path"]] == [1.0] * 3
 
     @pytest.mark.parametrize("check", ["majorant", "bias", "gauss-majorant", "oracle-gap"])
     @pytest.mark.parametrize("replicates", [0, -3])

@@ -101,8 +101,14 @@ class TestRiskBounds:
         assert val == pytest.approx(117.0 + 4.0 / 3.0)
 
     def test_fixed_requires_t_at_least_one(self):
-        with pytest.raises(InputError):
-            fixed_kernel_risk_bound(1.0, 1.0, 1.0, 1.0, 0.5, 1, 0.0)
+        for t in (0.5, math.nan, math.inf):
+            with pytest.raises(InputError):
+                fixed_kernel_risk_bound(1.0, 1.0, 1.0, 1.0, t, 1, 0.0)
+
+    def test_family_requires_t_at_least_one(self):
+        for t in (0.5, math.nan, math.inf):
+            with pytest.raises(InputError):
+                kernel_family_risk_bound(1.0, 1.0, 1.0, 1.0, 1.0, t, 1, 0.0)
 
     def test_family_zero_radius(self):
         assert kernel_family_risk_bound(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1, 0.0) == 0.0
