@@ -116,12 +116,13 @@ DEFAULTS = {
     },
     "majorant": {
         "threads": 1,
-        "scenario": _SCENARIO_DEFAULTS,
+        # The events never clip and draw no holdout.
+        "scenario": {key: val for key, val in _SCENARIO_DEFAULTS.items()
+                     if key not in ("c", "holdout_size")},
         "event": "majorant",
         "t": 1.0,
         "grid": {"a": 1.0, "b": 0.5},
         "widths": {"u": 0.5, "v": 2.0, "c": 2.0},
-        "replicates": None,
     },
     "bounds": {
         "k_diag": 1.0,
@@ -139,7 +140,6 @@ DEFAULTS = {
         "theory_mode": False,
         "scenario": _SCENARIO_DEFAULTS,
         "selection": _SELECTION_DEFAULTS,
-        "replicates": None,
         "threshold": 10.0,
         "pass_fraction": 0.9,
     },
@@ -157,8 +157,7 @@ _OPEN_SUBTREES = {"scenario.target", "approx"}
 
 # The type of each key whose default is null; such a key may also stay null.
 _NULL_DEFAULT_TYPES = {"tau": float, "selection.tau": float, "selection.kernel_gamma": float,
-                       "j_const": float, "slope_threshold": float, "r": float,
-                       "replicates": int, "data": str}
+                       "j_const": float, "slope_threshold": float, "r": float, "data": str}
 
 _KIND_NAMES = {dict: "a mapping", list: "a list", bool: "true or false", str: "a string"}
 
@@ -428,15 +427,15 @@ def cmd_rates(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
     scenario = _build_scenario(cfg)
-    t, reps, threads, event = cfg["t"], cfg["replicates"], cfg["threads"], cfg["event"]
+    t, threads, event = cfg["t"], cfg["threads"], cfg["event"]
     grid = radius_grid(**cfg["grid"], n=scenario.n)
     if event == "majorant":
-        report = majorant_event_check(scenario, grid, t, replicates=reps, threads=threads)
+        report = majorant_event_check(scenario, grid, t, threads=threads)
     elif event == "bias":
-        report = bias_event_check(scenario, grid, t, replicates=reps, threads=threads)
+        report = bias_event_check(scenario, grid, t, threads=threads)
     elif event == "gauss-majorant":
         report = gauss_majorant_event_check(scenario, width_grid(**cfg["widths"]), grid, t,
-                                            replicates=reps, threads=threads)
+                                            threads=threads)
     else:
         raise InputError(f"unknown event {event!r}; expected majorant, bias or gauss-majorant")
     records = [ExperimentRecord(replicate=i, n=scenario.n, gamma_hat=None, r_hat=None,
@@ -450,8 +449,8 @@ def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_oracle_gap(cfg: dict, out_dir: str) -> list[str]:
     report = oracle_gap_check(_build_scenario(cfg), _build_settings(cfg),
-                              replicates=cfg["replicates"], threshold=cfg["threshold"],
-                              pass_fraction=cfg["pass_fraction"], threads=cfg["threads"])
+                              threshold=cfg["threshold"], pass_fraction=cfg["pass_fraction"],
+                              threads=cfg["threads"])
     return _write_report(out_dir, "oracle_gap", cfg, report.as_dict(), report.records)
 
 

@@ -130,8 +130,14 @@ class RkhsTarget:
         weights = _finite_floats(self.weights, "weights").ravel()
         if centers.shape[0] != weights.shape[0]:
             raise InputError(f"{centers.shape[0]} centers but {weights.shape[0]} weights")
-        if not self.gamma0 > 0:
-            raise InputError(f"target width must be positive, got {self.gamma0}")
+        try:
+            gamma0 = float(self.gamma0)
+        except (TypeError, ValueError):
+            gamma0 = math.nan
+        if not 0.0 < gamma0 < math.inf:
+            raise InputError(
+                f"target gamma0 must be a finite positive number, got {self.gamma0!r}")
+        object.__setattr__(self, "gamma0", gamma0)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "weights", weights)
         d = centers.shape[1]
@@ -200,8 +206,9 @@ class ScenarioConfig:
     holdout_size: int = 10000
 
     def __post_init__(self):
-        if self.n < 1 or self.replicates < 1 or self.holdout_size < 1:
-            raise InputError("n, replicates and holdout_size must all be at least 1")
+        for name in ("n", "replicates", "holdout_size"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.master_seed < 0:
             raise InputError(f"master seed must be non-negative, got {self.master_seed}")
         if self.design not in ("uniform-cube", "standard-normal"):
@@ -324,12 +331,12 @@ def _block_predictions(coeffs: np.ndarray, kernel, x_train, x_new, *, train_gram
 
 
 def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
-                    c: float | None, n_test: int, rng: np.random.Generator, *,
-                    train_gram: np.ndarray | None = None):
-    """Fresh-sample squared errors of a batch of coefficient vectors, one column each,
-    yielded a block of rows at a time from :func:`_block_predictions`, which takes
-    the training Gram ``train_gram`` the fits came from (None: the full path)."""
-    x_new = _sample_design(rng, n_test, scenario)
+                    rng: np.random.Generator, *, train_gram: np.ndarray | None = None):
+    """Squared errors, clipped at ``scenario.c``, of a batch of coefficient vectors
+    (one column each) on ``scenario.holdout_size`` fresh points, yielded a block of
+    rows at a time from :func:`_block_predictions`, which takes the training Gram
+    ``train_gram`` the fits came from (None: the full path)."""
+    x_new = _sample_design(rng, scenario.holdout_size, scenario)
     g_new = scenario.target.evaluate(x_new)
     blocks = _block_predictions(coeffs, kernel, x_train, x_new, train_gram=train_gram)
     del train_gram
@@ -338,8 +345,7 @@ def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfi
     # process's peak memory dependent on thread timing and allocator state.
     start = 0
     for sq in blocks:
-        if c is not None:
-            np.clip(sq, -c, c, out=sq)
+        np.clip(sq, -scenario.c, scenario.c, out=sq)
         sq -= g_new[start:start + len(sq), None]
         start += len(sq)
         sq *= sq
@@ -347,24 +353,20 @@ def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfi
 
 
 def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
-                     c: float | None = None, n_test: int | None = None,
                      rng: np.random.Generator | None = None) -> HoldoutError:
     """Monte Carlo estimate of the squared population error of a fit.
 
-    Draws ``n_test`` fresh design points (default: the scenario's holdout
-    size) and averages ``(clip(fit(x), c) - g(x))**2``, reporting the standard
-    error alongside.
+    Draws the scenario's ``holdout_size`` fresh design points and averages
+    ``(clip(fit(x), c) - g(x))**2`` with the scenario's clip bound ``c``,
+    reporting the standard error alongside.
     """
-    if n_test is None:
-        n_test = scenario.holdout_size
-    if n_test < 1:
-        raise InputError(f"holdout size must be at least 1, got {n_test}")
+    n_test = scenario.holdout_size
     if fit.n != len(x_train):
         raise InputError(f"fit has {fit.n} coefficients but {len(x_train)} training points given")
     if rng is None:
         rng = replicate_rng(scenario.master_seed, 0, stream=1)
     count, mean, m2 = 0, 0.0, 0.0
-    for sq in _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, c, n_test, rng):
+    for sq in _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, rng):
         # Chan, Golub & LeVeque's update of the mean and the sum of squared
         # deviations by one block.
         block_mean = float(sq.mean())
@@ -428,14 +430,13 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid, t: float,
-                  replicates: int | None) -> tuple[RkhsTarget, np.ndarray, int]:
+def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid,
+                  t: float) -> tuple[RkhsTarget, np.ndarray]:
     if not isinstance(scenario.target, RkhsTarget):
         raise InputError("event checks need a target with a known space norm")
     if not 1 <= t < math.inf:
         raise InputError(f"confidence level t must be finite and at least 1, got {t}")
-    reps = _replicate_count(replicates, scenario.replicates)
-    return scenario.target, np.asarray(list(grid)), reps
+    return scenario.target, np.asarray(list(grid))
 
 
 def _approx_upper(target: RkhsTarget, radii) -> np.ndarray:
@@ -446,21 +447,12 @@ def _approx_upper(target: RkhsTarget, radii) -> np.ndarray:
                        for r in radii])
 
 
-def _replicate_count(replicates: int | None, default: int | None = None, *,
-                     minimum: int = 1) -> int:
-    """The number of replicates to run: ``replicates``, else ``default``."""
-    reps = default if replicates is None else int(replicates)
-    if reps < minimum:
-        raise InputError(f"replicates must be at least {minimum}, got {reps}")
-    return reps
-
-
 def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t: float, *,
-                j_const: float | None = None, replicates: int | None = None,
-                threads: int = 1) -> dict[str, EventReport]:
+                j_const: float | None = None, threads: int = 1) -> dict[str, EventReport]:
     """Reports, keyed by event name, of the events behind the selection rules, all
-    read off one draw and one radius path per width (ascending) of each replicate.
-    An event holds when its bound holds simultaneously over its whole grid.
+    read off one draw and one radius path per width (ascending) of each of the
+    scenario's ``replicates`` replicates.  An event holds when its bound holds
+    simultaneously over its whole grid.
 
     ``"gauss-majorant"``: each pair ((gamma, r), (eta, s)) with eta <= gamma and
     s >= r has ``||fit_{gamma,r} - fit_{eta,s}||_n^2 <= 40*approx_sq_upper(gamma, r)
@@ -478,7 +470,7 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
         ||fit_r - fit_s||_n^2 <= 80*sqrt(k_diag)*sigma*(r+s)*sqrt(t)/sqrt(n)
                                  + 40*approx_sq_upper(r)   for s >= r
     """
-    target, radii, reps = _event_inputs(scenario, grid, t, replicates)
+    target, radii = _event_inputs(scenario, grid, t)
     tau_gauss = tau_min_gauss(_chaining_constant(j_const, widths.u, widths.v), scenario.sigma)
     gauss_coef = tau_gauss * math.sqrt(t) / math.sqrt(scenario.n)
     gammas = np.asarray(widths.values)
@@ -511,36 +503,38 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
             held["majorant"] = bool(np.all(excess <= 40.0 * approx[None]))
         return held
 
-    rows = _map_indexed(one, reps, threads)
+    rows = _map_indexed(one, scenario.replicates, threads)
     return {name: _event_report(name, t, [row[name] for row in rows]) for name in rows[0]}
 
 
 def _target_width_event(name: str, scenario: ScenarioConfig, grid: RadiusGrid, t: float,
-                        replicates: int | None, threads: int) -> EventReport:
+                        threads: int) -> EventReport:
     """Event ``name`` of :func:`event_suite` on the one-width grid of the target width."""
-    gamma0 = _event_inputs(scenario, grid, t, replicates)[0].gamma0
+    gamma0 = _event_inputs(scenario, grid, t)[0].gamma0
     return event_suite(scenario, WidthGrid(gamma0, gamma0, 2.0), grid, t,
-                       replicates=replicates, threads=threads)[name]
+                       threads=threads)[name]
 
 
 def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
-                     replicates: int | None = None, threads: int = 1) -> EventReport:
-    """Frequency of the per-radius estimation event ``"bias"`` of :func:`event_suite`."""
-    return _target_width_event("bias", scenario, grid, t, replicates, threads)
+                     threads: int = 1) -> EventReport:
+    """Frequency, over the scenario's replicates, of the per-radius estimation event
+    ``"bias"`` of :func:`event_suite`."""
+    return _target_width_event("bias", scenario, grid, t, threads)
 
 
 def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
-                         replicates: int | None = None, threads: int = 1) -> EventReport:
-    """Frequency of the fixed-kernel majorant event ``"majorant"`` of :func:`event_suite`."""
-    return _target_width_event("majorant", scenario, grid, t, replicates, threads)
+                         threads: int = 1) -> EventReport:
+    """Frequency, over the scenario's replicates, of the fixed-kernel majorant event
+    ``"majorant"`` of :func:`event_suite`."""
+    return _target_width_event("majorant", scenario, grid, t, threads)
 
 
 def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid,
                                t: float, *, j_const: float | None = None,
-                               replicates: int | None = None, threads: int = 1) -> EventReport:
-    """Frequency of the width-family majorant event ``"gauss-majorant"`` of
-    :func:`event_suite`."""
-    return event_suite(scenario, widths, grid, t, j_const=j_const, replicates=replicates,
+                               threads: int = 1) -> EventReport:
+    """Frequency, over the scenario's replicates, of the width-family majorant event
+    ``"gauss-majorant"`` of :func:`event_suite`."""
+    return event_suite(scenario, widths, grid, t, j_const=j_const,
                        threads=threads)["gauss-majorant"]
 
 
@@ -619,8 +613,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     result = _select([fits], gl_criterion(fits, cfg, data.n))
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
     coeffs = np.stack([f.coeffs for f in fits], axis=1)
-    holdout = _holdout_errors(coeffs, kernel, data.x, scenario, scenario.c,
-                              scenario.holdout_size, rng, train_gram=k)
+    holdout = _holdout_errors(coeffs, kernel, data.x, scenario, rng, train_gram=k)
     del k
     total = np.zeros(coeffs.shape[1])
     for sq in holdout:
@@ -681,19 +674,19 @@ class OracleGapReport:
 
 
 def oracle_gap_check(scenario: ScenarioConfig, settings: SelectionSettings, *,
-                     replicates: int | None = None, threshold: float = 10.0,
-                     pass_fraction: float = 0.9, threads: int = 1) -> OracleGapReport:
-    """Fraction of replicates where the adaptive estimator is within a factor
-    ``threshold`` of the best clipped grid estimator (both on fresh holdouts).
+                     threshold: float = 10.0, pass_fraction: float = 0.9,
+                     threads: int = 1) -> OracleGapReport:
+    """Fraction of the scenario's replicates where the adaptive estimator is within
+    a factor ``threshold`` of the best grid estimator, both clipped at the
+    scenario's ``c`` and measured on its fresh holdout of ``holdout_size`` points.
 
     The holdout is evaluated block by block, through the pivot basis where it
     passes its check on the first block and through the full cross-Gram
     otherwise (see the module notes).  The ratio counts as 1 when both errors
     are below 1e-12.
     """
-    reps = _replicate_count(replicates, scenario.replicates)
     records = tuple(_map_indexed(functools.partial(_adaptive_record, scenario, settings),
-                                 reps, threads))
+                                 scenario.replicates, threads))
 
     def ratio(rec: ExperimentRecord) -> float:
         if rec.err_adaptive <= 1e-12 and rec.err_oracle_grid <= 1e-12:
@@ -701,7 +694,7 @@ def oracle_gap_check(scenario: ScenarioConfig, settings: SelectionSettings, *,
         return rec.err_adaptive / max(rec.err_oracle_grid, 1e-300)
 
     fraction = float(np.mean([ratio(rec) <= threshold for rec in records]))
-    return OracleGapReport(replicates=reps, threshold=threshold,
+    return OracleGapReport(replicates=scenario.replicates, threshold=threshold,
                            fraction_within=fraction, passed=fraction >= pass_fraction,
                            records=records)
 
@@ -754,7 +747,9 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
         raise InputError(f"sigma must be positive, got {sigma}")
     if master_seed < 0:
         raise InputError(f"master seed must be non-negative, got {master_seed}")
-    replicates = _replicate_count(replicates, minimum=2)
+    replicates = int(replicates)
+    if replicates < 2:
+        raise InputError(f"replicates must be at least 2, got {replicates}")
     if not all(math.isfinite(t) for t in t_list):
         raise InputError(f"tail levels t must be finite, got {list(t_list)}")
     if m is None:

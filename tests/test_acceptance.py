@@ -25,10 +25,8 @@ from rkhsball.data import Dataset
 from rkhsball.estimator import eigen_gram, fit_constrained, rkhs_sq_distance
 from rkhsball.experiments import (
     SelectionSettings,
-    bias_event_check,
     default_scenario,
-    gauss_majorant_event_check,
-    majorant_event_check,
+    event_suite,
     oracle_gap_check,
     quadform_tail_check,
     rate_experiment,
@@ -229,20 +227,13 @@ def test_criterion_07_event_frequencies(capsys):
         grid = radius_grid(1.0, 0.5, scen.n)
 
         t0 = time.perf_counter()
-        rep = majorant_event_check(scen, grid, 1.0, threads=THREADS)
+        reps = event_suite(scen, width_grid(0.5, 2.0, 2.0), grid, 1.0, threads=THREADS)
         assert time.perf_counter() - t0 < 300.0
-        assert rep.wilson_high >= floor, f"majorant interval below floor: {rep}"
-
-        t0 = time.perf_counter()
-        rep = bias_event_check(scen, grid, 1.0, threads=THREADS)
-        assert time.perf_counter() - t0 < 300.0
-        assert rep.wilson_high >= floor, f"bias interval below floor: {rep}"
-
-        t0 = time.perf_counter()
-        rep = gauss_majorant_event_check(scen, width_grid(0.5, 2.0, 2.0), grid, 1.0,
-                                         threads=THREADS)
-        assert time.perf_counter() - t0 < 300.0
-        assert rep.wilson_high >= floor, f"family interval below floor: {rep}"
+        assert reps["majorant"].wilson_high >= floor, \
+            f"majorant interval below floor: {reps['majorant']}"
+        assert reps["bias"].wilson_high >= floor, f"bias interval below floor: {reps['bias']}"
+        assert reps["gauss-majorant"].wilson_high >= floor, \
+            f"family interval below floor: {reps['gauss-majorant']}"
 
 
 def test_criterion_08_rate_slope(capsys):

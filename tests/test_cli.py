@@ -302,9 +302,15 @@ class TestConfigHandling:
         ("rates", "seed"),
         ("fit", "threads"),
         ("majorant", "theory_mode"),
+        ("majorant", "replicates"),
+        ("oracle-gap", "replicates"),
+        ("majorant", "scenario.c"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
-        cfg = _write(tmp_path / "c.json", json.dumps({key: 1}))
+        config = 1
+        for part in reversed(key.split(".")):
+            config = {part: config}
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
@@ -371,9 +377,8 @@ class TestReplicatesBoundary:
     @pytest.mark.parametrize("command,config,expected", [
         ("quadform", {"n": 8, "replicates": -3}, 2),
         ("quadform", {"n": 8, "replicates": 1}, 2),
-        ("oracle-gap", {"scenario": {"n": 16, "replicates": 3, "holdout_size": 100},
-                        "replicates": 0}, 1),
-        ("majorant", {"scenario": {"n": 16, "replicates": 3}, "replicates": 0}, 1),
+        ("oracle-gap", {"scenario": {"n": 16, "replicates": 0, "holdout_size": 100}}, 1),
+        ("majorant", {"scenario": {"n": 16, "replicates": 0}}, 1),
         ("quadform", {"n": 8, "t_list": 5}, "config key t_list must be a list, got 5"),
         ("rates", {"n_list": 5}, "config key n_list must be a list, got 5"),
         ("bounds", {"approx": {"kind": "element", "sup": 1.0}},
@@ -431,7 +436,7 @@ class TestReplicatesBoundary:
 
 class TestNonNumericConfig:
     @pytest.mark.parametrize("line,key", [
-        ("replicates = abc", "replicates"),
+        ("scenario.replicates = abc", "scenario.replicates"),
         ("scenario.sigma = abc", "scenario.sigma"),
     ])
     def test_majorant_names_the_key(self, tmp_path, capsys, line, key):

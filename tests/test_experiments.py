@@ -85,16 +85,21 @@ class TestTargets:
         with pytest.raises(InputError):
             RkhsTarget(gamma0=1.0, centers=[[0.0]], weights=[1.0, 2.0])
 
-    @pytest.mark.parametrize("centers, weights, field", [
-        ([[0.5]], "abc", "weights"),
-        ("x", [2.0], "centers"),
-        ([[0.5]], [math.nan], "weights"),
-        ([[math.inf]], [2.0], "centers"),
-        ([[0.5], [0.1, 0.2]], [1.0, 1.0], "centers"),
+    @pytest.mark.parametrize("gamma0, centers, weights, field", [
+        pytest.param(1.0, [[0.5]], "abc", "weights", id="centers0-abc-weights"),
+        pytest.param(1.0, "x", [2.0], "centers", id="x-weights1-centers"),
+        pytest.param(1.0, [[0.5]], [math.nan], "weights", id="centers2-weights2-weights"),
+        pytest.param(1.0, [[math.inf]], [2.0], "centers", id="centers3-weights3-centers"),
+        pytest.param(1.0, [[0.5], [0.1, 0.2]], [1.0, 1.0], "centers",
+                     id="centers4-weights4-centers"),
+        pytest.param("abc", [[0.5]], [2.0], "gamma0", id="gamma0-abc"),
+        pytest.param(math.nan, [[0.5]], [2.0], "gamma0", id="gamma0-nan"),
+        pytest.param(math.inf, [[0.5]], [2.0], "gamma0", id="gamma0-inf"),
+        pytest.param(0.0, [[0.5]], [2.0], "gamma0", id="gamma0-zero"),
     ])
-    def test_rkhs_arrays_must_be_finite_numbers(self, centers, weights, field):
+    def test_rkhs_arrays_must_be_finite_numbers(self, gamma0, centers, weights, field):
         with pytest.raises(InputError, match=f"target {field} must be"):
-            RkhsTarget(gamma0=1.0, centers=centers, weights=weights)
+            RkhsTarget(gamma0=gamma0, centers=centers, weights=weights)
 
     @pytest.mark.parametrize("slope, center, field", [
         (1.0, 5, "center"), (1.0, "ab", "center"), (1.0, [[0.5]], "center"),
@@ -159,6 +164,9 @@ class TestGenerate:
             ScenarioConfig(n=10, target=target, noise="cauchy")
         with pytest.raises(InputError):
             ScenarioConfig(n=10, target=None)
+        for name in ("n", "replicates", "holdout_size"):
+            with pytest.raises(InputError, match=f"^{name} must be at least 1, got 0$"):
+                ScenarioConfig(**{"n": 10, name: 0}, target=target)
 
 
 class TestHoldout:
@@ -169,7 +177,7 @@ class TestHoldout:
         x_train = np.array([[0.5]])
         k = gram(kernel, x_train)
         fit = fit_constrained(k, target.evaluate(x_train), 2.0)
-        err = holdout_sq_error(fit, kernel, x_train, scen, c=2.0, n_test=500)
+        err = holdout_sq_error(fit, kernel, x_train, dataclasses.replace(scen, holdout_size=500))
         assert err.mean <= 1e-20
 
     def test_zero_fit_constant_target(self):
@@ -177,7 +185,7 @@ class TestHoldout:
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
         fit = fit_constrained(gram(kernel, x_train), np.array([0.0]), 0.0)
-        err = holdout_sq_error(fit, kernel, x_train, scen, c=1.5, n_test=200)
+        err = holdout_sq_error(fit, kernel, x_train, dataclasses.replace(scen, holdout_size=200))
         assert err.mean == pytest.approx(1.0, abs=1e-12)
         assert err.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -187,7 +195,8 @@ class TestHoldout:
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
         fit = fit_constrained(gram(kernel, x_train), np.array([0.0]), 0.0)
-        err = holdout_sq_error(fit, kernel, x_train, scen, c=2.0, n_test=200000,
+        err = holdout_sq_error(fit, kernel, x_train,
+                               dataclasses.replace(scen, holdout_size=200000),
                                rng=replicate_rng(1, 0, stream=1))
         assert abs(err.mean - 1.0 / 3.0) <= 5.0 * err.stderr
 
@@ -197,7 +206,7 @@ class TestHoldout:
         data = generate(scen, 0)
         kernel = GaussianKernel(0.5, 1)
         fit = fit_constrained(gram(kernel, data.x), data.y, 1.0)
-        err = holdout_sq_error(fit, kernel, data.x, scen, c=scen.c, n_test=20001,
+        err = holdout_sq_error(fit, kernel, data.x, dataclasses.replace(scen, holdout_size=20001),
                                rng=replicate_rng(2, 0, stream=1))
         x_new = replicate_rng(2, 0, stream=1).uniform(0.0, 1.0, size=(20001, 1))
         preds = np.clip(cross_gram(kernel, data.x, x_new) @ fit.coeffs, -scen.c, scen.c)
@@ -211,14 +220,14 @@ class TestHoldout:
         x_train = np.array([[0.2], [0.5], [0.8]])
         fit = fit_constrained(gram(kernel, x_train), np.ones(3), 1.0)
         with pytest.raises(InputError, match="3 coefficients but 2 training points"):
-            holdout_sq_error(fit, kernel, x_train[:2], scen, c=scen.c, n_test=50)
+            holdout_sq_error(fit, kernel, x_train[:2], dataclasses.replace(scen, holdout_size=50))
 
     def test_clipped_error_bounded(self):
         scen = default_scenario(n=10)
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
         fit = fit_constrained(gram(kernel, x_train), np.array([50.0]), 100.0)
-        err = holdout_sq_error(fit, kernel, x_train, scen, c=scen.c, n_test=500)
+        err = holdout_sq_error(fit, kernel, x_train, dataclasses.replace(scen, holdout_size=500))
         assert err.mean <= (2.0 * scen.c) ** 2
 
 
@@ -504,18 +513,16 @@ class TestEventChecks:
     @pytest.mark.parametrize("check", ["majorant", "bias", "gauss-majorant", "oracle-gap"])
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_replicates_below_one_rejected(self, check, replicates):
-        scen = default_scenario(n=10, replicates=2)
         grid = radius_grid(1.0, 1.0, 10)
         calls = {
-            "majorant": lambda: majorant_event_check(scen, grid, 1.0, replicates=replicates),
-            "bias": lambda: bias_event_check(scen, grid, 1.0, replicates=replicates),
-            "gauss-majorant": lambda: gauss_majorant_event_check(
-                scen, width_grid(0.5, 2.0, 2.0), grid, 1.0, replicates=replicates),
-            "oracle-gap": lambda: oracle_gap_check(scen, SelectionSettings(),
-                                                   replicates=replicates),
+            "majorant": lambda scen: majorant_event_check(scen, grid, 1.0),
+            "bias": lambda scen: bias_event_check(scen, grid, 1.0),
+            "gauss-majorant": lambda scen: gauss_majorant_event_check(
+                scen, width_grid(0.5, 2.0, 2.0), grid, 1.0),
+            "oracle-gap": lambda scen: oracle_gap_check(scen, SelectionSettings()),
         }
         with pytest.raises(InputError, match="replicates must be at least 1"):
-            calls[check]()
+            calls[check](default_scenario(n=10, replicates=replicates))
 
     def test_requires_rkhs_target(self):
         scen = ScenarioConfig(n=20, d=1, target=HatTarget(slope=1.0), sigma=0.1)
