@@ -19,7 +19,6 @@ from .estimator import (
 )
 from .kernels import (
     GaussianKernel,
-    PrecomputedKernel,
     WidthGrid,
     chaining_constant_bound,
     covering_number_bound,

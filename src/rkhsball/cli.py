@@ -429,6 +429,8 @@ def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
     scenario = _build_scenario(cfg)
     t, threads, event = cfg["t"], cfg["threads"], cfg["event"]
     grid = radius_grid(**cfg["grid"], n=scenario.n)
+    if event in ("majorant", "bias") and cfg["widths"] != DEFAULTS["majorant"]["widths"]:
+        raise InputError(f"widths is read only for event = gauss-majorant, not for event = {event}")
     if event == "majorant":
         report = majorant_event_check(scenario, grid, t, threads=threads)
     elif event == "bias":

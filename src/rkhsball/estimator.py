@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .kernels import cross_gram
 
 __all__ = [
     "GramEigen",
@@ -456,8 +457,6 @@ def clip(value, c: float):
 
 def predict(fit: ConstrainedFit, kernel, x_train, x_new, c: float | None = None) -> np.ndarray:
     """Evaluate the fit at new points, optionally clipping into [-c, c]."""
-    from .kernels import cross_gram
-
     kx = cross_gram(kernel, x_train, x_new)
     if kx.shape[1] != fit.n:
         raise InputError(f"fit has {fit.n} coefficients but {kx.shape[1]} training points given")

@@ -38,6 +38,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -206,7 +207,11 @@ class ScenarioConfig:
     holdout_size: int = 10000
 
     def __post_init__(self):
-        for name in ("n", "replicates", "holdout_size"):
+        for name in ("n", "d", "replicates", "holdout_size", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name in ("n", "d", "replicates", "holdout_size"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.master_seed < 0:

@@ -1,4 +1,4 @@
-"""Kernels, Gram matrices and the scaled Gaussian family.
+"""The scaled Gaussian kernel, its Gram matrices and the width family.
 
 The Gaussian kernel of width ``gamma`` in dimension ``d`` is
 
@@ -6,7 +6,10 @@ The Gaussian kernel of width ``gamma`` in dimension ``d`` is
 
 so its diagonal value is ``gamma**(-d)`` everywhere.  The scaling makes the
 unit balls of the associated function spaces nested: shrinking the width
-enlarges the ball.  This module also provides the closed-form geometry of the
+enlarges the ball.  ``gram`` assembles the kernel matrix of the training
+points and ``cross_gram`` the matrix between new and training points, which
+evaluates a fit off the training set.  This module imports nothing from the
+package but its errors.  It also provides the closed-form geometry of the
 family (sup-metric distances, covering numbers, the entropy integral and the
 chaining constant) used by the width-adaptive selection rule and by the
 theoretical bound calculators.
@@ -19,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .estimator import PSD_RTOL, SYM_RTOL, _scale_and_asymmetry
+from .errors import InputError
 
 __all__ = [
     "GaussianKernel",
-    "PrecomputedKernel",
     "WidthGrid",
     "gaussian_eval",
     "gram",
@@ -46,56 +47,20 @@ class GaussianKernel:
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise InputError(f"kernel width must be positive, got {self.gamma}")
-        if self.dim < 1 or int(self.dim) != self.dim:
+        if isinstance(self.dim, bool) or not (self.dim >= 1 and float(self.dim).is_integer()):
             raise InputError(f"dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "dim", int(self.dim))
         _diag_value(self.gamma, self.dim)
 
     @property
     def diag_sup(self) -> float:
         """sup_x k(x, x), equal to gamma**(-d) exactly."""
-        return float(self.gamma) ** (-self.dim)
+        return self.gamma ** (-self.dim)
 
     @property
     def kernel_id(self) -> str:
         return f"gaussian(gamma={self.gamma!r},dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class PrecomputedKernel:
-    """Kernel known only through its Gram matrix on the training points.
-
-    ``diag_sup`` must be supplied: the supremum of k(x, x) over the whole
-    covariate space is not recoverable from a finite matrix, and every bound
-    calculator needs it.
-    """
-
-    gram: np.ndarray
-    diag_sup: float
-    label: str = "precomputed"
-
-    def __post_init__(self):
-        g = np.asarray(self.gram, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise InputError(f"precomputed Gram must be square, got shape {g.shape}")
-        if g.size == 0:
-            raise InputError("precomputed Gram is empty")
-        scale, asym = _scale_and_asymmetry(g)
-        if asym > SYM_RTOL * (1.0 + scale):
-            raise InputError(f"precomputed Gram is asymmetric (max deviation {asym:.3e})")
-        eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
-        lo, hi = float(eigvals.min()), float(eigvals.max())
-        if lo < -PSD_RTOL * max(hi, 0.0):
-            raise NumericalError(f"precomputed Gram has eigenvalue {lo:.3e} below the PSD tolerance")
-        if not (self.diag_sup > 0 and math.isfinite(self.diag_sup)):
-            raise InputError(f"diag_sup must be positive and finite, got {self.diag_sup}")
-        object.__setattr__(self, "gram", g)
-
-    @property
-    def kernel_id(self) -> str:
-        return self.label
-
-
-Kernel = GaussianKernel | PrecomputedKernel
 
 
 def _diag_value(gamma: float, dim: int) -> float:
@@ -136,25 +101,19 @@ def gaussian_eval(gamma: float, dim: int, x1, x2) -> float:
     return _diag_value(gamma, dim) * math.exp(-sq / gamma**2)
 
 
-def _as_points(x, dim: int | None = None) -> np.ndarray:
+def _as_points(x, dim: int) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise InputError(f"points must form an (n, d) array, got shape {pts.shape}")
-    if dim is not None and pts.shape[1] != dim:
+    if pts.shape[1] != dim:
         raise InputError(f"points have dimension {pts.shape[1]}, kernel expects {dim}")
     return pts
 
 
-def gram(kernel: Kernel, x) -> np.ndarray:
+def gram(kernel: GaussianKernel, x) -> np.ndarray:
     """Assemble the Gram matrix K[i, j] = k(X_i, X_j) for the given kernel."""
-    if isinstance(kernel, PrecomputedKernel):
-        n = np.asarray(x).shape[0] if np.asarray(x).ndim else 1
-        if kernel.gram.shape[0] != n:
-            raise InputError(f"precomputed Gram is {kernel.gram.shape[0]}x{kernel.gram.shape[0]} "
-                             f"but {n} points were supplied")
-        return kernel.gram
     pts = _as_points(x, kernel.dim)
     s = np.sum(pts * pts, axis=1)
     # The squared distances associate as (s_i + s_j) - 2 x_i.x_j: the sum and
@@ -162,10 +121,8 @@ def gram(kernel: Kernel, x) -> np.ndarray:
     return _gaussian(kernel, pts @ pts.T, s[:, None] + s[None, :])
 
 
-def cross_gram(kernel: Kernel, x_train, x_new) -> np.ndarray:
+def cross_gram(kernel: GaussianKernel, x_train, x_new) -> np.ndarray:
     """Rectangular kernel matrix K[j, i] = k(X_new_j, X_train_i)."""
-    if isinstance(kernel, PrecomputedKernel):
-        raise InputError("cross-evaluation is not available for precomputed kernels")
     a = _as_points(x_new, kernel.dim)
     b = _as_points(x_train, kernel.dim)
     return _gaussian(kernel, a @ b.T, np.sum(a * a, axis=1)[:, None],

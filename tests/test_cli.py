@@ -444,3 +444,12 @@ class TestNonNumericConfig:
         assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config key {key} must be" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("event", ["majorant", "bias"])
+    def test_majorant_widths_only_for_gauss_majorant(self, tmp_path, capsys, event):
+        cfg = _write(tmp_path / "m.conf", f'scenario.n = 16\nscenario.replicates = 3\n'
+                                          f'event = "{event}"\nwidths.u = 0.1\n')
+        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"widths is read only for event = gauss-majorant, not for event = {event}" in err
+        assert not (tmp_path / "majorant.csv").exists()

@@ -164,9 +164,19 @@ class TestGenerate:
             ScenarioConfig(n=10, target=target, noise="cauchy")
         with pytest.raises(InputError):
             ScenarioConfig(n=10, target=None)
-        for name in ("n", "replicates", "holdout_size"):
+        for name in ("n", "d", "replicates", "holdout_size"):
             with pytest.raises(InputError, match=f"^{name} must be at least 1, got 0$"):
                 ScenarioConfig(**{"n": 10, name: 0}, target=target)
+
+    @pytest.mark.parametrize("name,value", [
+        ("replicates", 2.5), ("n", 10.5), ("replicates", "3"), ("holdout_size", 20.5),
+        ("master_seed", 1.5), ("n", True), ("d", 1.5),
+    ])
+    def test_integer_fields_must_be_integers(self, name, value):
+        target = RkhsTarget(gamma0=1.0, centers=[[0.5]], weights=[2.0])
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {value!r}$"):
+            ScenarioConfig(**{"n": 10, name: value}, target=target)
+        ScenarioConfig(**{"n": 10, name: np.int64(1)}, target=target)  # numpy integers count
 
 
 class TestHoldout:

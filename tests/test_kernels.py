@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkhsball.errors import InputError, NumericalError
+from rkhsball.errors import InputError
 from rkhsball.kernels import (
     GaussianKernel,
-    PrecomputedKernel,
     chaining_constant_bound,
     covering_number_bound,
     cross_gram,
@@ -102,6 +101,17 @@ class TestGram:
         assert GaussianKernel(2.0, 3).diag_sup == 2.0 ** -3
         assert GaussianKernel(0.5, 2).diag_sup == 0.5 ** -2
 
+    def test_fields_normalised(self):
+        kern = GaussianKernel(1, 1.0)
+        assert type(kern.gamma) is float and type(kern.dim) is int
+        assert kern == GaussianKernel(1.0, 1) and kern.kernel_id == GaussianKernel(1.0, 1).kernel_id
+        assert GaussianKernel(np.float64(0.5), np.int64(2)).kernel_id == "gaussian(gamma=0.5,dim=2)"
+
+    @pytest.mark.parametrize("dim", [True, 0, 1.5, math.nan, math.inf])
+    def test_bad_dimension_rejected(self, dim):
+        with pytest.raises(InputError, match="dimension must be a positive integer"):
+            GaussianKernel(1.0, dim)
+
 
 class TestCrossGram:
     def test_matches_pointwise_eval(self, rng):
@@ -115,43 +125,6 @@ class TestCrossGram:
             for j, b in enumerate(x_new):
                 for i, a in enumerate(x_train):
                     assert kx[j, i] == pytest.approx(gaussian_eval(gamma, d, b, a), rel=1e-14)
-
-
-class TestPrecomputed:
-    def test_roundtrip(self):
-        k = np.array([[2.0, 1.0], [1.0, 2.0]])
-        kern = PrecomputedKernel(gram=k, diag_sup=2.0)
-        assert np.array_equal(gram(kern, np.zeros((2, 1))), k)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InputError):
-            PrecomputedKernel(gram=np.array([[1.0, 0.5], [0.2, 1.0]]), diag_sup=1.0)
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(NumericalError):
-            PrecomputedKernel(gram=np.array([[1.0, 2.0], [2.0, 1.0]]), diag_sup=1.0)
-
-    def test_non_finite_rejected(self):
-        for k in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
-                  [[1.0, np.nan], [0.0, 1.0]]):
-            with pytest.raises(NumericalError):
-                PrecomputedKernel(gram=np.array(k), diag_sup=1.0)
-        with pytest.raises(InputError):
-            PrecomputedKernel(gram=np.eye(2), diag_sup=np.inf)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError, match="precomputed Gram is empty"):
-            PrecomputedKernel(gram=np.zeros((0, 0)), diag_sup=1.0)
-
-    def test_size_mismatch(self):
-        kern = PrecomputedKernel(gram=np.eye(2), diag_sup=1.0)
-        with pytest.raises(InputError):
-            gram(kern, np.zeros((3, 1)))
-
-    def test_no_cross_evaluation(self):
-        kern = PrecomputedKernel(gram=np.eye(2), diag_sup=1.0)
-        with pytest.raises(InputError):
-            cross_gram(kern, np.zeros((2, 1)), np.zeros((1, 1)))
 
 
 class TestFamilyDistance:
