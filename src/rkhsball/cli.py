@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,8 @@ import sys
 import numpy as np
 
 from .data import Dataset
-from .errors import ConstraintError, InputError, NumericalError, RkhsBallError
+from .errors import (ConstraintError, InputError, NumericalError, RkhsBallError, check_int,
+                     check_real)
 from .experiments import (
     ExperimentRecord,
     HatTarget,
@@ -60,26 +62,16 @@ from .theory import (
     scaled_element_approx_bound,
 )
 
+# The dataclasses' own defaults, with ``default_scenario``'s n and target.
 _SCENARIO_DEFAULTS = {
     "n": 200,
-    "d": 1,
-    "design": "uniform-cube",
-    "noise": "gaussian",
-    "sigma": 0.1,
-    "c": 2.0,
-    "replicates": 100,
-    "master_seed": 0,
-    "holdout_size": 10000,
+    **{f.name: f.default for f in dataclasses.fields(ScenarioConfig)
+       if f.name not in ("n", "target")},
     "target": {"kind": "rkhs-element", "gamma0": 1.0, "centers": [[0.5]], "weights": [2.0]},
 }
 
-_SELECTION_DEFAULTS = {
-    "tau": None,
-    "nu": 0.5,
-    "grid_a": 1.0,
-    "grid_b": 0.5,
-    "kernel_gamma": None,
-}
+_SELECTION_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SelectionSettings)
+                       if f.name != "theory_mode"}
 
 DEFAULTS = {
     "fit": {
@@ -483,9 +475,10 @@ def _approx_fn(cfg: dict):
 
 def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
     r_spec = cfg["r"]
-    r_min, r_max, count = r_spec["min"], r_spec["max"], r_spec["count"]
-    if count < 1 or r_max < r_min or r_min < 0:
-        raise InputError(f"invalid radius range {r_spec!r}")
+    r_min = check_real(r_spec["min"], "r.min", 0.0, strict=False)
+    r_max, count = r_spec["max"], check_int(r_spec["count"], "r.count")
+    if r_max < r_min:
+        raise InputError(f"r.max must be at least r.min, got {r_spec!r}")
     approx = _approx_fn(cfg)
     if cfg["approx"] is not None and cfg["approx"].get("kind") == "interpolation" and r_min == 0:
         raise InputError("interpolation approx bound is undefined at r = 0; use r.min > 0")

@@ -38,20 +38,19 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .errors import InputError
+from .errors import InputError, check_int, check_real
 from .estimator import _pivoted_cholesky, eigen_gram, fit_constrained
 from .kernels import GaussianKernel, WidthGrid, _chaining_constant, cross_gram, gram
 from .selection_fixed import (GLConfig, RadiusGrid, _select, comparison_excess,
                               fit_radius_path, gl_criterion, radius_grid, tau_min_fixed)
 from .selection_gauss import _penalty_scales, tau_min_gauss
-from .theory import scaled_element_approx_bound
+from .theory import _check_args, scaled_element_approx_bound
 
 __all__ = [
     "RkhsTarget",
@@ -131,14 +130,7 @@ class RkhsTarget:
         weights = _finite_floats(self.weights, "weights").ravel()
         if centers.shape[0] != weights.shape[0]:
             raise InputError(f"{centers.shape[0]} centers but {weights.shape[0]} weights")
-        try:
-            gamma0 = float(self.gamma0)
-        except (TypeError, ValueError):
-            gamma0 = math.nan
-        if not 0.0 < gamma0 < math.inf:
-            raise InputError(
-                f"target gamma0 must be a finite positive number, got {self.gamma0!r}")
-        object.__setattr__(self, "gamma0", gamma0)
+        object.__setattr__(self, "gamma0", check_real(self.gamma0, "target gamma0"))
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "weights", weights)
         d = centers.shape[1]
@@ -207,23 +199,15 @@ class ScenarioConfig:
     holdout_size: int = 10000
 
     def __post_init__(self):
-        for name in ("n", "d", "replicates", "holdout_size", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        for name in ("n", "d", "replicates", "holdout_size"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.master_seed < 0:
-            raise InputError(f"master seed must be non-negative, got {self.master_seed}")
+        for name, low in (("n", 1), ("d", 1), ("replicates", 1), ("holdout_size", 1),
+                          ("master_seed", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, low))
         if self.design not in ("uniform-cube", "standard-normal"):
             raise InputError(f"unknown design {self.design!r}")
         if self.noise not in ("gaussian", "rademacher"):
             raise InputError(f"unknown noise law {self.noise!r}")
-        if not self.sigma > 0:
-            raise InputError(f"noise scale must be positive, got {self.sigma}")
-        if not self.c > 0:
-            raise InputError(f"clip bound must be positive, got {self.c}")
+        for name in ("sigma", "c"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if self.target is None:
             raise InputError("scenario requires a target")
         dim = getattr(self.target, "dim", None)
@@ -427,8 +411,7 @@ def _event_report(name: str, t: float, indicators: list[bool]) -> EventReport:
 
 
 def _map_indexed(fn, count: int, threads: int) -> list:
-    if threads < 1:
-        raise InputError(f"threads must be at least 1, got {threads}")
+    threads = check_int(threads, "threads")
     if threads == 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -439,8 +422,7 @@ def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid,
                   t: float) -> tuple[RkhsTarget, np.ndarray]:
     if not isinstance(scenario.target, RkhsTarget):
         raise InputError("event checks need a target with a known space norm")
-    if not 1 <= t < math.inf:
-        raise InputError(f"confidence level t must be finite and at least 1, got {t}")
+    _check_args(t=t)
     return scenario.target, np.asarray(list(grid))
 
 
@@ -645,7 +627,7 @@ def rate_experiment(scenario: ScenarioConfig, n_list, settings: SelectionSetting
     degenerate) when a median falls below 1e-12, as happens in noiseless
     well-specified scenarios.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [check_int(n, "n_list") for n in n_list]
     if len(n_list) < 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("rate experiment needs at least 4 strictly ascending sample sizes")
     records = []
@@ -688,8 +670,12 @@ def oracle_gap_check(scenario: ScenarioConfig, settings: SelectionSettings, *,
     The holdout is evaluated block by block, through the pivot basis where it
     passes its check on the first block and through the full cross-Gram
     otherwise (see the module notes).  The ratio counts as 1 when both errors
-    are below 1e-12.
+    are below 1e-12, so ``threshold`` must be at least 1; ``pass_fraction`` lies
+    in (0, 1].
     """
+    threshold = check_real(threshold, "threshold", 1.0, strict=False)
+    if check_real(pass_fraction, "pass_fraction") > 1.0:
+        raise InputError(f"pass_fraction must be at most 1, got {pass_fraction!r}")
     records = tuple(_map_indexed(functools.partial(_adaptive_record, scenario, settings),
                                  scenario.replicates, threads))
 
@@ -746,17 +732,10 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
     For each t in ``t_list`` the tail event ``|Z| <= a * (log 2 + t)`` is also
     reported against its floor ``1 - exp(-t)``.
     """
-    if n < 2:
-        raise InputError(f"quadratic form needs n >= 2, got {n}")
-    if not sigma > 0:
-        raise InputError(f"sigma must be positive, got {sigma}")
-    if master_seed < 0:
-        raise InputError(f"master seed must be non-negative, got {master_seed}")
-    replicates = int(replicates)
-    if replicates < 2:
-        raise InputError(f"replicates must be at least 2, got {replicates}")
-    if not all(math.isfinite(t) for t in t_list):
-        raise InputError(f"tail levels t must be finite, got {list(t_list)}")
+    n, sigma = check_int(n, "n", 2), check_real(sigma, "sigma")
+    master_seed = check_int(master_seed, "master_seed", 0)
+    replicates = check_int(replicates, "replicates", 2)
+    t_list = [check_real(t, "t", -math.inf) for t in t_list]
     if m is None:
         rng_m = replicate_rng(master_seed, 0, stream=2)
         x = rng_m.standard_normal(size=(n, 1))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int, check_real
 
 __all__ = [
     "GaussianKernel",
@@ -45,12 +45,8 @@ class GaussianKernel:
     dim: int
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise InputError(f"kernel width must be positive, got {self.gamma}")
-        if isinstance(self.dim, bool) or not (self.dim >= 1 and float(self.dim).is_integer()):
-            raise InputError(f"dimension must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "gamma", check_real(self.gamma, "gamma"))
+        object.__setattr__(self, "dim", check_int(self.dim, "dim"))
         _diag_value(self.gamma, self.dim)
 
     @property
@@ -91,8 +87,7 @@ def gaussian_eval(gamma: float, dim: int, x1, x2) -> float:
     float
         ``gamma**(-dim) * exp(-||x1 - x2||_2**2 / gamma**2)``.
     """
-    if not gamma > 0:
-        raise InputError(f"kernel width must be positive, got {gamma}")
+    gamma, dim = check_real(gamma, "gamma"), check_int(dim, "dim")
     a = np.atleast_1d(np.asarray(x1, dtype=float))
     b = np.atleast_1d(np.asarray(x2, dtype=float))
     if a.shape != (dim,) or b.shape != (dim,):
@@ -151,8 +146,7 @@ def family_sup_distance_bound(gamma: float, eta: float) -> float:
     sup-norm distance between the unit-scaled exponentials of widths ``gamma``
     and ``eta``.  Symmetric, zero iff the widths coincide, and always < 1.
     """
-    if not (gamma > 0 and eta > 0):
-        raise InputError(f"widths must be positive, got {gamma}, {eta}")
+    gamma, eta = check_real(gamma, "gamma"), check_real(eta, "eta")
     return math.sqrt(abs(gamma**2 - eta**2)) / max(gamma, eta)
 
 
@@ -162,9 +156,8 @@ def covering_number_bound(a: float, u: float, v: float) -> float:
     For ``a`` in (0, 1) returns ``log(v/u) * a**-2 + 2``; for ``a >= 1`` the
     family fits inside a single ball, so the bound is 1.
     """
-    if not a > 0:
-        raise InputError(f"scale must be positive, got {a}")
-    _check_interval(u, v)
+    a = check_real(a, "a")
+    u, v = _check_interval(u, v)
     if a >= 1.0:
         return 1.0
     return math.log(v / u) * a**-2 + 2.0
@@ -175,7 +168,7 @@ def entropy_integral_bound(u: float, v: float) -> float:
 
     Returns ``log(2 + 4*log(v/u)) / 2 + 1``, non-decreasing in ``v/u``.
     """
-    _check_interval(u, v)
+    u, v = _check_interval(u, v)
     return math.log(2.0 + 4.0 * math.log(v / u)) / 2.0 + 1.0
 
 
@@ -186,7 +179,7 @@ def chaining_constant_bound(u: float, v: float) -> float:
     constant that scales the width-adaptive penalties; it is conservative and
     may be overridden by a smaller value where a sharper one is known.
     """
-    _check_interval(u, v)
+    u, v = _check_interval(u, v)
     return math.sqrt(81.0 * (math.log(8.0 * math.log(v / u) + 4.0) + 2.0) + 1.0)
 
 
@@ -195,9 +188,12 @@ def _chaining_constant(j_const: float | None, u: float, v: float) -> float:
     return j_const if j_const is not None else chaining_constant_bound(u, v)
 
 
-def _check_interval(u: float, v: float) -> None:
-    if not (0 < u <= v):
-        raise InputError(f"width interval must satisfy 0 < u <= v, got [{u}, {v}]")
+def _check_interval(u: float, v: float) -> tuple[float, float]:
+    """The width interval's ends ``u <= v`` as positive floats."""
+    u, v = check_real(u, "u"), check_real(v, "v")
+    if u > v:
+        raise InputError(f"width interval must satisfy u <= v, got [{u}, {v}]")
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -210,12 +206,10 @@ class WidthGrid:
     values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        _check_interval(self.u, self.v)
-        if not self.c > 1:
-            raise InputError(f"grid ratio must exceed 1, got {self.c}")
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "c", float(self.c))
+        u, v = _check_interval(self.u, self.v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "c", check_real(self.c, "c", 1.0))
         n_steps = math.ceil(math.log(self.v / self.u) / math.log(self.c))
         vals = [self.u * self.c**i for i in range(n_steps)]
         # The appended endpoint may coincide with the last geometric point.

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConstraintError, InputError
+from .errors import ConstraintError, InputError, check_int, check_real
 from .estimator import ConstrainedFit, eigen_gram, fit_constrained
 from .kernels import gram
 
@@ -66,12 +66,9 @@ class RadiusGrid:
     values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise InputError(f"grid parameters must be positive, got a={self.a}, b={self.b}")
-        if self.n < 1:
-            raise InputError(f"sample size must be at least 1, got {self.n}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", check_real(self.a, "a"))
+        object.__setattr__(self, "b", check_real(self.b, "b"))
+        object.__setattr__(self, "n", check_int(self.n, "n"))
         cap = self.a * math.sqrt(self.n)
         steps = math.ceil(cap / self.b)
         vals = [self.b * i for i in range(steps)]
@@ -94,8 +91,7 @@ def radius_grid(a: float, b: float, n: int) -> RadiusGrid:
 
 def tau_min_fixed(k_diag: float, sigma: float) -> float:
     """Smallest penalty scale with a theoretical guarantee: 80*sqrt(k_diag)*sigma."""
-    _check_positive("k_diag and sigma", k_diag, sigma)
-    return 80.0 * math.sqrt(k_diag) * sigma
+    return 80.0 * math.sqrt(check_real(k_diag, "k_diag")) * check_real(sigma, "sigma")
 
 
 def t_of_tau(tau: float, k_diag: float, sigma: float) -> float:
@@ -105,23 +101,18 @@ def t_of_tau(tau: float, k_diag: float, sigma: float) -> float:
 
 def _confidence_level(tau: float, lo: float) -> float:
     """Confidence level ``(tau / lo)**2`` of a penalty scale against its minimum ``lo``."""
-    _check_positive("tau", tau)
+    tau = check_real(tau, "tau")
     if tau < lo:
         warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}; "
                       "the implied confidence level is below 1")
     return (tau / lo) ** 2
 
 
-def _check_positive(label: str, *values) -> None:
-    if not all(v > 0 for v in values):
-        raise InputError(f"{label} must be positive, got {', '.join(map(str, values))}")
-
-
-def _check_rule(cfg, positive: dict, tau_min) -> None:
-    """Check a rule's config: the values of each labelled group in ``positive``
-    are positive; a tau below ``tau_min()`` is an error in theory mode, else a warning."""
-    for label, values in positive.items():
-        _check_positive(label, *values)
+def _check_rule(cfg, positive, tau_min) -> None:
+    """Check a rule's config: the fields named in ``positive`` are positive numbers,
+    stored as floats; a tau below ``tau_min()`` is an error in theory mode, else a warning."""
+    for name in positive:
+        object.__setattr__(cfg, name, check_real(getattr(cfg, name), name))
     lo = tau_min()
     if cfg.tau < lo:
         if cfg.theory_mode:
@@ -145,8 +136,7 @@ class GLConfig:
     theory_mode: bool = False
 
     def __post_init__(self):
-        _check_rule(self, {"tau and nu": (self.tau, self.nu),
-                           "sigma and k_diag": (self.sigma, self.k_diag)},
+        _check_rule(self, ("tau", "nu", "sigma", "k_diag"),
                     lambda: tau_min_fixed(self.k_diag, self.sigma))
 
 

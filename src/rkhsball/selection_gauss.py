@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import InputError
+from .errors import InputError, check_int, check_real
 # ``fit_constrained`` is not called here; bench/test_bench.py patches it by this name.
 from .estimator import ConstrainedFit, fit_constrained  # noqa: F401
 from .kernels import GaussianKernel, WidthGrid, _chaining_constant
-from .selection_fixed import (CriterionRow, RadiusGrid, SelectionResult, _check_positive,
-                              _check_rule, _confidence_level, _criterion_rows, _select,
-                              fit_radius_path)
+from .selection_fixed import (CriterionRow, RadiusGrid, SelectionResult, _check_rule,
+                              _confidence_level, _criterion_rows, _select, fit_radius_path)
 
 __all__ = [
     "GaussGLConfig",
@@ -47,8 +46,7 @@ __all__ = [
 
 def tau_min_gauss(j_const: float, sigma: float) -> float:
     """Smallest penalty scale with a theoretical guarantee: 84 * J * sigma."""
-    _check_positive("chaining constant and sigma", j_const, sigma)
-    return 84.0 * j_const * sigma
+    return 84.0 * check_real(j_const, "j_const") * check_real(sigma, "sigma")
 
 
 def t_of_tau_gauss(tau: float, j_const: float, sigma: float) -> float:
@@ -74,12 +72,10 @@ class GaussGLConfig:
     theory_mode: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError(f"dimension must be at least 1, got {self.dim}")
+        object.__setattr__(self, "dim", check_int(self.dim, "dim"))
         object.__setattr__(self, "j_const", _chaining_constant(
             self.j_const, self.width_grid.u, self.width_grid.v))
-        _check_rule(self, {"tau, nu and sigma": (self.tau, self.nu, self.sigma),
-                           "chaining constant": (self.j_const,)},
+        _check_rule(self, ("tau", "nu", "sigma", "j_const"),
                     lambda: tau_min_gauss(self.j_const, self.sigma))
 
 

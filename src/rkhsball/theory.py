@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputError
+from .errors import InputError, check_int, check_real
 
 __all__ = [
     "interpolation_approx_bound",
@@ -24,6 +24,23 @@ __all__ = [
     "rate_envelope",
 ]
 
+# The arguments of the evaluators below that may equal their lower bound, by name;
+# every other real argument must be positive.
+_AT_LEAST = {"t": 1.0, "r": 0.0, "s": 0.0, "approx_sq": 0.0, "approx_sq_at_s": 0.0,
+             "fit_risk": 0.0, "target_sup": 0.0, "d1": 0.0, "d2": 0.0}
+
+
+def _check_args(**values) -> None:
+    """Check arguments by name: ``n`` and ``dim`` are integers of at least 1, a name
+    in ``_AT_LEAST`` is at least its bound, and every other value is positive."""
+    for name, value in values.items():
+        if name in ("n", "dim"):
+            check_int(value, name)
+        elif name in _AT_LEAST:
+            check_real(value, name, _AT_LEAST[name], strict=False)
+        else:
+            check_real(value, name)
+
 
 def interpolation_approx_bound(b_norm: float, beta: float, r: float) -> float:
     """Approximation bound from interpolation-space membership.
@@ -33,12 +50,10 @@ def interpolation_approx_bound(b_norm: float, beta: float, r: float) -> float:
     radius-``r`` approximant is at most ``b_norm**(2/(1-beta)) /
     r**(2*beta/(1-beta))``; decreasing in ``r``.
     """
-    if not (0.0 < beta < 1.0):
+    _check_args(b_norm=b_norm, beta=beta)
+    check_real(r, "r")
+    if beta >= 1.0:
         raise InputError(f"beta must lie strictly inside (0, 1), got {beta}")
-    if not b_norm > 0:
-        raise InputError(f"norm bound must be positive, got {b_norm}")
-    if not r > 0:
-        raise InputError(f"radius must be positive, got {r}")
     return b_norm ** (2.0 / (1.0 - beta)) / r ** (2.0 * beta / (1.0 - beta))
 
 
@@ -47,12 +62,9 @@ def approx_shift_bound(approx_sq_at_s: float, k_diag: float, r: float, s: float)
 
     Returns ``(sqrt(approx_sq_at_s) + sqrt(k_diag) * (s - r))**2``.
     """
-    if approx_sq_at_s < 0:
-        raise InputError(f"squared approximation error must be >= 0, got {approx_sq_at_s}")
-    if not k_diag > 0:
-        raise InputError(f"k_diag must be positive, got {k_diag}")
-    if not 0 <= r <= s:
-        raise InputError(f"radii must satisfy 0 <= r <= s, got r={r}, s={s}")
+    _check_args(approx_sq_at_s=approx_sq_at_s, k_diag=k_diag, r=r, s=s)
+    if r > s:
+        raise InputError(f"radii must satisfy r <= s, got r={r}, s={s}")
     return (math.sqrt(approx_sq_at_s) + math.sqrt(k_diag) * (s - r)) ** 2
 
 
@@ -65,22 +77,10 @@ def scaled_element_approx_bound(target_norm: float, target_sup: float, r: float)
         0                                 if r >= target_norm,
         ((1 - r/target_norm) * target_sup)**2   otherwise.
     """
-    if not target_norm > 0:
-        raise InputError(f"target norm must be positive, got {target_norm}")
-    if target_sup < 0:
-        raise InputError(f"sup-norm bound must be >= 0, got {target_sup}")
-    if r < 0:
-        raise InputError(f"radius must be >= 0, got {r}")
+    _check_args(target_norm=target_norm, target_sup=target_sup, r=r)
     if r >= target_norm:
         return 0.0
     return ((1.0 - r / target_norm) * target_sup) ** 2
-
-
-def _check_t_n(t: float, n: int) -> None:
-    if not 1 <= t < math.inf:
-        raise InputError(f"confidence level t must be finite and at least 1, got {t}")
-    if n < 1:
-        raise InputError(f"sample size must be at least 1, got {n}")
 
 
 def fixed_kernel_risk_bound(k_diag: float, c: float, sigma: float, r: float,
@@ -91,7 +91,7 @@ def fixed_kernel_risk_bound(k_diag: float, c: float, sigma: float, r: float,
       + 16*sqrt(k_diag)*c*r*t/(3n) + 10*approx_sq``.
     Holds with probability at least ``1 - 2*exp(-t)``.
     """
-    _check_t_n(t, n)
+    _check_args(k_diag=k_diag, c=c, sigma=sigma, r=r, t=t, n=n, approx_sq=approx_sq)
     root = math.sqrt(k_diag)
     return (2.0 * root * (97.0 * c + 20.0 * sigma) * r * math.sqrt(t) / math.sqrt(n)
             + 16.0 * root * c * r * t / (3.0 * n)
@@ -105,7 +105,8 @@ def kernel_family_risk_bound(j_const: float, k_diag: float, c: float, sigma: flo
     ``2*J*sqrt(k_diag)*(151c + 21*sigma)*r*sqrt(t)/sqrt(n)
       + 16*sqrt(k_diag)*c*r*t/(3n) + 10*approx_sq``.
     """
-    _check_t_n(t, n)
+    _check_args(j_const=j_const, k_diag=k_diag, c=c, sigma=sigma, r=r, t=t, n=n,
+                approx_sq=approx_sq)
     root = math.sqrt(k_diag)
     return (2.0 * j_const * root * (151.0 * c + 21.0 * sigma) * r * math.sqrt(t) / math.sqrt(n)
             + 16.0 * root * c * r * t / (3.0 * n)
@@ -120,8 +121,8 @@ def adaptive_risk_bound_fixed(k_diag: float, c: float, sigma: float, tau: float,
     ``fit_risk`` is (a bound on) the squared error of the clipped non-adaptive
     fit at radius ``r``; take the infimum over the grid externally.
     """
-    if n < 1:
-        raise InputError(f"sample size must be at least 1, got {n}")
+    _check_args(k_diag=k_diag, c=c, sigma=sigma, tau=tau, nu=nu, n=n, r=r,
+                approx_sq=approx_sq, fit_risk=fit_risk)
     sqrt_n = math.sqrt(n)
     root = math.sqrt(k_diag)
     inner = 40.0 * approx_sq + 2.0 * (1.0 + nu) * tau * r / sqrt_n
@@ -140,9 +141,9 @@ def adaptive_risk_bound_gauss(j_const: float, c: float, sigma: float, tau: float
                               gamma: float, r: float, approx_sq: float,
                               fit_risk: float) -> float:
     """Unsimplified width-adaptive bound evaluated at one (width, radius) cell."""
-    if n < 1:
-        raise InputError(f"sample size must be at least 1, got {n}")
-    if not (0 < u <= gamma <= v):
+    _check_args(j_const=j_const, c=c, sigma=sigma, tau=tau, nu=nu, n=n, u=u, v=v, dim=dim,
+                gamma=gamma, r=r, approx_sq=approx_sq, fit_risk=fit_risk)
+    if not u <= gamma <= v:
         raise InputError(f"width {gamma} outside the family interval [{u}, {v}]")
     sqrt_n = math.sqrt(n)
     ratio = (v / u) ** (dim / 2.0)
@@ -166,9 +167,8 @@ def rate_envelope(d1: float, d2: float, tau: float, n: int, beta: float) -> floa
     and must be supplied; the envelope is used to overlay theory curves on
     simulated errors.
     """
-    if not (0.0 < beta < 1.0):
+    _check_args(d1=d1, d2=d2, tau=tau, n=n, beta=beta)
+    if beta >= 1.0:
         raise InputError(f"beta must lie strictly inside (0, 1), got {beta}")
-    if d1 < 0 or d2 < 0 or not tau > 0 or n < 1:
-        raise InputError("envelope requires d1, d2 >= 0, tau > 0 and n >= 1")
     return (d1 * tau * n ** (-beta / (1.0 + beta))
             + d2 * tau**2 * n ** (-(1.0 + 3.0 * beta) / (2.0 * (1.0 + beta))))

@@ -281,6 +281,27 @@ class TestBounds:
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+class TestRanges:
+    @pytest.mark.parametrize("command,config,expected", [
+        ("bounds", {"k_diag": -1.0}, "k_diag must be greater than 0, got -1.0"),
+        ("bounds", {"c": -1.0}, "c must be greater than 0, got -1.0"),
+        ("bounds", {"sigma": -0.1}, "sigma must be greater than 0, got -0.1"),
+        ("bounds", {"j_const": -1.0}, "j_const must be greater than 0, got -1.0"),
+        ("bounds", {"r": {"min": -1.0}}, "r.min must be at least 0, got -1.0"),
+        ("bounds", {"r": {"count": 0}}, "r.count must be at least 1, got 0"),
+        ("oracle-gap", {"threshold": -1.0, "pass_fraction": 0.0},
+         "threshold must be at least 1, got -1.0"),
+        ("oracle-gap", {"pass_fraction": 0.0}, "pass_fraction must be greater than 0, got 0.0"),
+        ("oracle-gap", {"pass_fraction": 1.5}, "pass_fraction must be at most 1, got 1.5"),
+    ])
+    def test_out_of_range_writes_nothing(self, tmp_path, capsys, command, config, expected):
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
+
 class TestConfigHandling:
     def test_print_config(self, tmp_path, capsys):
         assert main(["bounds", "--print-config"]) == 0
@@ -385,9 +406,9 @@ class TestReplicatesBoundary:
          "config key approx.norm must be a number, got None"),
         ("rates", {"theory_mode": "abc"}, "config key theory_mode must be true or false"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "master_seed": -1}},
-         "master seed must be non-negative, got -1"),
+         "master_seed must be at least 0, got -1"),
         ("quadform", {"n": 8, "replicates": 500, "seed": -2},
-         "master seed must be non-negative, got -2"),
+         "master_seed must be at least 0, got -2"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "master_seed": 1.5}},
          "config key scenario.master_seed must be an integer, got 1.5"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "n": 30.7}},

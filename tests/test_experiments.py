@@ -549,7 +549,8 @@ class TestEventChecks:
     @pytest.mark.parametrize("j_const", [0.0, -1.0, math.nan])
     def test_gauss_majorant_rejects_nonpositive_chaining_constant(self, j_const):
         scen = default_scenario(n=20, replicates=5)
-        with pytest.raises(InputError, match="chaining constant"):
+        expected = "finite" if math.isnan(j_const) else "greater than 0"
+        with pytest.raises(InputError, match=f"^j_const must be {expected}, got {j_const!r}$"):
             gauss_majorant_event_check(scen, width_grid(0.5, 2.0, 2.0),
                                        radius_grid(1.0, 1.0, 20), 1.0, j_const=j_const)
 

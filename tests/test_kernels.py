@@ -109,7 +109,8 @@ class TestGram:
 
     @pytest.mark.parametrize("dim", [True, 0, 1.5, math.nan, math.inf])
     def test_bad_dimension_rejected(self, dim):
-        with pytest.raises(InputError, match="dimension must be a positive integer"):
+        expected = "at least 1" if dim == 0 else "an integer"
+        with pytest.raises(InputError, match=f"^dim must be {expected}, got {dim!r}$"):
             GaussianKernel(1.0, dim)
 
 
