@@ -14,11 +14,12 @@ here by a safeguarded Newton iteration.  Only the eigenpairs above the rank
 threshold are computed, by pivoted Cholesky and a Rayleigh-Ritz step when the
 Gram matrix is numerically low-rank and by a full ``eigh`` otherwise.
 
-:func:`fit_constrained` fits a whole radius path from one decomposition: given
-a sequence of R radii it stacks their weights into an ``R x rank`` matrix
-``W``, so that every coefficient vector comes from the one product ``W A^T``
-and every fitted value from the one product ``(W diag(D)) A^T``.  The
-multipliers are still solved one radius at a time.
+:func:`fit_constrained` fits a whole radius path from its only data input,
+the :class:`GramEigen` of :func:`eigen_gram`: given a sequence of R radii it
+stacks their weights into an ``R x rank`` matrix ``W``, so that every
+coefficient vector comes from the one product ``W A^T`` and every fitted value
+from the one product ``(W diag(D)) A^T``.  The multipliers are still solved
+one radius at a time, by :func:`mu_of_r`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_real
 from .kernels import cross_gram
 
 __all__ = [
@@ -310,12 +311,12 @@ def _orthonormalise_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def mu_of_r(ge: GramEigen, r: float, n: int) -> float:
+def mu_of_r(ge: GramEigen, r: float) -> float:
     """Lagrange multiplier making the ball constraint active at radius ``r``.
 
     Returns 0 when ``r`` is at least the interpolation radius.  Otherwise
-    solves ``phi(lam) = r**2`` for ``lam = n * mu``, where
-    ``phi(lam) = sum_i D_i c_i^2 / (D_i + lam)^2`` is strictly decreasing.
+    solves ``phi(lam) = r**2`` for ``lam = n * mu``, with n, D and c from ``ge``,
+    where ``phi(lam) = sum_i D_i c_i^2 / (D_i + lam)^2`` is strictly decreasing.
     Following More & Sorensen (1983), Newton's method is applied to
     ``psi(lam) = 1/sqrt(phi(lam)) - 1/r``, which is concave and increasing, so
     Newton steps from the left of the root stay left of it and converge
@@ -325,11 +326,11 @@ def mu_of_r(ge: GramEigen, r: float, n: int) -> float:
     ``phi``.  A step leaving that bracket is replaced by bisection.  The
     iteration stops once ``|phi - r**2| <= MU_REL_TOL * r**2`` and returns one
     further Newton step from there, which leaves ``mu`` accurate well beyond
-    the stop tolerance.  Raises :class:`NumericalError` on non-finite input or
-    when ``MU_MAX_ITER`` iterations do not converge.
+    the stop tolerance.  Raises :class:`InputError` unless ``r`` is a finite
+    positive real number, and :class:`NumericalError` on a non-finite
+    decomposition or when ``MU_MAX_ITER`` iterations do not converge.
     """
-    if not r > 0:
-        raise InputError(f"radius must be positive, got {r}")
+    r = check_real(r, "r")
     if not math.isfinite(ge.rho):
         raise NumericalError(f"interpolation radius is not finite ({ge.rho})")
     if r >= ge.rho:
@@ -355,7 +356,7 @@ def mu_of_r(ge: GramEigen, r: float, n: int) -> float:
         slope = float(terms @ inv)
         step = lam + phi * (math.sqrt(phi) / r - 1.0) / slope if slope > 0.0 else lam
         if abs(phi - target) <= MU_REL_TOL * target:
-            return min(max(step, lo), hi) / n
+            return min(max(step, lo), hi) / ge.n
         lam = step if lo < step < hi else 0.5 * (lo + hi)
     raise NumericalError(f"constraint multiplier did not converge in {MU_MAX_ITER} iterations")
 
@@ -386,36 +387,22 @@ class ConstrainedFit:
         return empirical_sq_distance(self.train_pred, y)
 
 
-def fit_constrained(
-    k: np.ndarray,
-    y: np.ndarray,
-    r: float | Iterable[float],
-    *,
-    eigen: GramEigen | None = None,
-    kernel_id: str | None = None,
-) -> ConstrainedFit | list[ConstrainedFit]:
+def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
+                    kernel_id: str | None = None) -> ConstrainedFit | list[ConstrainedFit]:
     """Fit the least-squares estimator constrained to the radius-``r`` ball.
 
-    ``r`` is one radius, giving one :class:`ConstrainedFit`, or a sequence of
-    radii, giving the list of their fits in the same order.  Every positive
-    radius's multiplier comes from :func:`mu_of_r`.  With the eigenvectors
-    ``A`` and the ``R x rank`` weights ``W = c / (D + n * mu)``, every
-    coefficient vector comes from one product ``W A^T`` and every fitted value
-    from one product ``(W diag(D)) A^T``; each fit holds one row of each.
-    ``r = 0`` gives the zero fit, all ``+0.0``, as does a Gram of rank 0.
-    Every radius is checked before any is fitted.
-
-    Parameters
-    ----------
-    k : ndarray
-        Symmetric PSD Gram matrix on the training points.
-    y : ndarray
-        Responses.
-    r : float or sequence of float
-        Ball radius or radii, each non-negative.
-    eigen : GramEigen, optional
-        Reuse a decomposition from :func:`eigen_gram` (one per dataset-kernel
-        pair suffices for any number of radii).
+    ``eigen`` is the decomposition from :func:`eigen_gram` of the Gram matrix
+    and responses, one per dataset-kernel pair for any number of radii; n, the
+    rank, the spectrum and the projections all come from it.  ``r`` is one
+    radius, giving one :class:`ConstrainedFit`, or a sequence of radii, giving
+    the list of their fits in the same order; each must be non-negative, and
+    every radius is checked before any is fitted.  Every positive radius's
+    multiplier comes from :func:`mu_of_r`.  With the eigenvectors ``A`` and the
+    ``R x rank`` weights ``W = c / (D + n * mu)``, every coefficient vector
+    comes from one product ``W A^T`` and every fitted value from one product
+    ``(W diag(D)) A^T``; each fit holds one row of each.  ``r = 0`` gives the
+    zero fit, all ``+0.0``, as does a Gram of rank 0.  ``kernel_id`` is stored
+    on every fit.
     """
     single = isinstance(r, numbers.Real) or isinstance(r, np.ndarray) and r.ndim == 0
     radii = np.array([r] if single else list(r), dtype=float)
@@ -423,15 +410,10 @@ def fit_constrained(
     bad = radii[~(radii >= 0.0)]
     if bad.size:
         raise InputError(f"radius must be non-negative, got {bad[0]}")
-    y = np.asarray(y, dtype=float).ravel()
-    ge = eigen if eigen is not None else eigen_gram(k, y)
-    n = ge.n
-    if y.shape[0] != n:
-        raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
-    mus = [mu_of_r(ge, float(s), n) if s > 0.0 else 0.0 for s in radii]
-    d = ge.values[: ge.rank]
-    vectors = ge.vectors[:, : ge.rank]
-    w = ge.proj[: ge.rank] / (d + n * np.array(mus)[:, None])
+    mus = [mu_of_r(eigen, float(s)) if s > 0.0 else 0.0 for s in radii]
+    d = eigen.values[: eigen.rank]
+    vectors = eigen.vectors[:, : eigen.rank]
+    w = eigen.proj[: eigen.rank] / (d + eigen.n * np.array(mus)[:, None])
     zero = radii == 0.0
     w[zero] = 0.0
     coeffs = w @ vectors.T
@@ -447,9 +429,11 @@ def fit_constrained(
 
 
 def clip(value, c: float):
-    """Project value(s) into [-c, c]; idempotent and 1-Lipschitz."""
-    if not c > 0:
-        raise InputError(f"clip bound must be positive, got {c}")
+    """Project value(s) into [-c, c]; idempotent and 1-Lipschitz.
+
+    Raises :class:`InputError` unless ``c`` is a finite positive real number.
+    """
+    c = check_real(c, "c")
     if np.isscalar(value):
         return float(min(max(value, -c), c))
     return np.clip(np.asarray(value, dtype=float), -c, c)

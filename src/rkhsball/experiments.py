@@ -531,7 +531,9 @@ class SelectionSettings:
 
     ``tau=None`` resolves to the practical default ``8*sqrt(k_diag)*sigma``
     (the theoretical minimum is an order of magnitude too conservative at
-    desk scale; a warning is emitted either way when below it).
+    desk scale; a warning is emitted either way when below it).  ``nu``,
+    ``grid_a``, ``grid_b`` and any given ``tau`` and ``kernel_gamma`` are
+    checked as positive numbers when the settings are built.
     """
 
     tau: float | None = None
@@ -540,6 +542,12 @@ class SelectionSettings:
     grid_b: float = 0.5
     theory_mode: bool = False
     kernel_gamma: float | None = None
+
+    def __post_init__(self):
+        for name in ("tau", "nu", "grid_a", "grid_b", "kernel_gamma"):
+            value = getattr(self, name)
+            if value is not None or name in ("nu", "grid_a", "grid_b"):
+                object.__setattr__(self, name, check_real(value, name))
 
     def resolve_kernel(self, scenario: ScenarioConfig) -> GaussianKernel:
         gamma = self.kernel_gamma
@@ -596,7 +604,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     cfg = settings.gl_config(kernel.diag_sup, scenario.sigma)
     # ``select_radius``'s calls, keeping its Gram for the holdout's pivot factor.
     k = gram(kernel, data.x)
-    fits = fit_constrained(k, data.y, grid, eigen=eigen_gram(k, data.y), kernel_id=kernel.kernel_id)
+    fits = fit_constrained(eigen_gram(k, data.y), grid, kernel_id=kernel.kernel_id)
     result = _select([fits], gl_criterion(fits, cfg, data.n))
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
     coeffs = np.stack([f.coeffs for f in fits], axis=1)

@@ -230,14 +230,12 @@ def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[Crit
 def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
     """Fit every radius in ``radii`` on one dataset and kernel.
 
-    The Gram matrix is built and decomposed once, and one
+    The Gram matrix is built and decomposed once, and released before one
     :func:`~rkhsball.estimator.fit_constrained` call fits every radius from
-    that decomposition; both are released on return.
+    that decomposition.
     """
-    k = gram(kernel, data.x)
-    ge = eigen_gram(k, data.y)
-    return fit_constrained(k, data.y, radii, eigen=ge,
-                           kernel_id=getattr(kernel, "kernel_id", None))
+    return fit_constrained(eigen_gram(gram(kernel, data.x), data.y), radii,
+                           kernel_id=kernel.kernel_id)
 
 
 def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> SelectionResult:

@@ -81,17 +81,17 @@ def test_criterion_01_closed_form_unit_instance(capsys):
     with report(capsys, 1, "1x1 closed form (mu, coefficients) exact to 1e-10, < 1 ms"):
         k = np.array([[1.0]])
         y = np.array([2.0])
-        fit1 = fit_constrained(k, y, 1.0)
+        fit1 = fit_constrained(eigen_gram(k, y), 1.0)
         assert abs(fit1.mu - 1.0) <= 1e-10
         assert abs(fit1.coeffs[0] - 1.0) <= 1e-10
         for r in (2.0, 3.0, 10.0):
-            fit = fit_constrained(k, y, r)
+            fit = fit_constrained(eigen_gram(k, y), r)
             assert fit.mu == 0.0
             assert abs(fit.coeffs[0] - 2.0) <= 1e-10
         times = []
         for _ in range(11):
             t0 = time.perf_counter()
-            fit_constrained(k, y, 1.0)
+            fit_constrained(eigen_gram(k, y), 1.0)
             times.append(time.perf_counter() - t0)
         assert min(times) < 1e-3
 
@@ -104,7 +104,7 @@ def test_criterion_02_feasibility_activity(capsys):
             _, k, _, y = random_instance(rng, n_max=40)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.05, 1.2)) * stable_radius_scale(k, y)
-            fit = fit_constrained(k, y, r, eigen=ge)
+            fit = fit_constrained(ge, r)
             sq = float(fit.coeffs @ k @ fit.coeffs)
             assert sq <= r * r * (1.0 + 1e-8)
             if fit.mu > 0:
@@ -125,7 +125,7 @@ def test_criterion_03_radius_lipschitz(capsys):
                 r, s = (float(v) for v in rng.uniform(0.0, 1.3, size=2) * scale)
                 for radius in (r, s):
                     if radius not in fits:
-                        fits[radius] = fit_constrained(k, y, radius, eigen=ge)
+                        fits[radius] = fit_constrained(ge, radius)
                 lhs = rkhs_sq_distance(fits[r], fits[s], k)
                 assert lhs <= abs(r * r - s * s) + 1e-8 * (1.0 + r * r + s * s)
 
@@ -137,7 +137,7 @@ def test_criterion_04_projected_gradient_oracle(capsys):
             k, y = conditioned_instance(rng, n_max=6)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.1, 1.1)) * max(ge.rho, 0.5)
-            loss = fit_constrained(k, y, r, eigen=ge).train_loss(y)
+            loss = fit_constrained(ge, r).train_loss(y)
             oracle = pgd_constrained_loss(k, y, r)
             assert abs(loss - oracle) <= 1e-6 * max(abs(oracle), abs(loss)) + 1e-12
 
@@ -153,7 +153,7 @@ def test_criterion_05_criterion_floors(capsys):
                             sigma=0.1, k_diag=1.0)
             k = gram(kernel, data.x)
             ge = eigen_gram(k, data.y)
-            fits = [fit_constrained(k, data.y, r, eigen=ge)
+            fits = [fit_constrained(ge, r)
                     for r in radius_grid(1.0, 0.5, n)]
             for row in gl_criterion(fits, cfg, n):
                 assert row.total >= 2.0 * cfg.nu * cfg.tau * row.r / math.sqrt(n) - 1e-12
@@ -169,7 +169,7 @@ def test_criterion_05_criterion_floors(capsys):
                 kern = GaussianKernel(gamma, 1)
                 k = gram(kern, data.x)
                 ge = eigen_gram(k, data.y)
-                table.append([fit_constrained(k, data.y, r, eigen=ge)
+                table.append([fit_constrained(ge, r)
                               for r in cfg.radius_grid])
             for row in gauss_gl_criterion(table, cfg, n):
                 floor = 2.0 * cfg.nu * cfg.tau * row.gamma ** -0.5 * row.r / math.sqrt(n)
@@ -191,7 +191,7 @@ def test_criterion_06_brute_force_selection(capsys):
             result = select_radius(data, kernel, grid, cfg)
             k = gram(kernel, data.x)
             ge = eigen_gram(k, data.y)
-            preds = [fit_constrained(k, data.y, r, eigen=ge).train_pred for r in grid]
+            preds = [fit_constrained(ge, r).train_pred for r in grid]
             _, r_hat = naive_fixed_criterion(preds, list(grid), cfg.tau, cfg.nu, n)
             assert result.r_hat == r_hat
         for seed in range(50):
@@ -210,7 +210,7 @@ def test_criterion_06_brute_force_selection(capsys):
                 kern = GaussianKernel(gamma, 1)
                 k = gram(kern, data.x)
                 ge = eigen_gram(k, data.y)
-                preds.append([fit_constrained(k, data.y, r, eigen=ge).train_pred
+                preds.append([fit_constrained(ge, r).train_pred
                               for r in grid])
             _, gamma_hat, r_hat = naive_gauss_criterion(
                 preds, list(widths), list(grid), cfg.tau, cfg.nu, cfg.dim, n)

@@ -293,6 +293,7 @@ class TestRanges:
          "threshold must be at least 1, got -1.0"),
         ("oracle-gap", {"pass_fraction": 0.0}, "pass_fraction must be greater than 0, got 0.0"),
         ("oracle-gap", {"pass_fraction": 1.5}, "pass_fraction must be at most 1, got 1.5"),
+        ("oracle-gap", {"selection": {"grid_b": -1.0}}, "grid_b must be greater than 0, got -1.0"),
     ])
     def test_out_of_range_writes_nothing(self, tmp_path, capsys, command, config, expected):
         cfg = _write(tmp_path / "c.json", json.dumps(config))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rkhsball.errors import InputError, check_int, check_real
+from rkhsball.estimator import clip, eigen_gram, mu_of_r
 from rkhsball.experiments import (
     RkhsTarget,
     SelectionSettings,
@@ -76,13 +77,22 @@ class TestHelpers:
      "threshold must be at least 1, got -1.0"),
     (lambda: oracle_gap_check(_SMALL, SelectionSettings(), pass_fraction=0.0),
      "pass_fraction must be greater than 0, got 0.0"),
+    (lambda: clip(5.0, _INF), "c must be finite, got inf"),
+    (lambda: clip(5.0, True), "c must be a real number, got True"),
+    (lambda: clip(5.0, "1"), "c must be a real number, got '1'"),
+    (lambda: mu_of_r(eigen_gram(np.eye(1), np.array([2.0])), True),
+     "r must be a real number, got True"),
+    (lambda: SelectionSettings(grid_b=-1.0), "grid_b must be greater than 0, got -1.0"),
+    (lambda: SelectionSettings(kernel_gamma=-1.0),
+     "kernel_gamma must be greater than 0, got -1.0"),
 ], ids=["radius-a-inf", "width-v-inf", "radius-n-fraction", "radius-n-bool", "radius-b-str",
         "gl-nu-str", "width-c-inf", "gl-tau-inf", "tau-min-inf", "gauss-dim-fraction",
         "gauss-dim-bool", "kernel-gamma-bool", "target-gamma0-bool", "kernel-gamma-str",
         "scenario-sigma-str", "scenario-sigma-inf", "quadform-n-fraction",
         "quadform-replicates-fraction", "fixed-bound-k-diag", "fixed-bound-c",
         "family-bound-j-const", "adaptive-bound-fit-risk", "oracle-gap-threads",
-        "oracle-gap-threshold", "oracle-gap-pass-fraction"])
+        "oracle-gap-threshold", "oracle-gap-pass-fraction", "clip-c-inf", "clip-c-bool",
+        "clip-c-str", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma"])
 def test_bad_value_names_its_parameter(call, expected):
     with pytest.raises(InputError) as info:
         call()

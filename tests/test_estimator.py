@@ -34,10 +34,12 @@ K1 = np.array([[1.0]])
 
 
 def synthetic_eigen(values, proj):
-    """GramEigen with the given spectrum; the solver never reads the vectors."""
+    """GramEigen with the given spectrum, n = len(values); the solver reads only
+    the vectors' row count."""
     rank = int(np.count_nonzero(values > 0))
     rho = math.sqrt(float(np.sum(proj[:rank] ** 2 / values[:rank])))
-    return GramEigen(vectors=np.zeros((0, 0)), values=values, rank=rank, proj=proj, rho=rho)
+    return GramEigen(vectors=np.zeros((values.shape[0], 0)), values=values, rank=rank,
+                     proj=proj, rho=rho)
 
 
 def constraint_value(ge, mu, n):
@@ -144,8 +146,8 @@ class TestEigenGramPaths:
         # function-space norm sqrt(dc^T K dc).
         y_scale = float(np.abs(y).max())
         for r in list(radius_grid(1.0, 0.5, n))[1:]:
-            fit = fit_constrained(k, y, r, eigen=ge)
-            oracle = fit_constrained(k, y, r, eigen=ref)
+            fit = fit_constrained(ge, r)
+            oracle = fit_constrained(ref, r)
             assert np.abs(fit.train_pred - oracle.train_pred).max() <= 1e-7 * y_scale
             assert math.sqrt(max(rkhs_sq_distance(fit, oracle, k), 0.0)) <= 1e-4 * r
 
@@ -171,7 +173,7 @@ class TestEigenGramPaths:
         ge = eigen_gram(k, np.ones(5))
         assert ge.rank == 0 and ge.n == 5 and ge.rho == 0.0
         assert ge.vectors.shape == (5, 0) and ge.values.shape == ge.proj.shape == (0,)
-        fit = fit_constrained(k, np.ones(5), 1.0, eigen=ge)
+        fit = fit_constrained(ge, 1.0)
         assert fit.n == 5 and np.all(fit.coeffs == 0.0)
 
     def test_single_point(self):
@@ -183,7 +185,7 @@ class TestEigenGramPaths:
         k, y = smooth_instance(8, 60, 1, 2.0)
         ge = eigen_gram(k, y)
         assert ge.rank < 15 and ge.n == 60 and ge.vectors.shape == (60, ge.rank)
-        assert fit_constrained(k, y, 1.0, eigen=ge).n == 60
+        assert fit_constrained(ge, 1.0).n == 60
 
     @pytest.mark.parametrize("diag", [0.0, 1e-13])
     def test_hidden_indefinite_block_rejected(self, diag):
@@ -285,26 +287,26 @@ class TestCholeskyGiveUp:
 class TestMuOfR:
     def test_unit_case(self):
         ge = eigen_gram(K1, np.array([2.0]))
-        assert mu_of_r(ge, 1.0, 1) == pytest.approx(1.0, abs=1e-10)
+        assert mu_of_r(ge, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_interpolation_branch(self):
         ge = eigen_gram(K1, np.array([2.0]))
-        assert mu_of_r(ge, 2.0, 1) == 0.0
+        assert mu_of_r(ge, 2.0) == 0.0
 
     def test_scaled_case(self):
         ge = eigen_gram(K1, np.array([4.0]))
-        assert mu_of_r(ge, 1.0, 1) == pytest.approx(3.0, abs=1e-9)
+        assert mu_of_r(ge, 1.0) == pytest.approx(3.0, abs=1e-9)
 
     def test_nonpositive_radius(self):
         ge = eigen_gram(K1, np.array([2.0]))
         with pytest.raises(InputError):
-            mu_of_r(ge, 0.0, 1)
+            mu_of_r(ge, 0.0)
 
     def test_monotone_in_r(self, rng):
         _, k, _, y = random_instance(rng, n_max=20)
         ge = eigen_gram(k, y)
         radii = np.linspace(0.05, max(ge.rho, 1.0), 12)
-        mus = [mu_of_r(ge, r, ge.n) for r in radii]
+        mus = [mu_of_r(ge, r) for r in radii]
         assert all(a >= b - 1e-12 for a, b in zip(mus, mus[1:]))
 
     @settings(max_examples=300, deadline=None)
@@ -321,7 +323,7 @@ class TestMuOfR:
         proj = rng.normal(size=n) * 10.0 ** (proj_decades * rng.uniform(-0.5, 0.5, size=n))
         ge = synthetic_eigen(values, proj)
         r = ge.rho * (1.0 - 10.0**frac)
-        mu = mu_of_r(ge, r, n)  # raises NumericalError past the iteration cap
+        mu = mu_of_r(ge, r)  # raises NumericalError past the iteration cap
         assert mu > 0
         assert abs(constraint_value(ge, mu, n) - r * r) <= 1e-10 * r * r
         if r <= (1.0 - 1e-6) * ge.rho:
@@ -333,7 +335,7 @@ class TestMuOfR:
         ge = synthetic_eigen(values, np.array([1.0, 1.0, 1.0]))
         monkeypatch.setattr(estimator, "MU_MAX_ITER", 1)
         with pytest.raises(NumericalError):
-            mu_of_r(ge, 0.5 * ge.rho, 3)
+            mu_of_r(ge, 0.5 * ge.rho)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), a=st.floats(1e-3, 1e3),
@@ -345,8 +347,8 @@ class TestMuOfR:
         if ge.rank == 0:
             return
         r = frac * ge.rho
-        fit = fit_constrained(k, y, r, eigen=ge)
-        fit_a = fit_constrained(k, a * y, a * r, eigen=ge_a)
+        fit = fit_constrained(ge, r)
+        fit_a = fit_constrained(ge_a, a * r)
         assert abs(fit_a.mu - fit.mu) <= 1e-8 * fit.mu
         scale = np.abs(fit.coeffs).max()
         assert np.abs(fit_a.coeffs - a * fit.coeffs).max() <= 1e-8 * a * scale
@@ -358,7 +360,7 @@ class TestMuOfR:
         _, k, _, y = random_instance(np.random.default_rng(seed), n_max=25)
         ge = eigen_gram(k, y)
         radii = sorted(f * max(ge.rho, 1e-3) for f in fracs)
-        norms = [fit_constrained(k, y, r, eigen=ge).h_norm for r in radii]
+        norms = [fit_constrained(ge, r).h_norm for r in radii]
         for r, h in zip(radii, norms):
             assert abs(h - min(r, ge.rho)) <= 1e-9 * min(r, ge.rho)
         assert all(a <= b * (1.0 + 1e-9) for a, b in zip(norms, norms[1:]))
@@ -368,26 +370,26 @@ class TestMuOfR:
         ge = synthetic_eigen(np.array([2.0, 0.5]), np.array([1.0, -3.0]))
         r = 1e-150
         s = float(np.sum(ge.values * ge.proj**2))
-        assert mu_of_r(ge, r, 2) == pytest.approx(math.sqrt(s) / (2 * r), rel=1e-8)
+        assert mu_of_r(ge, r) == pytest.approx(math.sqrt(s) / (2 * r), rel=1e-8)
 
     def test_non_finite_rho_rejected(self):
         ge = GramEigen(vectors=np.eye(1), values=np.array([1.0]), rank=1,
                        proj=np.array([np.nan]), rho=math.nan)
         with pytest.raises(NumericalError):
-            mu_of_r(ge, 1.0, 1)
+            mu_of_r(ge, 1.0)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_constraint_rejected(self):
         ge = GramEigen(vectors=np.eye(2), values=np.array([1.0, 0.5]), rank=2,
                        proj=np.array([1.0, np.inf]), rho=2.0)
         with pytest.raises(NumericalError):
-            mu_of_r(ge, 1.0, 2)
+            mu_of_r(ge, 1.0)
 
     def test_nan_response_raises(self):
         k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
         y = np.array([0.1, np.nan, 0.3, 0.2, 0.0])
         with pytest.raises(InputError, match="responses have a non-finite entry"):
-            fit_constrained(k, y, 0.5)
+            fit_constrained(eigen_gram(k, y), 0.5)
         with pytest.raises(InputError):
             Dataset(x=np.linspace(0, 1, 5), y=y)
         with pytest.raises(InputError):
@@ -396,19 +398,19 @@ class TestMuOfR:
 
 class TestFitConstrained:
     def test_zero_radius(self):
-        fit = fit_constrained(K1, np.array([2.0]), 0.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 0.0)
         assert fit.coeffs[0] == 0.0
         assert fit.train_loss(np.array([2.0])) == 4.0
 
     def test_active_constraint(self):
-        fit = fit_constrained(K1, np.array([2.0]), 1.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0)
         assert fit.coeffs[0] == pytest.approx(1.0, abs=1e-10)
         assert fit.train_pred[0] == pytest.approx(1.0, abs=1e-10)
         assert fit.h_norm == pytest.approx(1.0, abs=1e-10)
         assert fit.mu == pytest.approx(1.0, abs=1e-10)
 
     def test_interpolation_branch(self):
-        fit = fit_constrained(K1, np.array([2.0]), 3.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0)
         assert fit.mu == 0.0
         assert fit.coeffs[0] == pytest.approx(2.0, abs=1e-12)
         assert fit.h_norm == pytest.approx(2.0, abs=1e-12)
@@ -418,7 +420,7 @@ class TestFitConstrained:
             _, k, _, y = random_instance(rng)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.05, 1.2)) * stable_radius_scale(k, y)
-            fit = fit_constrained(k, y, r, eigen=ge)
+            fit = fit_constrained(ge, r)
             sq = float(fit.coeffs @ k @ fit.coeffs)
             assert sq <= r * r * (1.0 + 1e-8)
             if fit.mu > 0:
@@ -432,8 +434,8 @@ class TestFitConstrained:
             scale = max(stable_radius_scale(k, y), 1.0)
             for _ in range(10):
                 r, s = rng.uniform(0.0, 1.3, size=2) * scale
-                fa = fit_constrained(k, y, float(r), eigen=ge)
-                fb = fit_constrained(k, y, float(s), eigen=ge)
+                fa = fit_constrained(ge, float(r))
+                fb = fit_constrained(ge, float(s))
                 lhs = rkhs_sq_distance(fa, fb, k)
                 assert lhs <= abs(r * r - s * s) + 1e-8 * (1.0 + r * r + s * s)
 
@@ -441,7 +443,7 @@ class TestFitConstrained:
         for _ in range(10):
             _, k, _, y = random_instance(rng, n_max=25)
             ge = eigen_gram(k, y)
-            losses = [fit_constrained(k, y, r, eigen=ge).train_loss(y)
+            losses = [fit_constrained(ge, r).train_loss(y)
                       for r in np.linspace(0.0, 1.2 * max(ge.rho, 1.0), 8)]
             assert all(a >= b - 1e-10 for a, b in zip(losses, losses[1:]))
 
@@ -449,7 +451,7 @@ class TestFitConstrained:
         for _ in range(10):
             _, k, _, y = random_instance(rng, n_max=15)
             ge = eigen_gram(k, y)
-            fit = fit_constrained(k, y, ge.rho * 1.5 + 1.0, eigen=ge)
+            fit = fit_constrained(ge, ge.rho * 1.5 + 1.0)
             proj = ge.vectors[:, : ge.rank] @ ge.proj[: ge.rank]
             assert np.abs(fit.train_pred - proj).max() <= 1e-8 * (1.0 + np.abs(y).max())
 
@@ -458,17 +460,17 @@ class TestFitConstrained:
             k, y = conditioned_instance(rng, n_max=6)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.1, 1.1)) * max(ge.rho, 0.5)
-            loss = fit_constrained(k, y, r, eigen=ge).train_loss(y)
+            loss = fit_constrained(ge, r).train_loss(y)
             oracle = pgd_constrained_loss(k, y, r)
             assert loss == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
     def test_negative_radius(self):
         with pytest.raises(InputError):
-            fit_constrained(K1, np.array([1.0]), -0.5)
+            fit_constrained(eigen_gram(K1, np.array([1.0])), -0.5)
 
     def test_zero_responses_give_zero_fit(self):
         k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
-        fit = fit_constrained(k, np.zeros(5), 2.0)
+        fit = fit_constrained(eigen_gram(k, np.zeros(5)), 2.0)
         assert fit.h_norm == 0.0
         assert np.all(fit.coeffs == 0.0)
 
@@ -485,11 +487,11 @@ class TestRadiusPath:
         ge = eigen_gram(k, y)
         # The selection grid, radii around rho, and 0 again between them.
         radii = list(radius_grid(1.0, 0.5, n)) + [f * max(ge.rho, 1e-3) for f in fracs] + [0.0]
-        path = fit_constrained(k, y, radii, eigen=ge)
+        path = fit_constrained(ge, radii)
         assert [f.r for f in path] == radii
         eps = np.finfo(float).eps
         for r, fit in zip(radii, path):
-            one = fit_constrained(k, y, r, eigen=ge)
+            one = fit_constrained(ge, r)
             assert fit.mu == one.mu
             # Both are products of the same weights with orthonormal columns, so
             # each entry of either is within rank * eps / 2 * ||weights||_2 of
@@ -500,13 +502,13 @@ class TestRadiusPath:
 
     def test_zero_radius_rows_are_positive_zero(self):
         k, y = smooth_instance(4, 50, 2, 1.0)
-        for fit in fit_constrained(k, -y, [0.0, 1.0, 0.0, 2.0])[::2]:
+        for fit in fit_constrained(eigen_gram(k, -y), [0.0, 1.0, 0.0, 2.0])[::2]:
             assert fit.mu == 0.0 and fit.h_norm == 0.0
             for a in (fit.coeffs, fit.train_pred):
                 assert np.all(a == 0.0) and not np.signbit(a).any()
 
     def test_rank_zero_gram_gives_zero_fits(self):
-        path = fit_constrained(np.zeros((4, 4)), np.ones(4), [0.0, 0.5, 3.0])
+        path = fit_constrained(eigen_gram(np.zeros((4, 4)), np.ones(4)), [0.0, 0.5, 3.0])
         assert len(path) == 3
         for fit in path:
             assert fit.n == 4 and fit.mu == 0.0 and fit.h_norm == 0.0
@@ -519,9 +521,9 @@ class TestRadiusPath:
         radii = [0.5, 1.0, 1.5]
         radii[at] = bad
         with pytest.raises(InputError, match="radius must be non-negative"):
-            fit_constrained(k, np.ones(3), radii)
+            fit_constrained(eigen_gram(k, np.ones(3)), radii)
         with pytest.raises(InputError, match="radius must be non-negative"):
-            fit_constrained(k, np.ones(3), bad)
+            fit_constrained(eigen_gram(k, np.ones(3)), bad)
 
     def test_radius_path_is_one_call(self, monkeypatch):
         # The path makes one fit_constrained call and one mu_of_r call per
@@ -570,24 +572,24 @@ class TestClip:
 class TestPredict:
     def test_reproduces_training_value(self):
         kern = GaussianKernel(1.0, 1)
-        fit = fit_constrained(K1, np.array([2.0]), 1.0, kernel_id=kern.kernel_id)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id=kern.kernel_id)
         out = predict(fit, kern, [[0.0]], [[0.0]])
         assert out[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_coefficients(self):
         kern = GaussianKernel(1.0, 1)
-        fit = fit_constrained(K1, np.array([2.0]), 0.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 0.0)
         assert np.all(predict(fit, kern, [[0.0]], [[0.3], [0.9]]) == 0.0)
 
     def test_clipped(self):
         kern = GaussianKernel(1.0, 1)
-        fit = fit_constrained(K1, np.array([2.0]), 3.0)  # interpolates: coefficient 2
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0)  # interpolates: coefficient 2
         out = predict(fit, kern, [[0.0]], [[0.0]], c=1.0)
         assert out[0] == 1.0
 
     def test_matches_gram_on_training_points(self, rng):
         kern, k, x, y = random_instance(rng, n_max=12)
-        fit = fit_constrained(k, y, 1.0)
+        fit = fit_constrained(eigen_gram(k, y), 1.0)
         out = predict(fit, kern, x, x)
         assert np.allclose(out, fit.train_pred, atol=1e-10)
 
@@ -607,23 +609,23 @@ class TestDistances:
             empirical_sq_distance([1.0], [1.0, 2.0])
 
     def test_rkhs_distance_same_fit(self):
-        fit = fit_constrained(K1, np.array([2.0]), 1.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0)
         assert rkhs_sq_distance(fit, fit, K1) == 0.0
 
     def test_rkhs_distance_examples(self):
-        f1 = fit_constrained(K1, np.array([2.0]), 1.0)
-        f3 = fit_constrained(K1, np.array([2.0]), 3.0)
-        f0 = fit_constrained(K1, np.array([2.0]), 0.0)
+        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0)
+        f3 = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0)
+        f0 = fit_constrained(eigen_gram(K1, np.array([2.0])), 0.0)
         assert rkhs_sq_distance(f1, f3, K1) == pytest.approx(1.0, abs=1e-9)
         assert rkhs_sq_distance(f0, f1, K1) == pytest.approx(1.0, abs=1e-9)
 
     def test_rkhs_distance_equal_kernels_of_mixed_types(self):
-        f1 = fit_constrained(K1, np.array([2.0]), 1.0, kernel_id=GaussianKernel(1, 1).kernel_id)
-        f3 = fit_constrained(K1, np.array([2.0]), 3.0, kernel_id=GaussianKernel(1.0, 1.0).kernel_id)
+        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id=GaussianKernel(1, 1).kernel_id)
+        f3 = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0, kernel_id=GaussianKernel(1.0, 1.0).kernel_id)
         assert rkhs_sq_distance(f1, f3, K1) == pytest.approx(1.0, abs=1e-9)
 
     def test_rkhs_distance_kernel_mismatch(self):
-        f1 = fit_constrained(K1, np.array([2.0]), 1.0, kernel_id="a")
-        f2 = fit_constrained(K1, np.array([2.0]), 1.0, kernel_id="b")
+        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id="a")
+        f2 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id="b")
         with pytest.raises(InputError):
             rkhs_sq_distance(f1, f2, K1)

@@ -24,7 +24,7 @@ from rkhsball.selection_fixed import (
 def _fits_for(data, kernel, radii):
     k = gram(kernel, data.x)
     ge = eigen_gram(k, data.y)
-    return [fit_constrained(k, data.y, r, eigen=ge) for r in radii]
+    return [fit_constrained(ge, r) for r in radii]
 
 
 def _config(tau=1.0, nu=0.5, sigma=0.1, k_diag=1.0):

@@ -36,7 +36,7 @@ def _fit_table(data, cfg):
         kernel = GaussianKernel(gamma=gamma, dim=cfg.dim)
         k = gram(kernel, data.x)
         ge = eigen_gram(k, data.y)
-        fits.append([fit_constrained(k, data.y, r, eigen=ge) for r in cfg.radius_grid])
+        fits.append([fit_constrained(ge, r) for r in cfg.radius_grid])
     return fits
 
 
@@ -241,7 +241,7 @@ class TestSelectWidthRadius:
         kernel = GaussianKernel(gamma=gamma, dim=d)
         k = gram(kernel, data.x)
         ge = eigen_gram(k, data.y)
-        fits = [fit_constrained(k, data.y, r, eigen=ge) for r in grid]
+        fits = [fit_constrained(ge, r) for r in grid]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fixed_cfg = GLConfig(tau=tau * gamma ** (-d / 2.0), nu=0.5, sigma=0.1,
