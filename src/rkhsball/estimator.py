@@ -395,8 +395,10 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     and responses, one per dataset-kernel pair for any number of radii; n, the
     rank, the spectrum and the projections all come from it.  ``r`` is one
     radius, giving one :class:`ConstrainedFit`, or a sequence of radii, giving
-    the list of their fits in the same order; each must be non-negative, and
-    every radius is checked before any is fitted.  Every positive radius's
+    the list of their fits in the same order.  Every radius goes through
+    :func:`~rkhsball.errors.check_real` as ``radius``, a finite real number of at
+    least 0, before any multiplier is solved; a numpy array counts as a sequence
+    of its entries, or as one radius when it is 0-d.  Every positive radius's
     multiplier comes from :func:`mu_of_r`.  With the eigenvectors ``A`` and the
     ``R x rank`` weights ``W = c / (D + n * mu)``, every coefficient vector
     comes from one product ``W A^T`` and every fitted value from one product
@@ -404,12 +406,11 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     zero fit, all ``+0.0``, as does a Gram of rank 0.  ``kernel_id`` is stored
     on every fit.
     """
-    single = isinstance(r, numbers.Real) or isinstance(r, np.ndarray) and r.ndim == 0
-    radii = np.array([r] if single else list(r), dtype=float)
-    # ``not >=`` also catches NaN.
-    bad = radii[~(radii >= 0.0)]
-    if bad.size:
-        raise InputError(f"radius must be non-negative, got {bad[0]}")
+    if isinstance(r, np.ndarray):
+        r = r.tolist()  # a 0-d array becomes one Python number
+    single = isinstance(r, numbers.Real)
+    radii = np.array([check_real(s, "radius", 0.0, strict=False) for s in ([r] if single else r)],
+                     dtype=float)
     mus = [mu_of_r(eigen, float(s)) if s > 0.0 else 0.0 for s in radii]
     d = eigen.values[: eigen.rank]
     vectors = eigen.vectors[:, : eigen.rank]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rkhsball.errors import InputError, check_int, check_real
-from rkhsball.estimator import clip, eigen_gram, mu_of_r
+from rkhsball.estimator import clip, eigen_gram, fit_constrained, mu_of_r
 from rkhsball.experiments import (
     RkhsTarget,
     SelectionSettings,
@@ -85,6 +85,12 @@ class TestHelpers:
     (lambda: SelectionSettings(grid_b=-1.0), "grid_b must be greater than 0, got -1.0"),
     (lambda: SelectionSettings(kernel_gamma=-1.0),
      "kernel_gamma must be greater than 0, got -1.0"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), [1.0, _INF]),
+     "radius must be finite, got inf"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), [True]),
+     "radius must be a real number, got True"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), ["1.0"]),
+     "radius must be a real number, got '1.0'"),
 ], ids=["radius-a-inf", "width-v-inf", "radius-n-fraction", "radius-n-bool", "radius-b-str",
         "gl-nu-str", "width-c-inf", "gl-tau-inf", "tau-min-inf", "gauss-dim-fraction",
         "gauss-dim-bool", "kernel-gamma-bool", "target-gamma0-bool", "kernel-gamma-str",
@@ -92,7 +98,8 @@ class TestHelpers:
         "quadform-replicates-fraction", "fixed-bound-k-diag", "fixed-bound-c",
         "family-bound-j-const", "adaptive-bound-fit-risk", "oracle-gap-threads",
         "oracle-gap-threshold", "oracle-gap-pass-fraction", "clip-c-inf", "clip-c-bool",
-        "clip-c-str", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma"])
+        "clip-c-str", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma",
+        "fit-radius-inf", "fit-radius-bool", "fit-radius-str"])
 def test_bad_value_names_its_parameter(call, expected):
     with pytest.raises(InputError) as info:
         call()

@@ -514,16 +514,32 @@ class TestRadiusPath:
             assert fit.n == 4 and fit.mu == 0.0 and fit.h_norm == 0.0
             assert not np.any(fit.coeffs) and not np.any(fit.train_pred)
 
-    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, math.inf])
     @pytest.mark.parametrize("at", [0, 2])
     @pytest.mark.parametrize("k", [np.eye(3), np.zeros((3, 3))], ids=["rank3", "rank0"])
     def test_bad_radius_anywhere_rejected(self, bad, at, k):
         radii = [0.5, 1.0, 1.5]
         radii[at] = bad
-        with pytest.raises(InputError, match="radius must be non-negative"):
-            fit_constrained(eigen_gram(k, np.ones(3)), radii)
-        with pytest.raises(InputError, match="radius must be non-negative"):
-            fit_constrained(eigen_gram(k, np.ones(3)), bad)
+        rule = "be at least 0" if math.isfinite(bad) else "be finite"
+        for r in (radii, bad):
+            with pytest.raises(InputError) as info:
+                fit_constrained(eigen_gram(k, np.ones(3)), r)
+            assert str(info.value) == f"radius must {rule}, got {bad!r}"
+
+    def test_bad_radius_fails_before_any_multiplier_solve(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return mu_of_r(*args)
+
+        monkeypatch.setattr(estimator, "mu_of_r", counting)
+        eigen = eigen_gram(np.eye(2), np.ones(2))
+        with pytest.raises(InputError, match="radius must be finite, got inf"):
+            fit_constrained(eigen, [1.0, math.inf])
+        assert calls == []
+        fit_constrained(eigen, [1.0, 0.5])
+        assert len(calls) == 2
 
     def test_radius_path_is_one_call(self, monkeypatch):
         # The path makes one fit_constrained call and one mu_of_r call per

@@ -480,8 +480,7 @@ class TestEventChecks:
         assert sorted(suite) == sorted(checks)
         for name, rep in checks.items():
             assert suite[name].name == name
-            assert suite[name].as_dict() == rep.as_dict()
-            assert suite[name].indicators == rep.indicators
+            assert suite[name] == rep
         if case == "failing":
             family = suite["gauss-majorant"]
             assert 0 < family.successes < family.replicates
@@ -497,8 +496,7 @@ class TestEventChecks:
         suite = event_suite(scen, widths, grid, 1.0, threads=threads)
         family = gauss_majorant_event_check(scen, widths, grid, 1.0, threads=threads)
         assert list(suite) == ["gauss-majorant"]
-        assert suite["gauss-majorant"].as_dict() == family.as_dict()
-        assert suite["gauss-majorant"].indicators == family.indicators
+        assert suite["gauss-majorant"] == family
 
     def test_suite_draws_once_and_fits_one_path_per_width(self, monkeypatch):
         calls = {"generate": [], "fit_radius_path": []}
