@@ -10,8 +10,16 @@ all.  Each value is checked against the type of its default when the config is
 read, so ``--print-config`` too rejects a malformed config (exit code 2).
 ``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
 ``seed``); it, ``--threads`` and ``--theory-mode`` exist only where the key
-does.  Outputs are deterministic functions of the config; floats are
-serialised with 17 significant digits so round-trips are exact.
+does.
+
+Each ``cmd_*`` function computes its results and returns them as a dict from
+output file name to payload, in the order the files are printed: a summary
+``dict``, written as JSON, or a ``(header, rows)`` table, written as CSV.
+:func:`run` creates ``--out`` only after the command has returned, and
+:func:`write_output`, the one function that writes an output file, writes each
+payload, so a failing command leaves no output directory.  Outputs are
+deterministic functions of the config; floats are serialised with 17
+significant digits so round-trips are exact.
 
 Exit codes: 0 success, 2 input error, 3 constraint violation, 4 numerical
 failure.
@@ -46,10 +54,6 @@ from .experiments import (
     rate_experiment,
     replicate_seed,
     oracle_gap_check,
-    write_csv,
-    write_records_csv,
-    write_summary_json,
-    json_value,
 )
 from .kernels import GaussianKernel, _chaining_constant, width_grid
 from .selection_fixed import (GLConfig, fit_radius_path, radius_grid, select_radius,
@@ -321,22 +325,19 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
-def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
+def cmd_fit(cfg: dict) -> dict:
     data = read_data_csv(_require(cfg, "data", "fit"))
     r = _require(cfg, "r", "fit")
     kernel = GaussianKernel(gamma=cfg["kernel"]["gamma"], dim=data.d)
     fit = fit_radius_path(data, kernel, [r])[0]
-    summary = {
+    return {"fit.json": {
         "kernel": {"gamma": kernel.gamma, "dim": kernel.dim},
         "r": fit.r,
         "mu": fit.mu,
         "h_norm": fit.h_norm,
         "train_loss": fit.train_loss(data.y),
         "coefficients": [float(a) for a in fit.coeffs],
-    }
-    path = os.path.join(out_dir, "fit.json")
-    write_summary_json(path, summary)
-    return [path]
+    }}
 
 
 def _tau(cfg: dict, tau_min, *args) -> float:
@@ -346,15 +347,12 @@ def _tau(cfg: dict, tau_min, *args) -> float:
     return tau_min(*args) if cfg["tau"] is None else cfg["tau"]
 
 
-def _write_selection(out_dir: str, data: Dataset, result, gl, rule: dict) -> list[str]:
-    """Write a selection's criterion CSV and summary, with the rule's entries ``rule``;
+def _selection_outputs(data: Dataset, result, gl, rule: dict) -> dict:
+    """A selection's summary, with the rule's entries ``rule``, and its criterion table;
     a width-family result adds ``gamma`` and ``gamma_hat`` and ``_gauss`` file names."""
     family = result.gamma_hat is not None
     suffix = "_gauss" if family else ""
-    crit_path = os.path.join(out_dir, f"criterion{suffix}.csv")
     columns = (("gamma",) if family else ()) + ("r", "bias_proxy", "variance_term", "total")
-    write_csv(crit_path, columns,
-              [[getattr(row, col) for col in columns] for row in result.criterion])
     summary = {"gamma_hat": result.gamma_hat} if family else {}
     summary.update({
         "r_hat": result.r_hat,
@@ -367,23 +365,23 @@ def _write_selection(out_dir: str, data: Dataset, result, gl, rule: dict) -> lis
         **rule,
         "coefficients": [float(a) for a in result.fit_hat.coeffs],
     })
-    sel_path = os.path.join(out_dir, f"selection{suffix}.json")
-    write_summary_json(sel_path, summary)
-    return [sel_path, crit_path]
+    return {f"selection{suffix}.json": summary,
+            f"criterion{suffix}.csv": (columns, [[getattr(row, col) for col in columns]
+                                                 for row in result.criterion])}
 
 
-def cmd_select(cfg: dict, out_dir: str) -> list[str]:
+def cmd_select(cfg: dict) -> dict:
     data = read_data_csv(_require(cfg, "data", "select"))
     kernel = GaussianKernel(gamma=cfg["kernel"]["gamma"], dim=data.d)
     gl = GLConfig(tau=_tau(cfg, tau_min_fixed, kernel.diag_sup, cfg["sigma"]), nu=cfg["nu"],
                   sigma=cfg["sigma"], k_diag=kernel.diag_sup, theory_mode=cfg["theory_mode"])
     grid = radius_grid(**cfg["grid"], n=data.n)
-    return _write_selection(out_dir, data, select_radius(data, kernel, grid, gl), gl,
-                            {"k_diag": gl.k_diag,
-                             "grid": {"a": grid.a, "b": grid.b, "size": len(grid)}})
+    return _selection_outputs(data, select_radius(data, kernel, grid, gl), gl,
+                              {"k_diag": gl.k_diag,
+                               "grid": {"a": grid.a, "b": grid.b, "size": len(grid)}})
 
 
-def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
+def cmd_select_gauss(cfg: dict) -> dict:
     data = read_data_csv(_require(cfg, "data", "select-gauss"))
     widths = width_grid(**cfg["widths"])
     j_const = _chaining_constant(cfg["j_const"], widths.u, widths.v)
@@ -391,9 +389,9 @@ def cmd_select_gauss(cfg: dict, out_dir: str) -> list[str]:
     gl = GaussGLConfig(tau=_tau(cfg, tau_min_gauss, j_const, cfg["sigma"]), nu=cfg["nu"],
                        sigma=cfg["sigma"], dim=data.d, width_grid=widths, radius_grid=grid,
                        j_const=j_const, theory_mode=cfg["theory_mode"])
-    return _write_selection(out_dir, data, select_width_radius(data, gl), gl,
-                            {"j_const": gl.j_const, "widths": list(widths),
-                             "grid_size": len(grid)})
+    return _selection_outputs(data, select_width_radius(data, gl), gl,
+                              {"j_const": gl.j_const, "widths": list(widths),
+                               "grid_size": len(grid)})
 
 
 def _summary(report) -> dict:
@@ -403,30 +401,25 @@ def _summary(report) -> dict:
             if f.name not in ("records", "indicators")}
 
 
-def _write_report(out_dir: str, stem: str, cfg: dict, summary: dict, records=None) -> list[str]:
-    """Write ``records`` (when given) to ``{stem}.csv`` and the echoed config followed by
-    ``summary`` to ``{stem}_summary.json``."""
-    paths = [] if records is None else [os.path.join(out_dir, f"{stem}.csv")]
-    if paths:
-        write_records_csv(paths[0], records)
-    paths.append(os.path.join(out_dir, f"{stem}_summary.json"))
-    write_summary_json(paths[-1], {"config": _echo_config(cfg), **summary})
-    return paths
+def _records_table(records) -> tuple:
+    """Experiment records as a table whose columns are :class:`ExperimentRecord`'s fields."""
+    return ([f.name for f in dataclasses.fields(ExperimentRecord)],
+            [dataclasses.astuple(rec) for rec in records])
 
 
-def cmd_rates(cfg: dict, out_dir: str) -> list[str]:
+def cmd_rates(cfg: dict) -> dict:
     scenario = _build_scenario(cfg)
     report = rate_experiment(scenario, cfg["n_list"], _build_settings(cfg),
                              threads=cfg["threads"])
-    summary = {"aggregates": _summary(report)}
+    summary = {"config": _echo_config(cfg), "aggregates": _summary(report)}
     thr = cfg["slope_threshold"]
     if thr is not None:
         summary["passed"] = (not report.degenerate and report.slope is not None
                              and report.slope <= thr)
-    return _write_report(out_dir, "rates", cfg, summary, report.records)
+    return {"rates.csv": _records_table(report.records), "rates_summary.json": summary}
 
 
-def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
+def cmd_majorant(cfg: dict) -> dict:
     scenario = _build_scenario(cfg)
     t, threads, event = cfg["t"], cfg["threads"], cfg["event"]
     grid = radius_grid(**cfg["grid"], n=scenario.n)
@@ -447,20 +440,22 @@ def cmd_majorant(cfg: dict, out_dir: str) -> list[str]:
                                 event_majorant=ind if event != "bias" else None,
                                 seed=replicate_seed(scenario.master_seed, i))
                for i, ind in enumerate(report.indicators)]
-    return _write_report(out_dir, "majorant", cfg, _summary(report), records)
+    return {"majorant.csv": _records_table(records),
+            "majorant_summary.json": {"config": _echo_config(cfg), **_summary(report)}}
 
 
-def cmd_oracle_gap(cfg: dict, out_dir: str) -> list[str]:
+def cmd_oracle_gap(cfg: dict) -> dict:
     report = oracle_gap_check(_build_scenario(cfg), _build_settings(cfg),
                               threshold=cfg["threshold"], pass_fraction=cfg["pass_fraction"],
                               threads=cfg["threads"])
-    return _write_report(out_dir, "oracle_gap", cfg, _summary(report), report.records)
+    return {"oracle_gap.csv": _records_table(report.records),
+            "oracle_gap_summary.json": {"config": _echo_config(cfg), **_summary(report)}}
 
 
-def cmd_quadform(cfg: dict, out_dir: str) -> list[str]:
+def cmd_quadform(cfg: dict) -> dict:
     report = quadform_tail_check(cfg["n"], cfg["sigma"], t_list=cfg["t_list"],
                                  replicates=cfg["replicates"], master_seed=cfg["seed"])
-    return _write_report(out_dir, "quadform", cfg, _summary(report))
+    return {"quadform_summary.json": {"config": _echo_config(cfg), **_summary(report)}}
 
 
 def _approx_fn(cfg: dict):
@@ -482,7 +477,7 @@ def _approx_fn(cfg: dict):
     raise InputError(f"unknown approx kind {spec['kind']!r}")
 
 
-def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
+def cmd_bounds(cfg: dict) -> dict:
     r_spec = cfg["r"]
     r_min = check_real(r_spec["min"], "r.min", 0.0, strict=False)
     r_max, count = r_spec["max"], check_int(r_spec["count"], "r.count")
@@ -500,14 +495,55 @@ def cmd_bounds(cfg: dict, out_dir: str) -> list[str]:
         rows.append((float(r), a_sq,
                      fixed_kernel_risk_bound(k_diag, c, sigma, float(r), t, n, a_sq),
                      kernel_family_risk_bound(j_const, k_diag, c, sigma, float(r), t, n, a_sq)))
-    path = os.path.join(out_dir, "bounds.csv")
-    write_csv(path, ("r", "approx_sq", "fixed_risk_bound", "family_risk_bound"), rows)
-    return [path]
+    return {"bounds.csv": (("r", "approx_sq", "fixed_risk_bound", "family_risk_bound"), rows)}
 
 
 def _echo_config(cfg: dict) -> dict:
     # ``threads`` is left out so that summaries are byte-identical at any thread count.
     return {key: copy.deepcopy(val) for key, val in cfg.items() if key != "threads"}
+
+
+def json_value(value) -> str:
+    """JSON text of ``value``; floats carry 17 significant digits, NaN and inf are null."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            return "null"
+        return format(value, ".17g")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = [f"{json.dumps(str(k))}: {json_value(v)}" for k, v in value.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(json_value(v) for v in value) + "]"
+    if isinstance(value, np.floating):
+        return json_value(float(value))
+    if dataclasses.is_dataclass(value):
+        return json_value(dataclasses.asdict(value))
+    raise InputError(f"cannot serialise {type(value).__name__} to JSON")
+
+
+def write_output(path: str, payload) -> None:
+    """Write one subcommand output: a summary ``dict`` as JSON, or a ``(header, rows)``
+    table as CSV, where None is an empty cell.  Floats carry 17 significant digits,
+    so round-trips are exact and outputs are byte-stable."""
+    if isinstance(payload, dict):
+        lines = [json_value(payload)]
+    else:
+        header, rows = payload
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join("" if cell is None
+                                  else format(cell, ".17g") if isinstance(cell, float)
+                                  else str(cell) for cell in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 COMMANDS = {
@@ -567,8 +603,11 @@ def run(argv=None) -> int:
     if args.print_config:
         sys.stdout.write(json_value(cfg) + "\n")
         return 0
+    outputs = COMMANDS[args.command](cfg)
     os.makedirs(args.out, exist_ok=True)
-    for path in COMMANDS[args.command](cfg, args.out):
+    for name, payload in outputs.items():
+        path = os.path.join(args.out, name)
+        write_output(path, payload)
         sys.stdout.write(path + "\n")
     return 0
 

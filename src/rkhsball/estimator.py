@@ -398,7 +398,9 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     the list of their fits in the same order.  Every radius goes through
     :func:`~rkhsball.errors.check_real` as ``radius``, a finite real number of at
     least 0, before any multiplier is solved; a numpy array counts as a sequence
-    of its entries, or as one radius when it is 0-d.  Every positive radius's
+    of its entries, or as one radius when it is 0-d, and a string, bytes or any
+    other value that is not iterable counts as one radius, so the error shows the
+    whole value.  Every positive radius's
     multiplier comes from :func:`mu_of_r`.  With the eigenvectors ``A`` and the
     ``R x rank`` weights ``W = c / (D + n * mu)``, every coefficient vector
     comes from one product ``W A^T`` and every fitted value from one product
@@ -408,7 +410,7 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     """
     if isinstance(r, np.ndarray):
         r = r.tolist()  # a 0-d array becomes one Python number
-    single = isinstance(r, numbers.Real)
+    single = isinstance(r, (numbers.Real, str, bytes)) or not isinstance(r, Iterable)
     radii = np.array([check_real(s, "radius", 0.0, strict=False) for s in ([r] if single else r)],
                      dtype=float)
     mus = [mu_of_r(eigen, float(s)) if s > 0.0 else 0.0 for s in radii]

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -75,15 +74,9 @@ __all__ = [
     "oracle_gap_check",
     "quadform_tail_check",
     "wilson_interval",
-    "json_value",
-    "write_csv",
-    "write_records_csv",
-    "write_summary_json",
 ]
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
-RECORD_COLUMNS = ("replicate", "n", "gamma_hat", "r_hat", "err_adaptive",
-                  "err_oracle_grid", "event_bias", "event_majorant", "seed")
 
 # Practical default penalty scale: the theoretical minimum 80*sqrt(k_diag)*sigma
 # is conservative by roughly an order of magnitude at desk-scale n.
@@ -394,14 +387,19 @@ class EventReport:
     indicators: tuple[int, ...] = ()
 
 
-def _event_report(name: str, t: float, indicators: list[bool]) -> EventReport:
-    trials = len(indicators)
-    successes = int(sum(indicators))
+def _against_floor(successes: int, trials: int, t: float) -> dict:
+    """An event's frequency, its Wilson interval, its floor ``1 - exp(-t)`` and whether
+    the interval reaches the floor, keyed by the report fields that hold them."""
     low, high = wilson_interval(successes, trials)
     floor = 1.0 - math.exp(-t)
-    return EventReport(name=name, t=t, replicates=trials, successes=successes,
-                       frequency=successes / trials, wilson_low=low, wilson_high=high,
-                       floor=floor, passed=high >= floor,
+    return {"frequency": successes / trials, "wilson_low": low, "wilson_high": high,
+            "floor": floor, "passed": high >= floor}
+
+
+def _event_report(name: str, t: float, indicators: list[bool]) -> EventReport:
+    successes = int(sum(indicators))
+    return EventReport(name=name, t=t, replicates=len(indicators), successes=successes,
+                       **_against_floor(successes, len(indicators), t),
                        indicators=tuple(int(b) for b in indicators))
 
 
@@ -567,7 +565,8 @@ class SelectionSettings:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One output row; column layout is a stable external contract."""
+    """One output row; its fields, in order, are the CSV columns, a stable external
+    contract."""
 
     replicate: int
     n: int
@@ -751,67 +750,8 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
     tails = []
     for t in t_list:
         ok = int(np.count_nonzero(z_abs <= scale * (math.log(2.0) + t)))
-        low, high = wilson_interval(ok, replicates)
-        floor = 1.0 - math.exp(-t)
-        tails.append(QuadformTail(t=float(t), frequency=ok / replicates,
-                                  wilson_low=low, wilson_high=high, floor=floor,
-                                  passed=high >= floor))
+        tails.append(QuadformTail(t=t, **_against_floor(ok, replicates, t)))
     return QuadformReport(n=n, sigma=sigma, replicates=replicates, scale=scale,
                           sample_mean=mean, stderr=stderr,
                           passed=mean <= 2.0 + 3.0 * stderr, tails=tuple(tails))
 
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a CSV table; an empty cell is None, floats carry 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_records_csv(path, records) -> None:
-    """Write experiment records with the fixed column layout."""
-    write_csv(path, RECORD_COLUMNS,
-              ([getattr(rec, col) for col in RECORD_COLUMNS] for rec in records))
-
-
-def json_value(value) -> str:
-    """JSON text of ``value``; floats carry 17 significant digits, NaN and inf are null."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return "null"
-        return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = [f"{json.dumps(str(k))}: {json_value(v)}" for k, v in value.items()]
-        return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(json_value(v) for v in value) + "]"
-    if isinstance(value, np.floating):
-        return json_value(float(value))
-    if dataclasses.is_dataclass(value):
-        return json_value(dataclasses.asdict(value))
-    raise InputError(f"cannot serialise {type(value).__name__} to JSON")
-
-
-def write_summary_json(path, summary: dict) -> None:
-    """Write a JSON summary; floats carry 17 significant digits so round-trips
-    are exact and outputs are byte-stable."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_value(summary) + "\n")

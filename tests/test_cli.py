@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rkhsball
-from rkhsball.cli import COMMANDS, main
+from rkhsball.cli import COMMANDS, DEFAULTS, main
 
 
 def _write(path, text):
@@ -300,7 +300,7 @@ class TestRanges:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert expected in capsys.readouterr().err
-        assert not out.exists() or not os.listdir(out)
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -475,3 +475,28 @@ class TestNonNumericConfig:
         err = capsys.readouterr().err
         assert f"widths is read only for event = gauss-majorant, not for event = {event}" in err
         assert not (tmp_path / "majorant.csv").exists()
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command,config,names", [
+        ("fit", {"r": 1.0}, ["fit.json"]),
+        ("select", {}, ["selection.json", "criterion.csv"]),
+        ("select-gauss", {}, ["selection_gauss.json", "criterion_gauss.csv"]),
+        ("rates", _SMALL_RATES, ["rates.csv", "rates_summary.json"]),
+        ("majorant", {"scenario": {"n": 16, "replicates": 2}},
+         ["majorant.csv", "majorant_summary.json"]),
+        ("bounds", {}, ["bounds.csv"]),
+        ("oracle-gap", {"scenario": _SMALL_SCENARIO},
+         ["oracle_gap.csv", "oracle_gap_summary.json"]),
+        ("quadform", {"n": 8, "replicates": 500}, ["quadform_summary.json"]),
+    ])
+    def test_printed_paths_are_the_written_files(self, tmp_path, capsys, command, config,
+                                                 names):
+        if "data" in DEFAULTS[command]:
+            config = {**config, "data": _data_csv(tmp_path / "d.csv",
+                                                  [[0.1, 1.0], [0.5, 2.0], [0.9, 0.5]])}
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+        assert sorted(os.listdir(out)) == sorted(names)

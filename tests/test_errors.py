@@ -91,6 +91,12 @@ class TestHelpers:
      "radius must be a real number, got True"),
     (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), ["1.0"]),
      "radius must be a real number, got '1.0'"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), "1.0"),
+     "radius must be a real number, got '1.0'"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), None),
+     "radius must be a real number, got None"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), b"1"),
+     "radius must be a real number, got b'1'"),
 ], ids=["radius-a-inf", "width-v-inf", "radius-n-fraction", "radius-n-bool", "radius-b-str",
         "gl-nu-str", "width-c-inf", "gl-tau-inf", "tau-min-inf", "gauss-dim-fraction",
         "gauss-dim-bool", "kernel-gamma-bool", "target-gamma0-bool", "kernel-gamma-str",
@@ -99,7 +105,8 @@ class TestHelpers:
         "family-bound-j-const", "adaptive-bound-fit-risk", "oracle-gap-threads",
         "oracle-gap-threshold", "oracle-gap-pass-fraction", "clip-c-inf", "clip-c-bool",
         "clip-c-str", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma",
-        "fit-radius-inf", "fit-radius-bool", "fit-radius-str"])
+        "fit-radius-inf", "fit-radius-bool", "fit-radius-str", "fit-radii-str",
+        "fit-radii-none", "fit-radii-bytes"])
 def test_bad_value_names_its_parameter(call, expected):
     with pytest.raises(InputError) as info:
         call()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import loop_gauss_majorant_indicators, loop_majorant_indicators
 from rkhsball import experiments, selection_fixed
+from rkhsball.cli import _records_table, write_output
 from rkhsball.data import Dataset
 from rkhsball.errors import InputError
 from rkhsball.estimator import _pivoted_cholesky, eigen_gram, fit_constrained
@@ -31,9 +32,6 @@ from rkhsball.experiments import (
     rate_experiment,
     replicate_rng,
     wilson_interval,
-    write_csv,
-    write_records_csv,
-    write_summary_json,
 )
 from rkhsball.kernels import GaussianKernel, cross_gram, gaussian_eval, gram, width_grid
 from rkhsball.selection_fixed import fit_radius_path, radius_grid, select_radius
@@ -656,7 +654,7 @@ class TestOutputs:
                                err_adaptive=0.1, err_oracle_grid=None,
                                event_bias=None, event_majorant=1, seed=42)
         path = tmp_path / "records.csv"
-        write_records_csv(path, [rec])
+        write_output(path, _records_table([rec]))
         text = path.read_text()
         lines = text.splitlines()
         assert lines[0] == "replicate,n,gamma_hat,r_hat,err_adaptive,err_oracle_grid," \
@@ -665,15 +663,15 @@ class TestOutputs:
 
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "table.csv"
-        write_csv(path, ("a", "b", "c", "d", "e"),
-                  [(0.1, None, 3, np.float64(1e-300), "x"), (2.0, -0.0, True, 1.5, "")])
+        write_output(path, (("a", "b", "c", "d", "e"),
+                            [(0.1, None, 3, np.float64(1e-300), "x"), (2.0, -0.0, True, 1.5, "")]))
         assert path.read_bytes() == (b"a,b,c,d,e\n0.10000000000000001,,3,1e-300,x\n"
                                      b"2,-0,True,1.5,\n")
 
     def test_summary_json_format(self, tmp_path):
         path = tmp_path / "s.json"
-        write_summary_json(path, {"a": 0.1, "b": None, "c": [1, 2.5], "d": {"e": True},
-                                  "f": "text"})
+        write_output(path, {"a": 0.1, "b": None, "c": [1, 2.5], "d": {"e": True},
+                            "f": "text"})
         text = path.read_text()
         assert '"a": 0.10000000000000001' in text
         assert '"b": null' in text
