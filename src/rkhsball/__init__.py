@@ -9,13 +9,10 @@ from .errors import ConstraintError, InputError, NumericalError, RkhsBallError
 from .estimator import (
     ConstrainedFit,
     GramEigen,
-    clip,
     eigen_gram,
     empirical_sq_distance,
     fit_constrained,
     mu_of_r,
-    predict,
-    rkhs_sq_distance,
 )
 from .kernels import (
     GaussianKernel,
@@ -23,8 +20,6 @@ from .kernels import (
     chaining_constant_bound,
     covering_number_bound,
     entropy_integral_bound,
-    family_sup_distance_bound,
-    gaussian_eval,
     gram,
     width_grid,
 )
@@ -35,15 +30,12 @@ from .selection_fixed import (
     gl_criterion,
     radius_grid,
     select_radius,
-    t_of_tau,
     tau_min_fixed,
 )
 from .selection_gauss import (
     GaussGLConfig,
-    GaussSelectionResult,
     gauss_gl_criterion,
     select_width_radius,
-    t_of_tau_gauss,
     tau_min_gauss,
 )
 from . import experiments, theory

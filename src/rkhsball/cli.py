@@ -15,7 +15,8 @@ does.
 Each ``cmd_*`` function computes its results and returns them as a dict from
 output file name to payload, in the order the files are printed: a summary
 ``dict``, written as JSON, or a ``(header, rows)`` table, written as CSV.
-:func:`run` creates ``--out`` only after the command has returned, and
+:func:`run` rejects an ``--out`` that cannot become a directory before the
+command runs, creates ``--out`` only after the command has returned, and
 :func:`write_output`, the one function that writes an output file, writes each
 payload, so a failing command leaves no output directory.  Outputs are
 deterministic functions of the config; floats are serialised with 17
@@ -587,6 +588,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Reject an ``--out`` that cannot become a directory: it, or its nearest
+    existing ancestor, exists and is not a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise InputError(f"--out {out}: {path} exists and is not a directory")
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = vars(args)
@@ -603,6 +614,7 @@ def run(argv=None) -> int:
     if args.print_config:
         sys.stdout.write(json_value(cfg) + "\n")
         return 0
+    _check_out(args.out)
     outputs = COMMANDS[args.command](cfg)
     os.makedirs(args.out, exist_ok=True)
     for name, payload in outputs.items():

@@ -15,7 +15,8 @@ __all__ = ["Dataset"]
 class Dataset:
     """Covariates ``x`` (n points in d dims) and responses ``y`` (n reals), all finite.
 
-    Clipping acts where predictions are evaluated (``predict(..., c=)``)."""
+    Clipping acts only where predictions are evaluated: the harness's holdout
+    errors clip at ``ScenarioConfig.c``."""
 
     x: np.ndarray
     y: np.ndarray

@@ -14,6 +14,9 @@ parameters, such as ``u <= v``, are plain comparisons after these.
 import math
 import numbers
 
+__all__ = ["RkhsBallError", "InputError", "ConstraintError", "NumericalError",
+           "check_real", "check_int"]
+
 
 class RkhsBallError(Exception):
     """Base class for all package errors."""

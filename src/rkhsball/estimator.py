@@ -19,7 +19,9 @@ the :class:`GramEigen` of :func:`eigen_gram`: given a sequence of R radii it
 stacks their weights into an ``R x rank`` matrix ``W``, so that every
 coefficient vector comes from the one product ``W A^T`` and every fitted value
 from the one product ``(W diag(D)) A^T``.  The multipliers are still solved
-one radius at a time, by :func:`mu_of_r`.
+one radius at a time, by :func:`mu_of_r`.  A fit holds its values on the
+training points only; the harness's holdout in :mod:`rkhsball.experiments`
+evaluates fits on fresh points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, check_real
-from .kernels import cross_gram
 
 __all__ = [
     "GramEigen",
@@ -40,10 +41,7 @@ __all__ = [
     "eigen_gram",
     "mu_of_r",
     "fit_constrained",
-    "clip",
-    "predict",
     "empirical_sq_distance",
-    "rkhs_sq_distance",
 ]
 
 # Eigenvalues below max(D) * n * RANK_RTOL count as numerically zero.
@@ -431,28 +429,6 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     return fits[0] if single else fits
 
 
-def clip(value, c: float):
-    """Project value(s) into [-c, c]; idempotent and 1-Lipschitz.
-
-    Raises :class:`InputError` unless ``c`` is a finite positive real number.
-    """
-    c = check_real(c, "c")
-    if np.isscalar(value):
-        return float(min(max(value, -c), c))
-    return np.clip(np.asarray(value, dtype=float), -c, c)
-
-
-def predict(fit: ConstrainedFit, kernel, x_train, x_new, c: float | None = None) -> np.ndarray:
-    """Evaluate the fit at new points, optionally clipping into [-c, c]."""
-    kx = cross_gram(kernel, x_train, x_new)
-    if kx.shape[1] != fit.n:
-        raise InputError(f"fit has {fit.n} coefficients but {kx.shape[1]} training points given")
-    out = kx @ fit.coeffs
-    if c is not None:
-        out = clip(out, c)
-    return out
-
-
 def empirical_sq_distance(p, q) -> float:
     """Squared empirical-norm distance (1/n) sum (p_i - q_i)^2."""
     p = np.asarray(p, dtype=float).ravel()
@@ -462,14 +438,3 @@ def empirical_sq_distance(p, q) -> float:
     if p.shape[0] < 1:
         raise InputError("vectors must be non-empty")
     return float(np.mean((p - q) ** 2))
-
-
-def rkhs_sq_distance(fit_a: ConstrainedFit, fit_b: ConstrainedFit, k: np.ndarray) -> float:
-    """Squared function-space distance (a-b)^T K (a-b) between two fits."""
-    if fit_a.kernel_id is not None and fit_b.kernel_id is not None \
-            and fit_a.kernel_id != fit_b.kernel_id:
-        raise InputError(f"fits use different kernels: {fit_a.kernel_id} vs {fit_b.kernel_id}")
-    if fit_a.n != fit_b.n:
-        raise InputError("fits come from different training sets")
-    diff = fit_a.coeffs - fit_b.coeffs
-    return float(diff @ (np.asarray(k, dtype=float) @ diff))

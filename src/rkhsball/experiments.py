@@ -29,7 +29,7 @@ triangular solve.  The Gram is released once the factor exists.  That form is
 used only when it reproduces the first block's values to within half the full
 product's worst-case rounding; when it does not, when the Cholesky gives up,
 or when the holdout is a single block, every block comes from the full
-cross-Gram, as in :func:`holdout_sq_error`, the reference for the fast path.
+cross-Gram.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "ScenarioConfig",
     "SelectionSettings",
     "ExperimentRecord",
-    "HoldoutError",
     "EventReport",
     "RateReport",
     "OracleGapReport",
@@ -65,7 +64,6 @@ __all__ = [
     "default_scenario",
     "replicate_rng",
     "generate",
-    "holdout_sq_error",
     "event_suite",
     "bias_event_check",
     "majorant_event_check",
@@ -250,12 +248,6 @@ def generate(scenario: ScenarioConfig, replicate_index: int) -> Dataset:
     return Dataset(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class HoldoutError:
-    mean: float
-    stderr: float
-
-
 def _pivot_basis(kernel, train_gram, x_train, coeffs: np.ndarray, x_first, first: np.ndarray):
     """Nystrom form ``(points, weights)`` of the fits ``x -> k(x, X) coeffs``,
     so that ``cross_gram(kernel, points, x) @ weights`` approximates them,
@@ -332,32 +324,6 @@ def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfi
         start += len(sq)
         sq *= sq
         yield sq
-
-
-def holdout_sq_error(fit, kernel, x_train, scenario: ScenarioConfig, *,
-                     rng: np.random.Generator | None = None) -> HoldoutError:
-    """Monte Carlo estimate of the squared population error of a fit.
-
-    Draws the scenario's ``holdout_size`` fresh design points and averages
-    ``(clip(fit(x), c) - g(x))**2`` with the scenario's clip bound ``c``,
-    reporting the standard error alongside.
-    """
-    n_test = scenario.holdout_size
-    if fit.n != len(x_train):
-        raise InputError(f"fit has {fit.n} coefficients but {len(x_train)} training points given")
-    if rng is None:
-        rng = replicate_rng(scenario.master_seed, 0, stream=1)
-    count, mean, m2 = 0, 0.0, 0.0
-    for sq in _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, rng):
-        # Chan, Golub & LeVeque's update of the mean and the sum of squared
-        # deviations by one block.
-        block_mean = float(sq.mean())
-        delta = block_mean - mean
-        count += len(sq)
-        mean += delta * len(sq) / count
-        m2 += float(((sq - block_mean) ** 2).sum()) + delta * (block_mean - mean) * len(sq)
-    stderr = math.sqrt(m2 / (n_test - 1) / n_test) if n_test > 1 else 0.0
-    return HoldoutError(mean=mean, stderr=stderr)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

@@ -10,9 +10,8 @@ enlarges the ball.  ``gram`` assembles the kernel matrix of the training
 points and ``cross_gram`` the matrix between new and training points, which
 evaluates a fit off the training set.  This module imports nothing from the
 package but its errors.  It also provides the closed-form geometry of the
-family (sup-metric distances, covering numbers, the entropy integral and the
-chaining constant) used by the width-adaptive selection rule and by the
-theoretical bound calculators.
+width family (covering numbers, the entropy integral and the chaining
+constant): the chaining constant scales the width-adaptive penalties.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from .errors import InputError, check_int, check_real
 __all__ = [
     "GaussianKernel",
     "WidthGrid",
-    "gaussian_eval",
     "gram",
-    "family_sup_distance_bound",
     "covering_number_bound",
     "entropy_integral_bound",
     "chaining_constant_bound",
@@ -68,32 +65,6 @@ def _diag_value(gamma: float, dim: int) -> float:
     if not math.isfinite(value):
         raise InputError(f"kernel scale gamma**(-d) overflows for width {gamma} and dimension {dim}")
     return value
-
-
-def gaussian_eval(gamma: float, dim: int, x1, x2) -> float:
-    """Evaluate the scaled Gaussian kernel at a pair of points.
-
-    Parameters
-    ----------
-    gamma : float
-        Positive kernel width.
-    dim : int
-        Dimension of the covariate space.
-    x1, x2 : array-like
-        Points of dimension ``dim``.
-
-    Returns
-    -------
-    float
-        ``gamma**(-dim) * exp(-||x1 - x2||_2**2 / gamma**2)``.
-    """
-    gamma, dim = check_real(gamma, "gamma"), check_int(dim, "dim")
-    a = np.atleast_1d(np.asarray(x1, dtype=float))
-    b = np.atleast_1d(np.asarray(x2, dtype=float))
-    if a.shape != (dim,) or b.shape != (dim,):
-        raise InputError(f"points must have dimension {dim}, got shapes {a.shape} and {b.shape}")
-    sq = float(np.sum((a - b) ** 2))
-    return _diag_value(gamma, dim) * math.exp(-sq / gamma**2)
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -137,17 +108,6 @@ def _gaussian(kernel: GaussianKernel, out: np.ndarray, *sq_norms) -> np.ndarray:
     np.exp(out, out=out)
     out *= kernel.gamma ** (-kernel.dim)
     return out
-
-
-def family_sup_distance_bound(gamma: float, eta: float) -> float:
-    """Sup-metric distance bound between two unscaled Gaussian-family members.
-
-    Returns ``sqrt(|gamma^2 - eta^2|) / max(gamma, eta)``, which dominates the
-    sup-norm distance between the unit-scaled exponentials of widths ``gamma``
-    and ``eta``.  Symmetric, zero iff the widths coincide, and always < 1.
-    """
-    gamma, eta = check_real(gamma, "gamma"), check_real(eta, "eta")
-    return math.sqrt(abs(gamma**2 - eta**2)) / max(gamma, eta)
 
 
 def covering_number_bound(a: float, u: float, v: float) -> float:

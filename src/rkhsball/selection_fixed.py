@@ -52,7 +52,6 @@ __all__ = [
     "gl_criterion",
     "select_radius",
     "tau_min_fixed",
-    "t_of_tau",
 ]
 
 
@@ -92,20 +91,6 @@ def radius_grid(a: float, b: float, n: int) -> RadiusGrid:
 def tau_min_fixed(k_diag: float, sigma: float) -> float:
     """Smallest penalty scale with a theoretical guarantee: 80*sqrt(k_diag)*sigma."""
     return 80.0 * math.sqrt(check_real(k_diag, "k_diag")) * check_real(sigma, "sigma")
-
-
-def t_of_tau(tau: float, k_diag: float, sigma: float) -> float:
-    """Confidence level t = (tau / (80*sqrt(k_diag)*sigma))**2 implied by tau."""
-    return _confidence_level(tau, tau_min_fixed(k_diag, sigma))
-
-
-def _confidence_level(tau: float, lo: float) -> float:
-    """Confidence level ``(tau / lo)**2`` of a penalty scale against its minimum ``lo``."""
-    tau = check_real(tau, "tau")
-    if tau < lo:
-        warnings.warn(f"tau={tau:g} is below the theoretical minimum {lo:g}; "
-                      "the implied confidence level is below 1")
-    return (tau / lo) ** 2
 
 
 def _check_rule(cfg, positive, tau_min) -> None:

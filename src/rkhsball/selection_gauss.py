@@ -12,9 +12,9 @@ width-dependent scale ``gamma**(-d/2)``:
 
 The fixed-kernel rule is the one-width case, with ``r`` as penalty scale: both
 rules share the rows, the argmin (largest width first, then smallest radius)
-and the result of :mod:`rkhsball.selection_fixed`, so ``GaussCriterionRow`` and
-``GaussSelectionResult`` are aliases of ``CriterionRow`` and ``SelectionResult``.
-A result's ``fits`` is the radius path of ``gamma_hat`` only.  Each width is one
+and the result of :mod:`rkhsball.selection_fixed`, so this rule too returns a
+``SelectionResult`` with ``CriterionRow`` rows.  A result's ``fits`` is the
+radius path of ``gamma_hat`` only.  Each width is one
 :func:`rkhsball.selection_fixed.fit_radius_path` call, so one Gram matrix is
 alive at a time.
 """
@@ -31,27 +31,19 @@ from .errors import InputError, check_int, check_real
 from .estimator import ConstrainedFit, fit_constrained  # noqa: F401
 from .kernels import GaussianKernel, WidthGrid, _chaining_constant
 from .selection_fixed import (CriterionRow, RadiusGrid, SelectionResult, _check_rule,
-                              _confidence_level, _criterion_rows, _select, fit_radius_path)
+                              _criterion_rows, _select, fit_radius_path)
 
 __all__ = [
     "GaussGLConfig",
-    "GaussCriterionRow",
-    "GaussSelectionResult",
     "gauss_gl_criterion",
     "select_width_radius",
     "tau_min_gauss",
-    "t_of_tau_gauss",
 ]
 
 
 def tau_min_gauss(j_const: float, sigma: float) -> float:
     """Smallest penalty scale with a theoretical guarantee: 84 * J * sigma."""
     return 84.0 * check_real(j_const, "j_const") * check_real(sigma, "sigma")
-
-
-def t_of_tau_gauss(tau: float, j_const: float, sigma: float) -> float:
-    """Confidence level t = (tau / (84 * J * sigma))**2 implied by tau."""
-    return _confidence_level(tau, tau_min_gauss(j_const, sigma))
 
 
 @dataclass(frozen=True)
@@ -77,10 +69,6 @@ class GaussGLConfig:
             self.j_const, self.width_grid.u, self.width_grid.v))
         _check_rule(self, ("tau", "nu", "sigma", "j_const"),
                     lambda: tau_min_gauss(self.j_const, self.sigma))
-
-
-GaussCriterionRow = CriterionRow
-GaussSelectionResult = SelectionResult
 
 
 def _penalty_scales(widths, radii, dim: int) -> np.ndarray:

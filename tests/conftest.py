@@ -2,12 +2,15 @@
 
 The oracles here deliberately avoid the library's solution paths: the
 constrained fit is checked against projected functional gradient descent, the
-rank-adaptive decomposition against a full ``eigh``, the selection criteria
-and the pairwise-comparison primitive against plain-Python double/quadruple
-loops, and the majorant event checks against their per-cell loops.
+rank-adaptive decomposition against a full ``eigh``, the Gram assembly against
+pointwise kernel evaluation, the selection criteria and the pairwise-comparison
+primitive against plain-Python double/quadruple loops, and the majorant event
+checks against their per-cell loops.  The holdout's pivot basis is checked
+against the full cross-Gram path of :func:`holdout_sq_error`.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,9 +23,66 @@ from rkhsball.estimator import (
     eigen_gram,
     fit_constrained,
 )
-from rkhsball.experiments import generate
+from rkhsball.experiments import _holdout_errors, generate, replicate_rng
 from rkhsball.kernels import GaussianKernel, chaining_constant_bound, gram
 from rkhsball.theory import scaled_element_approx_bound
+
+
+def gaussian_eval(gamma, dim, x1, x2):
+    """Pointwise oracle for :func:`rkhsball.kernels.gram` and ``cross_gram``:
+    ``gamma**(-dim) * exp(-||x1 - x2||_2**2 / gamma**2)`` at one pair of points
+    of dimension ``dim``.  The kernel's constructor checks the width, the
+    dimension and the scale's overflow."""
+    kernel = GaussianKernel(gamma, dim)
+    a = np.atleast_1d(np.asarray(x1, dtype=float))
+    b = np.atleast_1d(np.asarray(x2, dtype=float))
+    if a.shape != (kernel.dim,) or b.shape != (kernel.dim,):
+        raise InputError(f"points must have dimension {kernel.dim}, got shapes {a.shape} and {b.shape}")
+    sq = float(np.sum((a - b) ** 2))
+    return kernel.diag_sup * math.exp(-sq / kernel.gamma**2)
+
+
+def rkhs_sq_distance(fit_a, fit_b, k):
+    """Squared function-space distance ``(a-b)^T K (a-b)`` between two fits."""
+    if fit_a.kernel_id is not None and fit_b.kernel_id is not None \
+            and fit_a.kernel_id != fit_b.kernel_id:
+        raise InputError(f"fits use different kernels: {fit_a.kernel_id} vs {fit_b.kernel_id}")
+    if fit_a.n != fit_b.n:
+        raise InputError("fits come from different training sets")
+    diff = fit_a.coeffs - fit_b.coeffs
+    return float(diff @ (np.asarray(k, dtype=float) @ diff))
+
+
+@dataclass(frozen=True)
+class HoldoutError:
+    mean: float
+    stderr: float
+
+
+def holdout_sq_error(fit, kernel, x_train, scenario, *, rng=None):
+    """Monte Carlo estimate of the squared population error of one fit.
+
+    Draws the scenario's ``holdout_size`` fresh design points and averages
+    ``(clip(fit(x), c) - g(x))**2`` with the scenario's clip bound ``c``,
+    reporting the standard error alongside.  Every block comes from the full
+    cross-Gram (``experiments._holdout_errors`` given no training Gram).
+    """
+    n_test = scenario.holdout_size
+    if fit.n != len(x_train):
+        raise InputError(f"fit has {fit.n} coefficients but {len(x_train)} training points given")
+    if rng is None:
+        rng = replicate_rng(scenario.master_seed, 0, stream=1)
+    count, mean, m2 = 0, 0.0, 0.0
+    for sq in _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, rng):
+        # Chan, Golub & LeVeque's update of the mean and the sum of squared
+        # deviations by one block.
+        block_mean = float(sq.mean())
+        delta = block_mean - mean
+        count += len(sq)
+        mean += delta * len(sq) / count
+        m2 += float(((sq - block_mean) ** 2).sum()) + delta * (block_mean - mean) * len(sq)
+    stderr = math.sqrt(m2 / (n_test - 1) / n_test) if n_test > 1 else 0.0
+    return HoldoutError(mean=mean, stderr=stderr)
 
 
 def random_instance(rng, n_max=40, d_max=3, gamma_range=(0.5, 2.0)):

@@ -18,11 +18,12 @@ from conftest import (
     naive_gauss_criterion,
     pgd_constrained_loss,
     random_instance,
+    rkhs_sq_distance,
     stable_radius_scale,
 )
 from rkhsball.cli import main
 from rkhsball.data import Dataset
-from rkhsball.estimator import eigen_gram, fit_constrained, rkhs_sq_distance
+from rkhsball.estimator import eigen_gram, fit_constrained
 from rkhsball.experiments import (
     SelectionSettings,
     default_scenario,

@@ -500,3 +500,14 @@ class TestOutputFiles:
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
         assert sorted(os.listdir(out)) == sorted(names)
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, below):
+        # --out is an existing file, or lies under one: rejected before the command runs.
+        blocker = tmp_path / "FILE"
+        blocker.write_bytes(b"x,y\n1,2\n")
+        assert main(["bounds", "--out", str(blocker / below)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: --out ")
+        assert blocker.read_bytes() == b"x,y\n1,2\n"

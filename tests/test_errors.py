@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rkhsball.errors import InputError, check_int, check_real
-from rkhsball.estimator import clip, eigen_gram, fit_constrained, mu_of_r
+from rkhsball.estimator import eigen_gram, fit_constrained, mu_of_r
 from rkhsball.experiments import (
     RkhsTarget,
     SelectionSettings,
@@ -18,11 +18,7 @@ from rkhsball.experiments import (
 from rkhsball.kernels import GaussianKernel, width_grid
 from rkhsball.selection_fixed import GLConfig, radius_grid, tau_min_fixed
 from rkhsball.selection_gauss import GaussGLConfig
-from rkhsball.theory import (
-    adaptive_risk_bound_fixed,
-    fixed_kernel_risk_bound,
-    kernel_family_risk_bound,
-)
+from rkhsball.theory import fixed_kernel_risk_bound, kernel_family_risk_bound
 
 _INF = math.inf
 _GL = {"tau": 1.0, "nu": 0.5, "sigma": 0.1, "k_diag": 1.0}
@@ -68,18 +64,14 @@ class TestHelpers:
      "c must be greater than 0, got -1.0"),
     (lambda: kernel_family_risk_bound(j_const=-1.0, **_FIXED),
      "j_const must be greater than 0, got -1.0"),
-    (lambda: adaptive_risk_bound_fixed(k_diag=1.0, c=1.0, sigma=0.1, tau=8.0, nu=0.5, n=100,
-                                       r=1.0, approx_sq=0.0, fit_risk=-1.0),
-     "fit_risk must be at least 0, got -1.0"),
+    (lambda: fixed_kernel_risk_bound(**{**_FIXED, "approx_sq": -1.0}),
+     "approx_sq must be at least 0, got -1.0"),
     (lambda: oracle_gap_check(_SMALL, SelectionSettings(), threads=1.5),
      "threads must be an integer, got 1.5"),
     (lambda: oracle_gap_check(_SMALL, SelectionSettings(), threshold=-1.0, pass_fraction=0.0),
      "threshold must be at least 1, got -1.0"),
     (lambda: oracle_gap_check(_SMALL, SelectionSettings(), pass_fraction=0.0),
      "pass_fraction must be greater than 0, got 0.0"),
-    (lambda: clip(5.0, _INF), "c must be finite, got inf"),
-    (lambda: clip(5.0, True), "c must be a real number, got True"),
-    (lambda: clip(5.0, "1"), "c must be a real number, got '1'"),
     (lambda: mu_of_r(eigen_gram(np.eye(1), np.array([2.0])), True),
      "r must be a real number, got True"),
     (lambda: SelectionSettings(grid_b=-1.0), "grid_b must be greater than 0, got -1.0"),
@@ -102,9 +94,8 @@ class TestHelpers:
         "gauss-dim-bool", "kernel-gamma-bool", "target-gamma0-bool", "kernel-gamma-str",
         "scenario-sigma-str", "scenario-sigma-inf", "quadform-n-fraction",
         "quadform-replicates-fraction", "fixed-bound-k-diag", "fixed-bound-c",
-        "family-bound-j-const", "adaptive-bound-fit-risk", "oracle-gap-threads",
-        "oracle-gap-threshold", "oracle-gap-pass-fraction", "clip-c-inf", "clip-c-bool",
-        "clip-c-str", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma",
+        "family-bound-j-const", "fixed-bound-approx-sq", "oracle-gap-threads",
+        "oracle-gap-threshold", "oracle-gap-pass-fraction", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma",
         "fit-radius-inf", "fit-radius-bool", "fit-radius-str", "fit-radii-str",
         "fit-radii-none", "fit-radii-bytes"])
 def test_bad_value_names_its_parameter(call, expected):

@@ -12,6 +12,7 @@ from conftest import (
     pgd_constrained_loss,
     pivots_needed,
     random_instance,
+    rkhs_sq_distance,
     stable_radius_scale,
 )
 from rkhsball import estimator, selection_fixed
@@ -19,13 +20,10 @@ from rkhsball.data import Dataset
 from rkhsball.errors import InputError, NumericalError
 from rkhsball.estimator import (
     GramEigen,
-    clip,
     eigen_gram,
     empirical_sq_distance,
     fit_constrained,
     mu_of_r,
-    predict,
-    rkhs_sq_distance,
 )
 from rkhsball.kernels import GaussianKernel, gram, width_grid
 from rkhsball.selection_fixed import radius_grid
@@ -561,53 +559,6 @@ class TestRadiusPath:
         fits = selection_fixed.fit_radius_path(data, GaussianKernel(1.0, 1), grid)
         assert len(fits) == len(grid) == 30
         assert calls == {"fit_constrained": 1, "mu_of_r": 29}
-
-
-class TestClip:
-    def test_above(self):
-        assert clip(3.0, 2.0) == 2.0
-
-    def test_below(self):
-        assert clip(-5.0, 2.0) == -2.0
-
-    def test_identity(self):
-        assert clip(1.0, 2.0) == 1.0
-
-    def test_idempotent_and_lipschitz(self, rng):
-        xs = rng.normal(0, 3, size=200)
-        ys = rng.normal(0, 3, size=200)
-        cx, cy = clip(xs, 1.7), clip(ys, 1.7)
-        assert np.array_equal(clip(cx, 1.7), cx)
-        assert np.all(np.abs(cx - cy) <= np.abs(xs - ys) + 1e-15)
-
-    def test_invalid_bound(self):
-        with pytest.raises(InputError):
-            clip(1.0, 0.0)
-
-
-class TestPredict:
-    def test_reproduces_training_value(self):
-        kern = GaussianKernel(1.0, 1)
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id=kern.kernel_id)
-        out = predict(fit, kern, [[0.0]], [[0.0]])
-        assert out[0] == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_coefficients(self):
-        kern = GaussianKernel(1.0, 1)
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 0.0)
-        assert np.all(predict(fit, kern, [[0.0]], [[0.3], [0.9]]) == 0.0)
-
-    def test_clipped(self):
-        kern = GaussianKernel(1.0, 1)
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0)  # interpolates: coefficient 2
-        out = predict(fit, kern, [[0.0]], [[0.0]], c=1.0)
-        assert out[0] == 1.0
-
-    def test_matches_gram_on_training_points(self, rng):
-        kern, k, x, y = random_instance(rng, n_max=12)
-        fit = fit_constrained(eigen_gram(k, y), 1.0)
-        out = predict(fit, kern, x, x)
-        assert np.allclose(out, fit.train_pred, atol=1e-10)
 
 
 class TestDistances:

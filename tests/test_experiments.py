@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_gauss_majorant_indicators, loop_majorant_indicators
+from conftest import (gaussian_eval, holdout_sq_error, loop_gauss_majorant_indicators,
+                      loop_majorant_indicators)
 from rkhsball import experiments, selection_fixed
 from rkhsball.cli import _records_table, write_output
 from rkhsball.data import Dataset
@@ -25,7 +26,6 @@ from rkhsball.experiments import (
     event_suite,
     gauss_majorant_event_check,
     generate,
-    holdout_sq_error,
     majorant_event_check,
     oracle_gap_check,
     quadform_tail_check,
@@ -33,7 +33,7 @@ from rkhsball.experiments import (
     replicate_rng,
     wilson_interval,
 )
-from rkhsball.kernels import GaussianKernel, cross_gram, gaussian_eval, gram, width_grid
+from rkhsball.kernels import GaussianKernel, cross_gram, gram, width_grid
 from rkhsball.selection_fixed import fit_radius_path, radius_grid, select_radius
 
 

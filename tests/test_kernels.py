@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gaussian_eval
 from rkhsball.errors import InputError
 from rkhsball.kernels import (
     GaussianKernel,
@@ -12,8 +13,6 @@ from rkhsball.kernels import (
     covering_number_bound,
     cross_gram,
     entropy_integral_bound,
-    family_sup_distance_bound,
-    gaussian_eval,
     gram,
     width_grid,
 )
@@ -126,39 +125,6 @@ class TestCrossGram:
             for j, b in enumerate(x_new):
                 for i, a in enumerate(x_train):
                     assert kx[j, i] == pytest.approx(gaussian_eval(gamma, d, b, a), rel=1e-14)
-
-
-class TestFamilyDistance:
-    def test_equal_widths(self):
-        assert family_sup_distance_bound(3.0, 3.0) == 0.0
-
-    def test_sqrt_two_vs_one(self):
-        assert family_sup_distance_bound(math.sqrt(2.0), 1.0) == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=1e-12)
-
-    def test_two_vs_one(self):
-        assert family_sup_distance_bound(2.0, 1.0) == pytest.approx(
-            math.sqrt(3.0) / 2.0, abs=1e-12)
-
-    def test_symmetric_and_below_one(self, rng):
-        for _ in range(50):
-            g, e = rng.uniform(0.2, 5.0, size=2)
-            val = family_sup_distance_bound(g, e)
-            assert val == family_sup_distance_bound(e, g)
-            assert 0.0 <= val < 1.0
-
-    def test_dominates_pointwise_distance(self):
-        # Unscaled exponentials on a dense bank of point pairs.
-        widths = list(width_grid(0.5, 2.0, 1.3))
-        sq = np.linspace(0.0, 25.0, 4001)
-        for gamma in widths:
-            for eta in widths:
-                gap = np.abs(np.exp(-sq / gamma**2) - np.exp(-sq / eta**2)).max()
-                assert gap <= family_sup_distance_bound(gamma, eta) + 1e-9
-
-    def test_nonpositive_width(self):
-        with pytest.raises(InputError):
-            family_sup_distance_bound(-1.0, 1.0)
 
 
 class TestCoveringNumber:

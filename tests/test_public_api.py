@@ -1,0 +1,38 @@
+"""The package's public surface: every exported name resolves, the package
+re-exports only exported names, and removed names stay removed."""
+
+import importlib
+import types
+
+import rkhsball
+
+MODULES = ["data", "errors", "estimator", "kernels", "selection_fixed", "selection_gauss",
+           "experiments", "theory"]
+
+# Deleted, or moved into the tests as reference oracles.
+REMOVED = {
+    "estimator": ["predict", "clip", "rkhs_sq_distance"],
+    "kernels": ["family_sup_distance_bound", "gaussian_eval"],
+    "selection_fixed": ["t_of_tau", "_confidence_level"],
+    "selection_gauss": ["t_of_tau_gauss", "GaussCriterionRow", "GaussSelectionResult"],
+    "experiments": ["holdout_sq_error", "HoldoutError"],
+    "theory": ["approx_shift_bound", "adaptive_risk_bound_fixed", "adaptive_risk_bound_gauss",
+               "rate_envelope"],
+}
+
+
+def test_public_surface():
+    modules = {name: importlib.import_module(f"rkhsball.{name}") for name in MODULES}
+    exported = set()
+    for name, module in modules.items():
+        entries = getattr(module, "__all__", None)
+        assert entries is not None, f"{name} has no __all__"
+        missing = [entry for entry in entries if not hasattr(module, entry)]
+        assert not missing, f"{name}.__all__ lists missing names {missing}"
+        exported.update(entries)
+    reexported = {key for key, value in vars(rkhsball).items()
+                  if not key.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert reexported <= exported, f"not in any __all__: {sorted(reexported - exported)}"
+    left = [f"{name}.{entry}" for name, entries in REMOVED.items() for entry in entries
+            if hasattr(modules[name], entry) or hasattr(rkhsball, entry)]
+    assert not left, f"removed names still present: {left}"

@@ -16,7 +16,6 @@ from rkhsball.selection_fixed import (
     gl_criterion,
     radius_grid,
     select_radius,
-    t_of_tau,
     tau_min_fixed,
 )
 
@@ -70,20 +69,9 @@ class TestTau:
         assert tau_min_fixed(1.0, 1.0) == 80.0
         assert tau_min_fixed(4.0, 0.5) == 80.0
 
-    def test_t_of_tau(self):
-        assert t_of_tau(80.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert t_of_tau(160.0, 1.0, 1.0) == pytest.approx(4.0)
-
-    def test_t_of_tau_warns_below_minimum(self):
-        with pytest.warns(UserWarning):
-            t = t_of_tau(40.0, 1.0, 1.0)
-        assert t == pytest.approx(0.25)
-
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
             tau_min_fixed(0.0, 1.0)
-        with pytest.raises(InputError):
-            t_of_tau(-1.0, 1.0, 1.0)
 
 
 class TestGLConfig:

@@ -5,13 +5,9 @@ import pytest
 
 from rkhsball.errors import InputError
 from rkhsball.theory import (
-    adaptive_risk_bound_fixed,
-    adaptive_risk_bound_gauss,
-    approx_shift_bound,
     fixed_kernel_risk_bound,
     interpolation_approx_bound,
     kernel_family_risk_bound,
-    rate_envelope,
     scaled_element_approx_bound,
 )
 
@@ -43,21 +39,6 @@ class TestInterpolationApproxBound:
             interpolation_approx_bound(0.0, 0.5, 1.0)
 
 
-class TestApproxShiftBound:
-    def test_zero_shift(self):
-        assert approx_shift_bound(0.37, 2.0, 1.5, 1.5) == pytest.approx(0.37)
-
-    def test_zero_base(self):
-        assert approx_shift_bound(0.0, 1.0, 0.0, 2.0) == pytest.approx(4.0)
-
-    def test_mixed(self):
-        assert approx_shift_bound(1.0, 4.0, 1.0, 2.0) == pytest.approx(9.0)
-
-    def test_order_enforced(self):
-        with pytest.raises(InputError):
-            approx_shift_bound(1.0, 1.0, 2.0, 1.0)
-
-
 class TestScaledElementApproxBound:
     def test_beyond_norm(self):
         assert scaled_element_approx_bound(2.0, 1.0, 2.0) == 0.0
@@ -75,16 +56,17 @@ class TestScaledElementApproxBound:
         assert scaled_element_approx_bound(2.0, 3.0, 2.0 + eps) == 0.0
 
     def test_sandwich_against_shift_bound(self):
-        # Shrinking the radius from s to r costs at most the shift bound,
-        # for targets whose sup norm is dominated by sqrt(k_diag) * norm.
+        # Shrinking the radius from s to r costs at most the shift bound
+        # (sqrt(approx at s) + sqrt(k_diag) * (s - r))**2, for targets whose
+        # sup norm is dominated by sqrt(k_diag) * norm.
         for gamma, d, norm in [(1.0, 1, 2.0), (0.5, 2, 1.3), (2.0, 1, 0.7)]:
             k_diag = gamma ** -d
             sup = math.sqrt(k_diag) * norm * 0.9
             for s in np.linspace(0.0, 2.5 * norm, 12):
                 for r in np.linspace(0.0, s, 8):
                     lhs = scaled_element_approx_bound(norm, sup, r)
-                    rhs = approx_shift_bound(
-                        scaled_element_approx_bound(norm, sup, s), k_diag, r, s)
+                    at_s = scaled_element_approx_bound(norm, sup, s)
+                    rhs = (math.sqrt(at_s) + math.sqrt(k_diag) * (s - r)) ** 2
                     assert lhs <= rhs + 1e-12
 
 
@@ -126,43 +108,3 @@ class TestRiskBounds:
         f = lambda r, a: fixed_kernel_risk_bound(2.0, 1.5, 0.5, r, 2.0, 50, a)
         assert f(2.0, 0.0) == pytest.approx(2.0 * f(1.0, 0.0), rel=1e-12)
         assert f(1.0, 0.7) - f(1.0, 0.0) == pytest.approx(7.0, rel=1e-12)
-
-
-class TestAdaptiveBounds:
-    def test_fixed_evaluates_and_dominates_terms(self):
-        val = adaptive_risk_bound_fixed(1.0, 1.0, 0.1, 8.0, 0.5, 200, 1.0, 0.2, 0.3)
-        assert val >= 80.0 * 0.2 + 2.0 * 0.3
-
-    def test_fixed_increasing_in_fit_risk(self):
-        lo = adaptive_risk_bound_fixed(1.0, 1.0, 0.1, 8.0, 0.5, 200, 1.0, 0.2, 0.0)
-        hi = adaptive_risk_bound_fixed(1.0, 1.0, 0.1, 8.0, 0.5, 200, 1.0, 0.2, 1.0)
-        assert hi == pytest.approx(lo + 2.0)
-
-    def test_fixed_zero_radius_zero_approx(self):
-        val = adaptive_risk_bound_fixed(1.0, 1.0, 0.1, 8.0, 0.5, 200, 0.0, 0.0, 0.0)
-        assert val == 0.0
-
-    def test_gauss_evaluates(self):
-        val = adaptive_risk_bound_gauss(17.0, 1.0, 0.1, 8.0, 0.5, 200, 0.5, 2.0, 1,
-                                        1.0, 1.0, 0.2, 0.3)
-        assert val >= 320.0 * 0.2 + 2.0 * 0.3
-
-    def test_gauss_checks_width_interval(self):
-        with pytest.raises(InputError):
-            adaptive_risk_bound_gauss(17.0, 1.0, 0.1, 8.0, 0.5, 200, 0.5, 2.0, 1,
-                                      3.0, 1.0, 0.2, 0.3)
-
-
-class TestRateEnvelope:
-    def test_unit(self):
-        assert rate_envelope(1.0, 0.0, 1.0, 1, 0.5) == 1.0
-
-    def test_first_term_exponent(self):
-        assert rate_envelope(1.0, 0.0, 1.0, 64, 0.5) == pytest.approx(0.25)
-
-    def test_second_term_exponent(self):
-        assert rate_envelope(0.0, 1.0, 2.0, 16, 1.0 / 3.0) == pytest.approx(0.5)
-
-    def test_invalid_beta(self):
-        with pytest.raises(InputError):
-            rate_envelope(1.0, 1.0, 1.0, 10, 1.0)
