@@ -3,11 +3,14 @@
 Subcommands wrap the library: ``fit`` and ``select``/``select-gauss`` operate
 on CSV data files (header ``x_1,...,x_d,y``), ``rates``/``majorant``/
 ``oracle-gap``/``quadform`` run the seeded Monte Carlo harness and ``bounds``
-tabulates the theoretical curves.  All parameters live in a config file
-(``--config``): either JSON or simple ``dotted.key = value`` lines.  A
-subcommand accepts only the keys of its :data:`DEFAULTS` entry, and reads them
-all.  Each value is checked against the type of its default when the config is
-read, so ``--print-config`` too rejects a malformed config (exit code 2).
+tabulates the theoretical curves.  ``majorant`` writes every event of one
+:func:`~rkhsball.experiments.event_suite` run, one 0/1 column per event; the
+bias and majorant events need the target width among ``widths``.  All
+parameters live in a config file (``--config``): either JSON or simple
+``dotted.key = value`` lines.  A subcommand accepts only the keys of its
+:data:`DEFAULTS` entry, and reads them all.  Each value is checked against the
+type of its default when the config is read, so ``--print-config`` too rejects
+a malformed config (exit code 2).
 ``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
 ``seed``); it, ``--threads`` and ``--theory-mode`` exist only where the key
 does.
@@ -48,9 +51,7 @@ from .experiments import (
     RkhsTarget,
     ScenarioConfig,
     SelectionSettings,
-    bias_event_check,
-    gauss_majorant_event_check,
-    majorant_event_check,
+    event_suite,
     quadform_tail_check,
     rate_experiment,
     replicate_seed,
@@ -116,7 +117,6 @@ DEFAULTS = {
         # The events never clip and draw no holdout.
         "scenario": {key: val for key, val in _SCENARIO_DEFAULTS.items()
                      if key not in ("c", "holdout_size")},
-        "event": "majorant",
         "t": 1.0,
         "grid": {"a": 1.0, "b": 0.5},
         "widths": {"u": 0.5, "v": 2.0, "c": 2.0},
@@ -422,27 +422,19 @@ def cmd_rates(cfg: dict) -> dict:
 
 def cmd_majorant(cfg: dict) -> dict:
     scenario = _build_scenario(cfg)
-    t, threads, event = cfg["t"], cfg["threads"], cfg["event"]
-    grid = radius_grid(**cfg["grid"], n=scenario.n)
-    if event in ("majorant", "bias") and cfg["widths"] != DEFAULTS["majorant"]["widths"]:
-        raise InputError(f"widths is read only for event = gauss-majorant, not for event = {event}")
-    if event == "majorant":
-        report = majorant_event_check(scenario, grid, t, threads=threads)
-    elif event == "bias":
-        report = bias_event_check(scenario, grid, t, threads=threads)
-    elif event == "gauss-majorant":
-        report = gauss_majorant_event_check(scenario, width_grid(**cfg["widths"]), grid, t,
-                                            threads=threads)
-    else:
-        raise InputError(f"unknown event {event!r}; expected majorant, bias or gauss-majorant")
-    records = [ExperimentRecord(replicate=i, n=scenario.n, gamma_hat=None, r_hat=None,
-                                err_adaptive=None, err_oracle_grid=None,
-                                event_bias=ind if event == "bias" else None,
-                                event_majorant=ind if event != "bias" else None,
-                                seed=replicate_seed(scenario.master_seed, i))
-               for i, ind in enumerate(report.indicators)]
-    return {"majorant.csv": _records_table(records),
-            "majorant_summary.json": {"config": _echo_config(cfg), **_summary(report)}}
+    widths = width_grid(**cfg["widths"])
+    reports = event_suite(scenario, widths, radius_grid(**cfg["grid"], n=scenario.n), cfg["t"],
+                          threads=cfg["threads"])
+    rows = [(i, scenario.n, *held, replicate_seed(scenario.master_seed, i))
+            for i, held in enumerate(zip(*(rep.indicators for rep in reports.values())))]
+    summary = {"config": _echo_config(cfg),
+               "events": {name: _summary(rep) for name, rep in reports.items()}}
+    if "bias" not in reports:
+        summary["note"] = (f"bias and majorant are read at the target width "
+                           f"{scenario.target.gamma0!r}, which is not a value of widths "
+                           f"{list(widths)!r}")
+    return {"majorant.csv": (("replicate", "n", *reports, "seed"), rows),
+            "majorant_summary.json": summary}
 
 
 def cmd_oracle_gap(cfg: dict) -> dict:

@@ -17,7 +17,9 @@ necessary condition.
 The events share one replicate body, :func:`event_suite`: one draw and one
 :func:`rkhsball.selection_fixed.fit_radius_path` call per width, with both
 majorant events read off :func:`rkhsball.selection_fixed.comparison_excess`,
-the comparison the selection rules penalise.  Each check is its one-event case.
+the comparison the selection rules penalise.  The CLI's ``majorant`` writes
+every event of one suite run.  Each one-event check is a projection of the
+suite; the benchmark workload still calls them.
 
 The rate and oracle-gap records build one training Gram per replicate, select
 from it and hand it to the holdout, which evaluates the whole radius grid on
@@ -540,8 +542,6 @@ class ExperimentRecord:
     r_hat: float | None
     err_adaptive: float | None
     err_oracle_grid: float | None
-    event_bias: int | None
-    event_majorant: int | None
     seed: int
 
 
@@ -579,7 +579,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     return ExperimentRecord(
         replicate=replicate, n=scenario.n, gamma_hat=None, r_hat=result.r_hat,
         err_adaptive=float(means[grid.values.index(result.r_hat)]),
-        err_oracle_grid=float(means.min()), event_bias=None, event_majorant=None,
+        err_oracle_grid=float(means.min()),
         seed=replicate_seed(scenario.master_seed, replicate))
 
 

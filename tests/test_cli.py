@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,10 @@ import pytest
 
 import rkhsball
 from rkhsball.cli import COMMANDS, DEFAULTS, main
+from rkhsball.experiments import (bias_event_check, default_scenario, event_suite,
+                                  gauss_majorant_event_check, majorant_event_check)
+from rkhsball.kernels import width_grid
+from rkhsball.selection_fixed import radius_grid
 
 
 def _write(path, text):
@@ -151,8 +156,7 @@ class TestRates:
         assert main(["rates", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()
         header = (out1 / "rates.csv").read_text().splitlines()[0]
-        assert header == ("replicate,n,gamma_hat,r_hat,err_adaptive,err_oracle_grid,"
-                          "event_bias,event_majorant,seed")
+        assert header == "replicate,n,gamma_hat,r_hat,err_adaptive,err_oracle_grid,seed"
         summary = json.loads((out1 / "rates_summary.json").read_text())
         assert summary["aggregates"]["n_list"] == [8, 12, 16, 24]
 
@@ -177,10 +181,14 @@ class TestThreadCount:
         # The default 10 000 holdout points at n = 40 are two blocks, so the
         # later one goes through the pivot basis.
         ("oracle-gap", {"scenario": {"n": 40, "replicates": 4}}),
-        ("majorant", {"scenario": {"n": 30, "replicates": 6}, "t": 1.0, "event": "bias",
-                      "grid": {"a": 1.0, "b": 1.0}}),
+        # Widths without the target width: the family event alone.
         ("majorant", {"scenario": {"n": 30, "replicates": 6}, "t": 1.0,
-                      "event": "gauss-majorant", "grid": {"a": 1.0, "b": 1.0}}),
+                      "grid": {"a": 1.0, "b": 1.0}, "widths": {"u": 1.5, "v": 3.0, "c": 2.0}}),
+        # The target width is the widest of the grid.
+        ("majorant", {"scenario": {"n": 30, "replicates": 6,
+                                   "target": {"gamma0": 2.0, "centers": [[0.3]],
+                                              "weights": [1.5]}},
+                      "t": 1.0, "grid": {"a": 1.0, "b": 1.0}}),
     ])
     def test_outputs_identical_across_threads(self, tmp_path, command, config):
         cfg = _write(tmp_path / "c.json", json.dumps(config))
@@ -226,33 +234,80 @@ class TestBlasThreadCount:
 
 
 class TestMajorant:
+    _SCENARIO = {"n": 30, "replicates": 6, "master_seed": 5}
+    _GRID = {"a": 1.0, "b": 1.0}
+
+    def _run(self, tmp_path, config, threads=1):
+        cfg = _write(tmp_path / "m.json", json.dumps(config))
+        out = tmp_path / f"t{threads}"
+        assert main(["majorant", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        with open(out / "majorant.csv", encoding="utf-8") as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        summary = json.loads((out / "majorant_summary.json").read_text())
+        return header, rows, summary
+
     def test_summary_fields(self, tmp_path):
-        cfg = _write(tmp_path / "m.json", json.dumps({
-            "scenario": {"n": 30, "replicates": 15},
-            "t": 1.0,
-            "grid": {"a": 1.0, "b": 1.0},
-        }))
-        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 0
-        summary = json.loads((tmp_path / "majorant_summary.json").read_text())
-        assert summary["floor"] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-        assert isinstance(summary["passed"], bool)
-        lines = (tmp_path / "majorant.csv").read_text().splitlines()
-        assert len(lines) == 16
-        assert lines[1].split(",")[7] in {"0", "1"}  # event_majorant column
+        header, rows, summary = self._run(tmp_path, {
+            "scenario": {"n": 30, "replicates": 15}, "t": 1.0, "grid": self._GRID})
+        assert header == ["replicate", "n", "gauss-majorant", "bias", "majorant", "seed"]
+        assert len(rows) == 15
+        assert all(cell in {"0", "1"} for row in rows for cell in row[2:5])
+        assert list(summary) == ["config", "events"] and "event" not in summary["config"]
+        assert list(summary["events"]) == ["gauss-majorant", "bias", "majorant"]
+        for name, fields in summary["events"].items():
+            assert fields["name"] == name and fields["replicates"] == 15
+            assert fields["floor"] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+            assert isinstance(fields["passed"], bool)
 
-    def test_bias_event_variant(self, tmp_path):
-        cfg = _write(tmp_path / "m.json", json.dumps({
-            "scenario": {"n": 30, "replicates": 10},
-            "event": "bias",
-            "grid": {"a": 1.0, "b": 1.0},
-        }))
-        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "majorant.csv").read_text().splitlines()
-        assert lines[1].split(",")[6] in {"0", "1"}  # event_bias column
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_columns_are_the_one_event_checks(self, tmp_path, threads):
+        header, rows, summary = self._run(
+            tmp_path, {"scenario": self._SCENARIO, "grid": self._GRID}, threads)
+        scen = default_scenario(n=30, replicates=6, master_seed=5)
+        grid = radius_grid(1.0, 1.0, 30)
+        checks = {
+            "gauss-majorant": gauss_majorant_event_check(scen, width_grid(0.5, 2.0, 2.0),
+                                                         grid, 1.0),
+            "bias": bias_event_check(scen, grid, 1.0),
+            "majorant": majorant_event_check(scen, grid, 1.0),
+        }
+        columns = dict(zip(header, zip(*rows)))
+        assert list(columns) == ["replicate", "n", *checks, "seed"]
+        assert columns["replicate"] == tuple(str(i) for i in range(6))
+        for name, rep in checks.items():
+            assert columns[name] == tuple(str(ind) for ind in rep.indicators)
+            assert summary["events"][name]["successes"] == rep.successes
 
-    def test_unknown_event(self, tmp_path):
-        cfg = _write(tmp_path / "m.json", json.dumps({"event": "nope"}))
-        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
+    def test_each_column_is_its_event(self, tmp_path, monkeypatch):
+        # Every event holds on every replicate of these configs; give each event
+        # its own pattern, so a column written under another event's name shows.
+        def suite(*args, **kwargs):
+            return {name: dataclasses.replace(rep, indicators=tuple(
+                        int(i == k) for i in range(rep.replicates)))
+                    for k, (name, rep) in enumerate(event_suite(*args, **kwargs).items())}
+        monkeypatch.setattr("rkhsball.cli.event_suite", suite)
+        header, rows, _ = self._run(tmp_path, {"scenario": self._SCENARIO, "grid": self._GRID})
+        assert header[2:5] == ["gauss-majorant", "bias", "majorant"]
+        assert [row[2:5] for row in rows[:4]] == [["1", "0", "0"], ["0", "1", "0"],
+                                                  ["0", "0", "1"], ["0", "0", "0"]]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("widths", [
+        {"u": 1.5, "v": 3.0, "c": 2.0},
+        # sqrt(5)**2 * 0.2 is 1.0000000000000002, not the target width 1.0.
+        {"u": 0.2, "v": 2.0, "c": math.sqrt(5.0)},
+    ])
+    def test_widths_without_the_target_width(self, tmp_path, threads, widths):
+        header, rows, summary = self._run(
+            tmp_path, {"scenario": self._SCENARIO, "grid": self._GRID, "widths": widths},
+            threads)
+        assert header == ["replicate", "n", "gauss-majorant", "seed"]
+        family = gauss_majorant_event_check(default_scenario(n=30, replicates=6, master_seed=5),
+                                            width_grid(**widths), radius_grid(1.0, 1.0, 30), 1.0)
+        assert [row[2] for row in rows] == [str(ind) for ind in family.indicators]
+        assert list(summary["events"]) == ["gauss-majorant"]
+        assert summary["note"].startswith("bias and majorant are read at the target width 1.0,")
 
 
 class TestBounds:
@@ -327,6 +382,7 @@ class TestConfigHandling:
         ("majorant", "replicates"),
         ("oracle-gap", "replicates"),
         ("majorant", "scenario.c"),
+        ("majorant", "event"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
         config = 1
@@ -466,15 +522,6 @@ class TestNonNumericConfig:
         assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config key {key} must be" in err and "'abc'" in err
-
-    @pytest.mark.parametrize("event", ["majorant", "bias"])
-    def test_majorant_widths_only_for_gauss_majorant(self, tmp_path, capsys, event):
-        cfg = _write(tmp_path / "m.conf", f'scenario.n = 16\nscenario.replicates = 3\n'
-                                          f'event = "{event}"\nwidths.u = 0.1\n')
-        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"widths is read only for event = gauss-majorant, not for event = {event}" in err
-        assert not (tmp_path / "majorant.csv").exists()
 
 
 class TestOutputFiles:

@@ -651,15 +651,13 @@ class TestQuadform:
 class TestOutputs:
     def test_records_csv_layout(self, tmp_path):
         rec = ExperimentRecord(replicate=0, n=10, gamma_hat=None, r_hat=0.5,
-                               err_adaptive=0.1, err_oracle_grid=None,
-                               event_bias=None, event_majorant=1, seed=42)
+                               err_adaptive=0.1, err_oracle_grid=None, seed=42)
         path = tmp_path / "records.csv"
         write_output(path, _records_table([rec]))
         text = path.read_text()
         lines = text.splitlines()
-        assert lines[0] == "replicate,n,gamma_hat,r_hat,err_adaptive,err_oracle_grid," \
-                           "event_bias,event_majorant,seed"
-        assert lines[1] == "0,10,,0.5,0.10000000000000001,,,1,42"
+        assert lines[0] == "replicate,n,gamma_hat,r_hat,err_adaptive,err_oracle_grid,seed"
+        assert lines[1] == "0,10,,0.5,0.10000000000000001,,42"
 
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "table.csv"
