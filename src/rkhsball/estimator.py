@@ -62,8 +62,8 @@ CHOLESKY_MARGIN = 1e-3
 # need more than this fraction of n pivots: near full rank its O(n p^2) loop
 # and the Rayleigh-Ritz step cost more than the O(n^3) eigh they replace.
 PIVOT_FRACTION = 0.5
-# Rows of K and of the p x n basis are processed this many at a time: enough
-# for matrix-matrix products, few enough that no temporary nears the size of K.
+# The pivoted Cholesky tests its reach every BLOCK_ROWS pivots, and the checks
+# over K take its rows 8 * BLOCK_ROWS at a time (see _scale_and_asymmetry).
 BLOCK_ROWS = 32
 MU_REL_TOL = 1e-10
 # Newton from the left of the root took at most 12 iterations on spectra
@@ -139,7 +139,7 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
     if factor is None:
         # Symmetrising an exactly symmetric matrix changes no bit; skipping it
         # saves an n x n copy.
-        values, vectors = _full_eigen(k if asym == 0.0 else 0.5 * (k + k.T))
+        values, vectors = _leading_eigen(k if asym == 0.0 else 0.5 * (k + k.T), n)
     else:
         values, vectors = _ritz_eigen(k, *factor[:3], asym)
     proj = vectors.T @ y
@@ -188,12 +188,16 @@ def _rank(values: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(values > top * n * RANK_RTOL))
 
 
-def _full_eigen(k: np.ndarray):
-    values, vectors = np.linalg.eigh(k)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    rank = _rank(values, k.shape[0])
-    return values[:rank], vectors[:, order[:rank]]
+def _leading_eigen(a: np.ndarray, n: int):
+    """Eigenpairs of the symmetric ``a`` above the rank threshold of an n x n Gram.
+
+    The values are non-increasing; the vectors are an owned C-contiguous copy,
+    so the full ``eigh`` output is freed on return.
+    """
+    values, vectors = np.linalg.eigh(a)
+    values = values[::-1]
+    rank = _rank(values, n)
+    return values[:rank].copy(), vectors[:, ::-1][:, :rank].copy()
 
 
 def _pivoted_cholesky(k: np.ndarray, margin: float = CHOLESKY_MARGIN):
@@ -269,44 +273,25 @@ def _ritz_eigen(k: np.ndarray, lt: np.ndarray, resid: np.ndarray, lb: float, asy
     """Rank-truncated Ritz pairs of K on the span of its Cholesky factor.
 
     Bounds the entries of the Schur complement ``S = K - L L^T`` first: for a
-    PSD K, ``|S_ij| <= max_i S_ii``.  Overwrites ``lt``, the rows of L.
+    PSD K, ``|S_ij| <= max_i S_ii``.  The blocks of rows are those of
+    :func:`_scale_and_asymmetry`.
     """
     n = k.shape[0]
+    height = 8 * BLOCK_ROWS
     bound = max(float(resid.max()), 0.0) + PSD_RTOL * max(lb, 0.0) + asym
-    for start in range(0, n, BLOCK_ROWS):
+    for start in range(0, n, height):
         # S is symmetric: the blocks right of the diagonal cover it.
-        rows, right = slice(start, start + BLOCK_ROWS), slice(start, n)
+        rows, right = slice(start, start + height), slice(start, n)
         schur = lt[:, rows].T @ lt[:, right]
         np.subtract(k[rows, right], schur, out=schur)
         worst = _max_abs(schur)
         if worst > bound:
             raise NumericalError(f"Gram matrix not PSD: Schur complement entry {worst:.6e} "
                                  f"exceeds {bound:.6e}")
-    qt = _orthonormalise_rows(lt)
-    h = np.empty((qt.shape[0], qt.shape[0]))
-    for start in range(0, qt.shape[0], BLOCK_ROWS):
-        # K is symmetric, so rows of Q^T K are rows of (K Q)^T.
-        h[start:start + BLOCK_ROWS] = (qt[start:start + BLOCK_ROWS] @ k) @ qt.T
-    theta, u = np.linalg.eigh(0.5 * (h + h.T))
-    theta, u = theta[::-1], u[:, ::-1]
-    rank = _rank(theta, n)
-    return theta[:rank], qt.T @ u[:, :rank]
-
-
-def _orthonormalise_rows(a: np.ndarray) -> np.ndarray:
-    """Overwrite the rows of ``a`` with an orthonormal basis of their span.
-
-    Block classical Gram-Schmidt with reorthogonalisation (BCGS2) and a
-    Householder QR inside each block of ``BLOCK_ROWS`` rows, so no n x p
-    temporary is allocated.
-    """
-    for start in range(0, a.shape[0], BLOCK_ROWS):
-        x = a[start:start + BLOCK_ROWS]
-        done = a[:start]
-        for _ in range(2):
-            x -= (x @ done.T) @ done
-        x[:] = np.linalg.qr(x.T)[0].T
-    return a
+    q = np.linalg.qr(lt.T)[0]
+    h = q.T @ (k @ q)
+    theta, u = _leading_eigen(0.5 * (h + h.T), n)
+    return theta, q @ u
 
 
 def mu_of_r(ge: GramEigen, r: float) -> float:

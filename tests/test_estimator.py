@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -117,10 +117,21 @@ def smooth_instance(seed, n, d, gamma):
     return gram(GaussianKernel(gamma, d), x), y
 
 
+def ritz_examples(test):
+    """Add n = 800, d = 3 cases at the four widths of ``width_grid(0.25, 4.0, 1.6)``
+    whose Cholesky finishes, with 65 to 277 pivots: the drawn n <= 120 never
+    reaches a Ritz step of more than 60 pivots."""
+    for seed in (1, 2):
+        for gamma in list(width_grid(0.25, 4.0, 1.6))[3:]:
+            test = example(seed=seed, n=800, d=3, gamma=gamma)(test)
+    return test
+
+
 class TestEigenGramPaths:
     """The pivoted-Cholesky path and the full-eigh fallback against the oracle."""
 
     @settings(max_examples=80, deadline=None)
+    @ritz_examples
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), d=st.integers(1, 3),
            gamma=st.floats(0.1, 4.0))
     def test_matches_full_eigh_oracle(self, seed, n, d, gamma):
@@ -154,6 +165,7 @@ class TestEigenGramPaths:
         lt = estimator._pivoted_cholesky(k)[0]
         ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
         assert ge.rank == ref.rank < lt.shape[0] < 20
+        assert ge.vectors.flags.c_contiguous and ge.vectors.flags.owndata
         assert np.allclose(ge.values, ref.values[: ref.rank], rtol=0.0, atol=1e-12 * ref.values[0])
 
     def test_near_full_rank_falls_back_to_full_eigh(self):
@@ -161,6 +173,7 @@ class TestEigenGramPaths:
         assert estimator._pivoted_cholesky(k) is None
         ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
         assert ge.rank == ref.rank > 100
+        assert ge.vectors.flags.c_contiguous and ge.vectors.flags.owndata
         assert np.array_equal(ge.values, ref.values[: ref.rank])
         assert np.array_equal(ge.vectors, ref.vectors[:, : ref.rank])
         assert np.allclose(ge.proj, ref.proj[: ref.rank], rtol=0.0, atol=1e-12)
