@@ -6,8 +6,9 @@ on CSV data files (header ``x_1,...,x_d,y``), ``rates``/``majorant``/
 tabulates the theoretical curves.  ``majorant`` writes every event of one
 :func:`~rkhsball.experiments.event_suite` run, one 0/1 column per event; the
 bias and majorant events need the target width among ``widths``.  All
-parameters live in a config file (``--config``): either JSON or simple
-``dotted.key = value`` lines.  A subcommand accepts only the keys of its
+parameters live in a config file (``--config``): either JSON or
+``dotted.key = value`` lines, where ``#`` starts a comment outside a
+double-quoted string.  A subcommand accepts only the keys of its
 :data:`DEFAULTS` entry, and reads them all.  Each value is checked against the
 type of its default when the config is read, so ``--print-config`` too rejects
 a malformed config (exit code 2).
@@ -38,6 +39,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -159,18 +161,19 @@ _NULL_DEFAULT_TYPES = {"tau": float, "selection.tau": float, "selection.kernel_g
 _KIND_NAMES = {dict: "a mapping", list: "a list", bool: "true or false", str: "a string"}
 
 
+# A line's text before its comment: a ``#`` outside a double-quoted string.
+_UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*"?)*')
+
+
 def _parse_kv_config(text: str) -> dict:
     cfg: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        elif ":" in line:
-            key, _, val = line.partition(":")
-        else:
+        if "=" not in line:
             raise InputError(f"config line {lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
         if not key:

@@ -359,7 +359,6 @@ class ConstrainedFit:
     coeffs: np.ndarray
     train_pred: np.ndarray
     h_norm: float
-    kernel_id: str | None = None
 
     @property
     def n(self) -> int:
@@ -370,8 +369,7 @@ class ConstrainedFit:
         return empirical_sq_distance(self.train_pred, y)
 
 
-def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
-                    kernel_id: str | None = None) -> ConstrainedFit | list[ConstrainedFit]:
+def fit_constrained(eigen: GramEigen, r: float | Iterable[float]) -> ConstrainedFit | list[ConstrainedFit]:
     """Fit the least-squares estimator constrained to the radius-``r`` ball.
 
     ``eigen`` is the decomposition from :func:`eigen_gram` of the Gram matrix
@@ -388,8 +386,7 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     ``R x rank`` weights ``W = c / (D + n * mu)``, every coefficient vector
     comes from one product ``W A^T`` and every fitted value from one product
     ``(W diag(D)) A^T``; each fit holds one row of each.  ``r = 0`` gives the
-    zero fit, all ``+0.0``, as does a Gram of rank 0.  ``kernel_id`` is stored
-    on every fit.
+    zero fit, all ``+0.0``, as does a Gram of rank 0.
     """
     if isinstance(r, np.ndarray):
         r = r.tolist()  # a 0-d array becomes one Python number
@@ -408,8 +405,7 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float], *,
     coeffs[zero] = train_pred[zero] = 0.0
     h_norms = np.sqrt((d * w**2).sum(axis=1))
     fits = [ConstrainedFit(r=float(radii[i]), mu=mus[i], coeffs=coeffs[i],
-                           train_pred=train_pred[i], h_norm=float(h_norms[i]),
-                           kernel_id=kernel_id)
+                           train_pred=train_pred[i], h_norm=float(h_norms[i]))
             for i in range(len(radii))]
     return fits[0] if single else fits
 

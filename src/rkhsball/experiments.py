@@ -171,10 +171,6 @@ class HatTarget:
         dist = np.sqrt(np.sum((x - center[None, :]) ** 2, axis=1))
         return self.slope * np.maximum(0.0, 1.0 - dist)
 
-    @property
-    def sup_bound(self) -> float:
-        return abs(self.slope)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -223,9 +219,10 @@ def replicate_rng(master_seed: int, index: int, stream: int = 0) -> np.random.Ge
     return np.random.default_rng(ss)
 
 
-def replicate_seed(master_seed: int, index: int, stream: int = 0) -> int:
-    """Integer fingerprint of the substream, recorded in output tables."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, index))
+def replicate_seed(master_seed: int, index: int) -> int:
+    """Integer fingerprint of a replicate's data substream (stream 0), recorded in
+    output tables."""
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(0, index))
     return int(ss.generate_state(1)[0])
 
 
@@ -328,8 +325,9 @@ def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfi
         yield sq
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
+    z = WILSON_Z
     if trials < 1:
         raise InputError("Wilson interval needs at least one trial")
     phat = successes / trials
@@ -563,7 +561,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     cfg = settings.gl_config(kernel.diag_sup, scenario.sigma)
     # ``select_radius``'s calls, keeping its Gram for the holdout's pivot factor.
     k = gram(kernel, data.x)
-    fits = fit_constrained(eigen_gram(k, data.y), grid, kernel_id=kernel.kernel_id)
+    fits = fit_constrained(eigen_gram(k, data.y), grid)
     result = _select([fits], gl_criterion(fits, cfg, data.n))
     rng = replicate_rng(scenario.master_seed, replicate, stream=1)
     coeffs = np.stack([f.coeffs for f in fits], axis=1)

@@ -51,10 +51,6 @@ class GaussianKernel:
         """sup_x k(x, x), equal to gamma**(-d) exactly."""
         return self.gamma ** (-self.dim)
 
-    @property
-    def kernel_id(self) -> str:
-        return f"gaussian(gamma={self.gamma!r},dim={self.dim})"
-
 
 def _diag_value(gamma: float, dim: int) -> float:
     # gamma**(-dim) overflows for small widths in high dimension (1e-3, 200).

@@ -25,7 +25,7 @@ smallest radius.
 The rule is the one-width case of the width-family rule of
 :mod:`rkhsball.selection_gauss`, with the radii as penalty scales: both make
 their rows, argmin and result here, with ``gamma`` and ``gamma_hat`` None for a
-fixed kernel.  ``SelectionResult.fits`` is the selected width's radius path.
+fixed kernel.
 """
 
 from __future__ import annotations
@@ -138,13 +138,12 @@ class CriterionRow:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen cell, criterion table, selected fit and the selected width's radius
-    path ``fits`` (ascending); ``gamma_hat`` is None for a fixed kernel."""
+    """Chosen cell, criterion table and selected fit; ``gamma_hat`` is None for a
+    fixed kernel."""
 
     r_hat: float
     criterion: tuple[CriterionRow, ...]
     fit_hat: ConstrainedFit
-    fits: tuple[ConstrainedFit, ...] = ()
     gamma_hat: float | None = None
 
 
@@ -192,9 +191,8 @@ def _select(fits, rows: list[CriterionRow]) -> SelectionResult:
     best = min(range(len(rows)),
                key=lambda i: (rows[i].total, -(i // per_width), rows[i].r))
     row = rows[best]
-    path = fits[best // per_width]
     return SelectionResult(r_hat=row.r, criterion=tuple(rows),
-                           fit_hat=path[best % per_width], fits=tuple(path),
+                           fit_hat=fits[best // per_width][best % per_width],
                            gamma_hat=row.gamma)
 
 
@@ -219,8 +217,7 @@ def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
     :func:`~rkhsball.estimator.fit_constrained` call fits every radius from
     that decomposition.
     """
-    return fit_constrained(eigen_gram(gram(kernel, data.x), data.y), radii,
-                           kernel_id=kernel.kernel_id)
+    return fit_constrained(eigen_gram(gram(kernel, data.x), data.y), radii)
 
 
 def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> SelectionResult:

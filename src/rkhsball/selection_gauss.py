@@ -13,8 +13,7 @@ width-dependent scale ``gamma**(-d/2)``:
 The fixed-kernel rule is the one-width case, with ``r`` as penalty scale: both
 rules share the rows, the argmin (largest width first, then smallest radius)
 and the result of :mod:`rkhsball.selection_fixed`, so this rule too returns a
-``SelectionResult`` with ``CriterionRow`` rows.  A result's ``fits`` is the
-radius path of ``gamma_hat`` only.  Each width is one
+``SelectionResult`` with ``CriterionRow`` rows.  Each width is one
 :func:`rkhsball.selection_fixed.fit_radius_path` call, so one Gram matrix is
 alive at a time.
 """

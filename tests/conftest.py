@@ -44,9 +44,6 @@ def gaussian_eval(gamma, dim, x1, x2):
 
 def rkhs_sq_distance(fit_a, fit_b, k):
     """Squared function-space distance ``(a-b)^T K (a-b)`` between two fits."""
-    if fit_a.kernel_id is not None and fit_b.kernel_id is not None \
-            and fit_a.kernel_id != fit_b.kernel_id:
-        raise InputError(f"fits use different kernels: {fit_a.kernel_id} vs {fit_b.kernel_id}")
     if fit_a.n != fit_b.n:
         raise InputError("fits come from different training sets")
     diff = fit_a.coeffs - fit_b.coeffs

@@ -420,6 +420,18 @@ class TestConfigHandling:
         summary = json.loads((out / "rates_summary.json").read_text())
         assert summary["config"]["scenario"]["n"] == 16
 
+    @pytest.mark.parametrize("comment", ["", "  # note"])
+    def test_hash_inside_quoted_value_is_kept(self, tmp_path, comment):
+        data = _data_csv(tmp_path / "d#1.csv", [[0.1, 1.0], [0.4, 3.0]])
+        as_json = _write(tmp_path / "c.json", json.dumps({"data": data, "r": 1.5}))
+        as_kv = _write(tmp_path / "c.conf",
+                       f"# a fit\ndata = {json.dumps(data)}{comment}\nr = 1.5 # radius\n")
+        assert main(["fit", "--config", as_json, "--out", str(tmp_path / "json")]) == 0
+        assert main(["fit", "--config", as_kv, "--out", str(tmp_path / "kv")]) == 0
+        written = (tmp_path / "kv" / "fit.json").read_bytes()
+        assert written == (tmp_path / "json" / "fit.json").read_bytes()
+        assert json.loads(written)["r"] == 1.5
+
     def test_missing_config_file(self, tmp_path):
         assert main(["rates", "--config", str(tmp_path / "nope.json")]) == 2
 

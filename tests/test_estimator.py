@@ -599,13 +599,3 @@ class TestDistances:
         assert rkhs_sq_distance(f1, f3, K1) == pytest.approx(1.0, abs=1e-9)
         assert rkhs_sq_distance(f0, f1, K1) == pytest.approx(1.0, abs=1e-9)
 
-    def test_rkhs_distance_equal_kernels_of_mixed_types(self):
-        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id=GaussianKernel(1, 1).kernel_id)
-        f3 = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0, kernel_id=GaussianKernel(1.0, 1.0).kernel_id)
-        assert rkhs_sq_distance(f1, f3, K1) == pytest.approx(1.0, abs=1e-9)
-
-    def test_rkhs_distance_kernel_mismatch(self):
-        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id="a")
-        f2 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0, kernel_id="b")
-        with pytest.raises(InputError):
-            rkhs_sq_distance(f1, f2, K1)

@@ -244,9 +244,9 @@ def full_holdout_means(scen, selection, replicate):
     as ``_holdout_errors`` builds them, reduced by ``mean(axis=0)``."""
     data = generate(scen, replicate)
     kernel = selection.resolve_kernel(scen)
-    result = select_radius(data, kernel, radius_grid(selection.grid_a, selection.grid_b, scen.n),
-                           selection.gl_config(kernel.diag_sup, scen.sigma))
-    coeffs = np.stack([f.coeffs for f in result.fits], axis=1)
+    grid = radius_grid(selection.grid_a, selection.grid_b, scen.n)
+    result = select_radius(data, kernel, grid, selection.gl_config(kernel.diag_sup, scen.sigma))
+    coeffs = np.stack([f.coeffs for f in fit_radius_path(data, kernel, grid)], axis=1)
     x_new = replicate_rng(scen.master_seed, replicate, stream=1).uniform(
         size=(scen.holdout_size, scen.d))
     g_new = scen.target.evaluate(x_new)
@@ -254,7 +254,7 @@ def full_holdout_means(scen, selection, replicate):
     sq = np.vstack([(np.clip(cross_gram(kernel, data.x, x_new[s:s + step]) @ coeffs,
                              -scen.c, scen.c) - g_new[s:s + step, None]) ** 2
                     for s in range(0, scen.holdout_size, step)])
-    return result.r_hat, [f.r for f in result.fits], sq.mean(axis=0)
+    return result.r_hat, list(grid), sq.mean(axis=0)
 
 
 class TestPivotBasisHoldout:

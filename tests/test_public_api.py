@@ -1,7 +1,10 @@
 """The package's public surface: every exported name resolves, the package
-re-exports only exported names, and removed names stay removed."""
+re-exports only exported names, and removed names, parameters, fields and
+config forms stay removed."""
 
+import dataclasses
 import importlib
+import inspect
 import types
 
 import rkhsball
@@ -36,3 +39,23 @@ def test_public_surface():
     left = [f"{name}.{entry}" for name, entries in REMOVED.items() for entry in entries
             if hasattr(modules[name], entry) or hasattr(rkhsball, entry)]
     assert not left, f"removed names still present: {left}"
+
+
+def test_removed_parameters_and_fields(tmp_path, capsys):
+    from rkhsball.cli import main
+    from rkhsball.estimator import ConstrainedFit, fit_constrained
+    from rkhsball.experiments import HatTarget, replicate_seed, wilson_interval
+    from rkhsball.kernels import GaussianKernel
+    from rkhsball.selection_fixed import SelectionResult
+
+    assert "kernel_id" not in {f.name for f in dataclasses.fields(ConstrainedFit)}
+    assert "fits" not in {f.name for f in dataclasses.fields(SelectionResult)}
+    assert not hasattr(GaussianKernel(1.0, 1), "kernel_id")
+    assert not hasattr(HatTarget(1.0), "sup_bound")
+    for func, name in ((fit_constrained, "kernel_id"), (wilson_interval, "z"),
+                       (replicate_seed, "stream")):
+        assert name not in inspect.signature(func).parameters, f"{func.__name__}({name})"
+    cfg = tmp_path / "c.conf"
+    cfg.write_text("scenario.n: 30\n", encoding="utf-8")
+    assert main(["rates", "--config", str(cfg), "--print-config"]) == 2
+    assert "expected 'key = value'" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from rkhsball.kernels import GaussianKernel, gram
 from rkhsball.selection_fixed import (
     GLConfig,
     comparison_excess,
+    fit_radius_path,
     gl_criterion,
     radius_grid,
     select_radius,
@@ -226,8 +227,10 @@ class TestSelectRadius:
         result = select_radius(data, GaussianKernel(1.0, 1), grid, cfg)
         assert result.fit_hat.r == result.r_hat
         assert result.r_hat in set(grid)
-        assert [f.r for f in result.fits] == list(grid)
-        assert result.fits[grid.values.index(result.r_hat)] is result.fit_hat
+        ref = fit_radius_path(data, GaussianKernel(1.0, 1), grid)[grid.values.index(result.r_hat)]
+        assert result.fit_hat.mu == ref.mu
+        assert np.array_equal(result.fit_hat.coeffs, ref.coeffs)
+        assert np.array_equal(result.fit_hat.train_pred, ref.train_pred)
         assert result.gamma_hat is None
         assert all(row.gamma is None for row in result.criterion)
 

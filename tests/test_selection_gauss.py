@@ -214,10 +214,10 @@ class TestSelectWidthRadius:
                                   width_grid=widths, radius_grid=grid)
         result = select_width_radius(data, cfg)
         path = fit_radius_path(data, GaussianKernel(result.gamma_hat, 1), grid)
-        assert [f.r for f in result.fits] == list(grid)
-        for mine, ref in zip(result.fits, path):
-            assert np.array_equal(mine.train_pred, ref.train_pred)
-        assert any(f is result.fit_hat for f in result.fits)
+        ref = path[grid.values.index(result.r_hat)]
+        assert result.fit_hat.r == ref.r and result.fit_hat.mu == ref.mu
+        assert np.array_equal(result.fit_hat.coeffs, ref.coeffs)
+        assert np.array_equal(result.fit_hat.train_pred, ref.train_pred)
         assert [row.gamma for row in result.criterion] == [g for g in widths for _ in grid]
         assert isinstance(result, SelectionResult)
         assert all(isinstance(row, CriterionRow) for row in result.criterion)
