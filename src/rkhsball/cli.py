@@ -300,7 +300,7 @@ def _build_target(spec: dict):
         return RkhsTarget(gamma0=_number(spec.get("gamma0", 1.0), "scenario.target.gamma0"),
                           centers=spec.get("centers", [[0.5]]),
                           weights=spec.get("weights", [2.0]))
-    if kind in ("hat", "hat-function"):
+    if kind == "hat":
         allowed = {"kind", "slope", "center"}
         _reject_unknown(spec, allowed, "scenario.target")
         return HatTarget(slope=_number(spec.get("slope", 1.0), "scenario.target.slope"),

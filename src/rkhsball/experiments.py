@@ -22,16 +22,16 @@ every event of one suite run.  Each one-event check is a projection of the
 suite; the benchmark workload still calls them.
 
 The rate and oracle-gap records build one training Gram per replicate, select
-from it and hand it to the holdout, which evaluates the whole radius grid on
-fresh points in row blocks, each one product ``cross_gram(kernel, points,
-x_block) @ weights``: the first with the training points and the fits'
-coefficients, the later ones with the p pivots of that Gram's pivoted Cholesky
-(p ~ 12 at numerical rank 7) and a p x R Nystrom weight matrix from one
-triangular solve.  The Gram is released once the factor exists.  That form is
-used only when it reproduces the first block's values to within half the full
-product's worst-case rounding; when it does not, when the Cholesky gives up,
-or when the holdout is a single block, every block comes from the full
-cross-Gram.
+from it and take from it the fits' Nystrom form: the p pivots of its pivoted
+Cholesky (p ~ 12 at numerical rank 7) and a p x R weight matrix from one
+triangular solve.  The Gram is then released, before the holdout draws its
+points.  One loop evaluates the whole radius grid on those fresh points in row
+blocks, each one product ``cross_gram(kernel, points, x_block) @ weights``:
+the first with the training points and the fits' coefficients, the later ones
+with the Nystrom form.  That form is used only when it reproduces the first
+block's values to within half the full product's worst-case rounding; when it
+does not, when the Cholesky gives up, or when the holdout is a single block,
+every block comes from the full cross-Gram.
 """
 
 from __future__ import annotations
@@ -247,20 +247,15 @@ def generate(scenario: ScenarioConfig, replicate_index: int) -> Dataset:
     return Dataset(x=x, y=y)
 
 
-def _pivot_basis(kernel, train_gram, x_train, coeffs: np.ndarray, x_first, first: np.ndarray):
+def _pivot_basis(train_gram, x_train, coeffs: np.ndarray):
     """Nystrom form ``(points, weights)`` of the fits ``x -> k(x, X) coeffs``,
-    so that ``cross_gram(kernel, points, x) @ weights`` approximates them,
-    checked against their full values ``first`` at the points ``x_first``; None
+    so that ``cross_gram(kernel, points, x) @ weights`` approximates them; None
     when the pivoted Cholesky ``K ~ L L^T`` of the training Gram ``train_gram``
-    gives up, a pivot degenerates or the check fails.
+    gives up or a pivot degenerates.
 
     ``k(x, X) ~ k(x, P) L[P]^{-T} L^T`` on the pivots P (Williams & Seeger
     2001), so the points are the p pivots and the p x R weights are
-    ``L[P]^{-T} (L^T coeffs)``, one solve with the triangle ``L[P]^T``.  The
-    check asks every value to agree within half of the full product's
-    worst-case rounding, ``n * eps * diag_sup * ||c||_1`` for a fit column c,
-    so the blocks it vouches for keep a factor of two in hand: ``first`` is
-    only a sample.
+    ``L[P]^{-T} (L^T coeffs)``, one solve with the triangle ``L[P]^T``.
     """
     factor = _pivoted_cholesky(train_gram, HOLDOUT_CHOLESKY_MARGIN)
     if factor is None:
@@ -271,58 +266,46 @@ def _pivot_basis(kernel, train_gram, x_train, coeffs: np.ndarray, x_first, first
     # diagonal entry can come out as zero.
     if not np.all(np.diagonal(lower) > 0.0):
         return None
-    points = np.asarray(x_train)[pivots]
-    weights = np.linalg.solve(lower.T, lt @ coeffs)
-    tol = 0.5 * len(x_train) * np.finfo(float).eps * kernel.diag_sup
-    if np.all(np.abs(cross_gram(kernel, points, x_first) @ weights - first)
-              <= tol * np.abs(coeffs).sum(axis=0)):
-        return points, weights
-    return None
+    return np.asarray(x_train)[pivots], np.linalg.solve(lower.T, lt @ coeffs)
 
 
-def _block_predictions(coeffs: np.ndarray, kernel, x_train, x_new, *, train_gram):
-    """Values of a batch of fits ``k(x, X) coeffs`` (one column each) at the rows
-    of ``x_new``, yielded a block of rows at a time.
+def _holdout_means(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
+                   rng: np.random.Generator, basis) -> np.ndarray:
+    """Mean squared error, clipped at ``scenario.c``, of each fit ``k(x, X) coeffs``
+    (one column each) on ``scenario.holdout_size`` fresh points.
 
-    Every block is ``cross_gram(kernel, points, x_block) @ weights``.  The
-    first block takes the training points and ``coeffs``.  Given the training
-    Gram ``train_gram`` (None: the full path) and more than one block, the
-    later blocks take the pivot points and weights of :func:`_pivot_basis` when
-    it passes its check on the first block.
+    Each block of rows gives one product ``cross_gram(kernel, points, x_block)
+    @ weights``, the first with the training points and ``coeffs``, the later
+    ones with the pivot points and weights ``basis`` of :func:`_pivot_basis`
+    (None: the full path) when it reproduces every first-block value to within
+    half the full product's worst-case rounding, ``n * eps * diag_sup *
+    ||c||_1`` for a fit column c: the first block is only a sample, so the
+    blocks it vouches for keep a factor of two in hand.
     """
-    step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
-    points, weights = x_train, coeffs
-    for start in range(0, len(x_new), step):
-        x_block = x_new[start:start + step]
-        values = cross_gram(kernel, points, x_block) @ weights
-        if train_gram is not None and len(x_new) > step:
-            points, weights = (_pivot_basis(kernel, train_gram, x_train, coeffs, x_block, values)
-                               or (points, weights))
-        # The Gram feeds only the pivot factor: drop it before the later blocks.
-        train_gram = None
-        yield values
-
-
-def _holdout_errors(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig,
-                    rng: np.random.Generator, *, train_gram: np.ndarray | None = None):
-    """Squared errors, clipped at ``scenario.c``, of a batch of coefficient vectors
-    (one column each) on ``scenario.holdout_size`` fresh points, yielded a block of
-    rows at a time from :func:`_block_predictions`, which takes the training Gram
-    ``train_gram`` the fits came from (None: the full path)."""
     x_new = _sample_design(rng, scenario.holdout_size, scenario)
     g_new = scenario.target.evaluate(x_new)
-    blocks = _block_predictions(coeffs, kernel, x_train, x_new, train_gram=train_gram)
-    del train_gram
-    # Callers reduce each block before the next is built: a 10 000-row kernel
-    # matrix or error table freed on each of several pool threads leaves the
-    # process's peak memory dependent on thread timing and allocator state.
-    start = 0
-    for sq in blocks:
+    step = max(1, HOLDOUT_BLOCK_ENTRIES // max(1, len(x_train)))
+    points, weights = x_train, coeffs
+    total = np.zeros(coeffs.shape[1])
+    # Each block is reduced before the next is built: a 10 000-row kernel matrix
+    # or error table freed on each of several pool threads leaves the process's
+    # peak memory dependent on thread timing and allocator state.
+    for start in range(0, len(x_new), step):
+        x_block = x_new[start:start + step]
+        sq = cross_gram(kernel, points, x_block) @ weights
+        if start == 0 and basis is not None and len(x_new) > step:
+            tol = 0.5 * len(x_train) * np.finfo(float).eps * kernel.diag_sup
+            if np.all(np.abs(cross_gram(kernel, basis[0], x_block) @ basis[1] - sq)
+                      <= tol * np.abs(coeffs).sum(axis=0)):
+                points, weights = basis
         np.clip(sq, -scenario.c, scenario.c, out=sq)
-        sq -= g_new[start:start + len(sq), None]
-        start += len(sq)
+        sq -= g_new[start:start + step, None]
         sq *= sq
-        yield sq
+        # Adding each block's rows to the total in order, as ``mean(axis=0)`` of the
+        # whole table does for two or more columns (a grid has at least two radii),
+        # keeps the means bit-identical to it.
+        total = np.add.reduce(np.vstack((total, sq)), axis=0)
+    return total / scenario.holdout_size
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -563,17 +546,11 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     k = gram(kernel, data.x)
     fits = fit_constrained(eigen_gram(k, data.y), grid)
     result = _select([fits], gl_criterion(fits, cfg, data.n))
-    rng = replicate_rng(scenario.master_seed, replicate, stream=1)
     coeffs = np.stack([f.coeffs for f in fits], axis=1)
-    holdout = _holdout_errors(coeffs, kernel, data.x, scenario, rng, train_gram=k)
-    del k
-    total = np.zeros(coeffs.shape[1])
-    for sq in holdout:
-        # Adding each block's rows to the total in order, as ``mean(axis=0)`` of the
-        # whole table does for two or more columns (a grid has at least two radii),
-        # keeps the means bit-identical to it.
-        total = np.add.reduce(np.vstack((total, sq)), axis=0)
-    means = total / scenario.holdout_size
+    basis = _pivot_basis(k, data.x, coeffs)
+    del k  # freed before the holdout draws its points
+    rng = replicate_rng(scenario.master_seed, replicate, stream=1)
+    means = _holdout_means(coeffs, kernel, data.x, scenario, rng, basis)
     return ExperimentRecord(
         replicate=replicate, n=scenario.n, gamma_hat=None, r_hat=result.r_hat,
         err_adaptive=float(means[grid.values.index(result.r_hat)]),
@@ -585,12 +562,12 @@ def rate_experiment(scenario: ScenarioConfig, n_list, settings: SelectionSetting
                     threads: int = 1) -> RateReport:
     """Median adaptive error against n, with the fitted log-log slope.
 
-    The holdout errors come through the pivot basis where it passes its check
-    on the first holdout block (see the module notes), so they can differ from
-    the full evaluation's in the last digits.  Requires at least four ascending
-    sample sizes.  The slope is left undefined (and the report flagged
-    degenerate) when a median falls below 1e-12, as happens in noiseless
-    well-specified scenarios.
+    Each record's holdout errors come from one loop over row blocks, through
+    the pivot basis where it passes its check on the first block (see the
+    module notes), so they can differ from the full evaluation's in the last
+    digits.  Requires at least four ascending sample sizes.  The slope is left
+    undefined (and the report flagged degenerate) when a median falls below
+    1e-12, as happens in noiseless well-specified scenarios.
     """
     n_list = [check_int(n, "n_list") for n in n_list]
     if len(n_list) < 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -628,11 +605,11 @@ def oracle_gap_check(scenario: ScenarioConfig, settings: SelectionSettings, *,
     a factor ``threshold`` of the best grid estimator, both clipped at the
     scenario's ``c`` and measured on its fresh holdout of ``holdout_size`` points.
 
-    The holdout is evaluated block by block, through the pivot basis where it
-    passes its check on the first block and through the full cross-Gram
-    otherwise (see the module notes).  The ratio counts as 1 when both errors
-    are below 1e-12, so ``threshold`` must be at least 1; ``pass_fraction`` lies
-    in (0, 1].
+    Each record frees its training Gram before the holdout, which one loop
+    evaluates block by block, through the pivot basis where it passes its check
+    on the first block and through the full cross-Gram otherwise (see the
+    module notes).  The ratio counts as 1 when both errors are below 1e-12, so
+    ``threshold`` must be at least 1; ``pass_fraction`` lies in (0, 1].
     """
     threshold = check_real(threshold, "threshold", 1.0, strict=False)
     if check_real(pass_fraction, "pass_fraction") > 1.0:
@@ -676,10 +653,10 @@ class QuadformReport:
 
 
 def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_000, *,
-                        master_seed: int = 0, m: np.ndarray | None = None) -> QuadformReport:
+                        master_seed: int = 0) -> QuadformReport:
     """Check the exponential-moment bound for the off-diagonal quadratic form.
 
-    A Gram matrix M is drawn once (or supplied via ``m``); with
+    A Gram matrix M is drawn once; with
     Z = eps^T (M - diag M) eps for i.i.d. N(0, sigma^2) noise, the sample mean
     of ``exp(|Z| / a)`` must stay at most ``2 + 3 * stderr`` for the scale
     ``a = 2**3.5 * log(2) * sigma**2 * sqrt(tr(M^2)) / log(5/4)``.
@@ -690,14 +667,8 @@ def quadform_tail_check(n: int, sigma: float, t_list=(), replicates: int = 100_0
     master_seed = check_int(master_seed, "master_seed", 0)
     replicates = check_int(replicates, "replicates", 2)
     t_list = [check_real(t, "t", -math.inf) for t in t_list]
-    if m is None:
-        rng_m = replicate_rng(master_seed, 0, stream=2)
-        x = rng_m.standard_normal(size=(n, 1))
-        m = gram(GaussianKernel(gamma=1.0, dim=1), x)
-    else:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (n, n):
-            raise InputError(f"matrix must be {n}x{n}, got {m.shape}")
+    x = replicate_rng(master_seed, 0, stream=2).standard_normal(size=(n, 1))
+    m = gram(GaussianKernel(gamma=1.0, dim=1), x)
     m_off = m - np.diag(np.diag(m))
     scale = (2.0 ** 3.5 * math.log(2.0) * sigma**2
              * math.sqrt(float(np.sum(m * m))) / math.log(5.0 / 4.0))

@@ -6,7 +6,8 @@ rank-adaptive decomposition against a full ``eigh``, the Gram assembly against
 pointwise kernel evaluation, the selection criteria and the pairwise-comparison
 primitive against plain-Python double/quadruple loops, and the majorant event
 checks against their per-cell loops.  The holdout's pivot basis is checked
-against the full cross-Gram path of :func:`holdout_sq_error`.
+against the full cross-Gram, which :func:`holdout_sq_error` evaluates in one
+product of its own.
 """
 
 import math
@@ -23,8 +24,8 @@ from rkhsball.estimator import (
     eigen_gram,
     fit_constrained,
 )
-from rkhsball.experiments import _holdout_errors, generate, replicate_rng
-from rkhsball.kernels import GaussianKernel, chaining_constant_bound, gram
+from rkhsball.experiments import generate, replicate_rng
+from rkhsball.kernels import GaussianKernel, chaining_constant_bound, cross_gram, gram
 from rkhsball.theory import scaled_element_approx_bound
 
 
@@ -61,25 +62,22 @@ def holdout_sq_error(fit, kernel, x_train, scenario, *, rng=None):
 
     Draws the scenario's ``holdout_size`` fresh design points and averages
     ``(clip(fit(x), c) - g(x))**2`` with the scenario's clip bound ``c``,
-    reporting the standard error alongside.  Every block comes from the full
-    cross-Gram (``experiments._holdout_errors`` given no training Gram).
+    reporting the standard error alongside.  The whole holdout is one full
+    cross-Gram product, with no row blocks and no pivot basis.
     """
     n_test = scenario.holdout_size
     if fit.n != len(x_train):
         raise InputError(f"fit has {fit.n} coefficients but {len(x_train)} training points given")
     if rng is None:
         rng = replicate_rng(scenario.master_seed, 0, stream=1)
-    count, mean, m2 = 0, 0.0, 0.0
-    for sq in _holdout_errors(fit.coeffs[:, None], kernel, x_train, scenario, rng):
-        # Chan, Golub & LeVeque's update of the mean and the sum of squared
-        # deviations by one block.
-        block_mean = float(sq.mean())
-        delta = block_mean - mean
-        count += len(sq)
-        mean += delta * len(sq) / count
-        m2 += float(((sq - block_mean) ** 2).sum()) + delta * (block_mean - mean) * len(sq)
-    stderr = math.sqrt(m2 / (n_test - 1) / n_test) if n_test > 1 else 0.0
-    return HoldoutError(mean=mean, stderr=stderr)
+    if scenario.design == "uniform-cube":
+        x_new = rng.uniform(0.0, 1.0, size=(n_test, scenario.d))
+    else:
+        x_new = rng.standard_normal(size=(n_test, scenario.d))
+    preds = np.clip(cross_gram(kernel, x_train, x_new) @ fit.coeffs, -scenario.c, scenario.c)
+    sq = (preds - scenario.target.evaluate(x_new)) ** 2
+    stderr = float(sq.std(ddof=1)) / math.sqrt(n_test) if n_test > 1 else 0.0
+    return HoldoutError(mean=float(sq.mean()), stderr=stderr)
 
 
 def random_instance(rng, n_max=40, d_max=3, gamma_range=(0.5, 2.0)):

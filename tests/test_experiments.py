@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,17 +211,20 @@ class TestHoldout:
 
     def test_row_blocks_match_full_matrix(self):
         # 40 training points put 20 001 holdout rows in four blocks, the last partial.
-        scen = default_scenario(n=40)
+        scen = dataclasses.replace(default_scenario(n=40), holdout_size=20001)
         data = generate(scen, 0)
         kernel = GaussianKernel(0.5, 1)
-        fit = fit_constrained(eigen_gram(gram(kernel, data.x), data.y), 1.0)
-        err = holdout_sq_error(fit, kernel, data.x, dataclasses.replace(scen, holdout_size=20001),
-                               rng=replicate_rng(2, 0, stream=1))
+        fits = fit_constrained(eigen_gram(gram(kernel, data.x), data.y), [0.5, 1.0])
+        coeffs = np.stack([f.coeffs for f in fits], axis=1)
+        means = experiments._holdout_means(coeffs, kernel, data.x, scen,
+                                           replicate_rng(2, 0, stream=1), None)
         x_new = replicate_rng(2, 0, stream=1).uniform(0.0, 1.0, size=(20001, 1))
-        preds = np.clip(cross_gram(kernel, data.x, x_new) @ fit.coeffs, -scen.c, scen.c)
-        sq = (preds - scen.target.evaluate(x_new)) ** 2
-        assert err.mean == pytest.approx(sq.mean(), rel=1e-12)
-        assert err.stderr == pytest.approx(sq.std(ddof=1) / math.sqrt(20001), rel=1e-12)
+        preds = np.clip(cross_gram(kernel, data.x, x_new) @ coeffs, -scen.c, scen.c)
+        sq = (preds - scen.target.evaluate(x_new)[:, None]) ** 2
+        assert np.array_equal(means, sq.mean(axis=0))
+        for fit, mean in zip(fits, means):
+            err = holdout_sq_error(fit, kernel, data.x, scen, rng=replicate_rng(2, 0, stream=1))
+            assert err.mean == pytest.approx(mean, rel=1e-12)
 
     def test_training_set_length_mismatch(self):
         scen = default_scenario(n=10)
@@ -241,7 +245,7 @@ class TestHoldout:
 
 def full_holdout_means(scen, selection, replicate):
     """The grid's clipped holdout errors from the full cross-Gram, block by block
-    as ``_holdout_errors`` builds them, reduced by ``mean(axis=0)``."""
+    as ``_holdout_means`` builds them, reduced by ``mean(axis=0)``."""
     data = generate(scen, replicate)
     kernel = selection.resolve_kernel(scen)
     grid = radius_grid(selection.grid_a, selection.grid_b, scen.n)
@@ -273,14 +277,35 @@ class TestPivotBasisHoldout:
         kernel = GaussianKernel(gamma, d)
         fits = fit_radius_path(data, kernel, radius_grid(1.0, 0.5, n))
         coeffs = np.stack([f.coeffs for f in fits], axis=1)
-        x_new = rng.uniform(size=(10000, d))
-        got = np.vstack(list(experiments._block_predictions(coeffs, kernel, x, x_new,
-                                                            train_gram=gram(kernel, x))))
-        bound = n * np.finfo(float).eps * kernel.diag_sup * np.abs(coeffs).sum(axis=0)
-        assert np.all(np.abs(got - cross_gram(kernel, x, x_new) @ coeffs) <= bound)
+        basis = experiments._pivot_basis(gram(kernel, x), x, coeffs)
+        # The tent target calls no kernel, so every cross-Gram below is the holdout's.
+        scen = ScenarioConfig(n=n, d=d, target=HatTarget(1.0), holdout_size=10000)
+        calls = []
+
+        class Block(np.ndarray):
+            """A kernel block that records the values the loop takes from it."""
+
+            def __matmul__(self, weights):
+                values = np.asarray(self) @ weights
+                calls[-1].append(values.copy())
+                return values
+
+        def spy(kern, points, x_block):
+            calls.append([points, x_block])
+            return cross_gram(kern, points, x_block).view(Block)
+
+        with mock.patch.object(experiments, "cross_gram", spy):
+            experiments._holdout_means(coeffs, kernel, x, scen, rng, basis)
         # The first block is the full evaluation's, bit for bit.
-        step = experiments.HOLDOUT_BLOCK_ENTRIES // n
-        assert np.array_equal(got[:step], cross_gram(kernel, x, x_new[:step]) @ coeffs)
+        (points, first, values), *later = calls
+        assert points is x
+        assert np.array_equal(values, cross_gram(kernel, x, first) @ coeffs)
+        # The check on the first block reads the basis, but its values are not kept.
+        blocks = [call for call in later if call[1] is not first]
+        assert sum(len(call[1]) for call in blocks) + len(first) == 10000
+        bound = n * np.finfo(float).eps * kernel.diag_sup * np.abs(coeffs).sum(axis=0)
+        for points, x_block, values in blocks:
+            assert np.all(np.abs(values - cross_gram(kernel, x, x_block) @ coeffs) <= bound)
 
     def test_one_block_holdout_is_the_full_evaluation(self):
         # 40 training points take 6553 holdout rows per block.
@@ -298,20 +323,28 @@ class TestPivotBasisHoldout:
     @pytest.mark.parametrize("gamma,gives_up", [(1e-3, True), (0.3, False)])
     def test_fallback_is_the_full_evaluation(self, monkeypatch, gamma, gives_up):
         # Two holdout blocks at n = 40.  At width 1e-3 the Gram is nearly
-        # 1000 * I and the Cholesky reaches its cap of 20 pivots; at width 0.3
-        # it finishes, but the pivot basis misses the first block's full values.
-        # Either way both blocks come from the full cross-Gram.
-        taken = []
-        real = experiments._pivot_basis
+        # 1000 * I and the Cholesky reaches its cap of 20 pivots, so there is no
+        # basis; at width 0.3 it finishes, but the basis misses the first
+        # block's full values and only that check reads it.  Either way both
+        # blocks come from the full cross-Gram.
+        taken, reads = [], []
+        real_basis, real_cross = experiments._pivot_basis, experiments.cross_gram
         monkeypatch.setattr(experiments, "_pivot_basis",
-                            lambda *args: taken.append(real(*args)) or taken[-1])
+                            lambda *args: taken.append(real_basis(*args)) or taken[-1])
+
+        def cross(kernel, points, x):
+            reads.append(any(b is not None and points is b[0] for b in taken))
+            return real_cross(kernel, points, x)
+
+        monkeypatch.setattr(experiments, "cross_gram", cross)
         scen = default_scenario(n=40, replicates=2, master_seed=0)
         selection = SelectionSettings(kernel_gamma=gamma)
         kernel = selection.resolve_kernel(scen)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             rep = oracle_gap_check(scen, selection)
-            assert taken == [None, None]
+            assert [b is None for b in taken] == [gives_up, gives_up]
+            assert sum(reads) == (0 if gives_up else 2)
             for rec in rep.records:
                 x = generate(scen, rec.replicate).x
                 factor = _pivoted_cholesky(gram(kernel, x), experiments.HOLDOUT_CHOLESKY_MARGIN)
@@ -362,14 +395,14 @@ class TestPivotBasisWeights:
         assert len(grams) == 3
 
     def test_gram_released_once_the_factor_exists(self, monkeypatch):
-        # The later holdout blocks are built with the record's Gram already freed.
+        # Every holdout cross-Gram, the first block's included, is built with
+        # the record's Gram already freed.
         refs, alive = [], []
         real_basis, real_cross = experiments._pivot_basis, experiments.cross_gram
 
-        def basis(kernel, train_gram, *args):
-            out = real_basis(kernel, train_gram, *args)
+        def basis(train_gram, x_train, coeffs):
             refs.append(weakref.ref(train_gram))
-            return out
+            return real_basis(train_gram, x_train, coeffs)
 
         def cross(*args):
             alive.extend(ref() is not None for ref in refs)
@@ -381,7 +414,8 @@ class TestPivotBasisWeights:
             warnings.simplefilter("ignore", UserWarning)
             oracle_gap_check(default_scenario(n=200, replicates=2, master_seed=0),
                              SelectionSettings())
-        assert len(refs) == 2 and len(alive) > 0 and not any(alive)
+        # Each replicate's holdout evaluates the target, eight blocks and the check.
+        assert len(refs) == 2 and len(alive) >= 2 * 10 and not any(alive)
 
 
 class TestWilson:
@@ -610,8 +644,10 @@ class TestOracleGap:
 
 
 class TestQuadform:
-    def test_diagonal_matrix_mean_one(self):
-        rep = quadform_tail_check(4, 1.0, replicates=500, m=np.diag([1.0, 2.0, 3.0, 4.0]))
+    def test_diagonal_matrix_mean_one(self, monkeypatch):
+        # The diagonal is removed from the form, so a diagonal Gram gives Z = 0.
+        monkeypatch.setattr(experiments, "gram", lambda kernel, x: np.diag([1.0, 2.0, 3.0, 4.0]))
+        rep = quadform_tail_check(4, 1.0, replicates=500)
         assert rep.sample_mean == 1.0 and rep.passed
 
     def test_scale_invariant_in_sigma(self):

@@ -44,7 +44,8 @@ def test_public_surface():
 def test_removed_parameters_and_fields(tmp_path, capsys):
     from rkhsball.cli import main
     from rkhsball.estimator import ConstrainedFit, fit_constrained
-    from rkhsball.experiments import HatTarget, replicate_seed, wilson_interval
+    from rkhsball.experiments import (HatTarget, quadform_tail_check, replicate_seed,
+                                      wilson_interval)
     from rkhsball.kernels import GaussianKernel
     from rkhsball.selection_fixed import SelectionResult
 
@@ -53,9 +54,12 @@ def test_removed_parameters_and_fields(tmp_path, capsys):
     assert not hasattr(GaussianKernel(1.0, 1), "kernel_id")
     assert not hasattr(HatTarget(1.0), "sup_bound")
     for func, name in ((fit_constrained, "kernel_id"), (wilson_interval, "z"),
-                       (replicate_seed, "stream")):
+                       (replicate_seed, "stream"), (quadform_tail_check, "m")):
         assert name not in inspect.signature(func).parameters, f"{func.__name__}({name})"
     cfg = tmp_path / "c.conf"
     cfg.write_text("scenario.n: 30\n", encoding="utf-8")
     assert main(["rates", "--config", str(cfg), "--print-config"]) == 2
     assert "expected 'key = value'" in capsys.readouterr().err
+    cfg.write_text('scenario.target.kind = "hat-function"\n', encoding="utf-8")
+    assert main(["oracle-gap", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown target kind" in capsys.readouterr().err
