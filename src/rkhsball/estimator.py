@@ -75,21 +75,24 @@ MU_MAX_ITER = 50
 class GramEigen:
     """Leading eigenpairs of a Gram matrix together with the response projection.
 
-    Only the ``rank`` eigenpairs above the rank threshold are stored:
-    ``vectors`` (n x rank, orthonormal columns), ``values`` (positive,
-    non-increasing), ``proj`` (vectors^T y) and ``rho`` (interpolation
-    radius).  ``n`` is the number of rows of ``vectors``.
+    Only the eigenpairs above the rank threshold are stored: ``vectors``
+    (n x rank, orthonormal columns), ``values`` (positive, non-increasing),
+    ``proj`` (vectors^T y) and ``rho`` (interpolation radius).  ``n`` is the
+    number of rows of ``vectors`` and ``rank`` the length of ``values``.
     """
 
     vectors: np.ndarray
     values: np.ndarray
-    rank: int
     proj: np.ndarray
     rho: float
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.values.shape[0]
 
 
 def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
@@ -144,7 +147,7 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
         values, vectors = _ritz_eigen(k, *factor[:3], asym)
     proj = vectors.T @ y
     rho = math.sqrt(float(np.sum(proj**2 / values))) if values.size else 0.0
-    return GramEigen(vectors=vectors, values=values, rank=values.shape[0], proj=proj, rho=rho)
+    return GramEigen(vectors=vectors, values=values, proj=proj, rho=rho)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -318,8 +321,8 @@ def mu_of_r(ge: GramEigen, r: float) -> float:
         raise NumericalError(f"interpolation radius is not finite ({ge.rho})")
     if r >= ge.rho:
         return 0.0
-    d = ge.values[: ge.rank]
-    dc2 = d * ge.proj[: ge.rank] ** 2
+    d = ge.values
+    dc2 = d * ge.proj**2
     target = r * r
     hi = math.sqrt(float(dc2.sum())) / r
     lo = max(0.0, hi - float(d[0]), float(np.max(np.sqrt(dc2) / r - d)))
@@ -394,9 +397,8 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float]) -> Constrained
     radii = np.array([check_real(s, "radius", 0.0, strict=False) for s in ([r] if single else r)],
                      dtype=float)
     mus = [mu_of_r(eigen, float(s)) if s > 0.0 else 0.0 for s in radii]
-    d = eigen.values[: eigen.rank]
-    vectors = eigen.vectors[:, : eigen.rank]
-    w = eigen.proj[: eigen.rank] / (d + eigen.n * np.array(mus)[:, None])
+    d, vectors = eigen.values, eigen.vectors
+    w = eigen.proj / (d + eigen.n * np.array(mus)[:, None])
     zero = radii == 0.0
     w[zero] = 0.0
     coeffs = w @ vectors.T

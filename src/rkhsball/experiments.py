@@ -51,7 +51,7 @@ from .kernels import GaussianKernel, WidthGrid, _chaining_constant, cross_gram, 
 from .selection_fixed import (GLConfig, RadiusGrid, _select, comparison_excess,
                               fit_radius_path, gl_criterion, radius_grid, tau_min_fixed)
 from .selection_gauss import _penalty_scales, tau_min_gauss
-from .theory import _check_args, scaled_element_approx_bound
+from .theory import _check_args
 
 __all__ = [
     "RkhsTarget",
@@ -368,14 +368,6 @@ def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid,
     return scenario.target, np.asarray(list(grid))
 
 
-def _approx_upper(target: RkhsTarget, radii) -> np.ndarray:
-    """Computable squared approximation bound at each radius."""
-    if target.h_norm == 0.0:
-        return np.zeros(len(radii))
-    return np.asarray([scaled_element_approx_bound(target.h_norm, target.sup_bound, r)
-                       for r in radii])
-
-
 def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t: float, *,
                 j_const: float | None = None, threads: int = 1) -> dict[str, EventReport]:
     """Reports, keyed by event name, of the events behind the selection rules, all
@@ -405,18 +397,19 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
     gammas = np.asarray(widths.values)
     kernels = [GaussianKernel(gamma=g, dim=scenario.d) for g in gammas]
     scales = _penalty_scales(gammas, radii, scenario.d)
-    approx = _approx_upper(target, radii)
+    r0 = target.h_norm
+    # Zero target: every ball contains it, so the comparator is g itself.
+    shrink = np.minimum(radii, r0) / r0 if r0 > 0 else np.ones_like(radii)
+    # The computable approximation bound: ||h_r - g||_inf^2 is at most this.
+    approx = ((1.0 - shrink) * target.sup_bound) ** 2
     gauss_approx = np.where(gammas[:, None] <= target.gamma0, approx[None, :],
                             target.sup_bound ** 2)
     # The index of the target width's path, whose fits give the fixed-kernel events.
     at = widths.values.index(target.gamma0) if target.gamma0 in widths.values else None
     k_diag = GaussianKernel(gamma=target.gamma0, dim=scenario.d).diag_sup
     fixed_coef = tau_min_fixed(k_diag, scenario.sigma) * math.sqrt(t) / math.sqrt(scenario.n)
-    r0 = target.h_norm
-    # Zero target: every ball contains it, so the comparator is g itself.
-    shrink = np.minimum(radii, r0) / r0 if r0 > 0 else np.ones_like(radii)
     bias_rhs = (20.0 * math.sqrt(k_diag) * scenario.sigma * radii * math.sqrt(t)
-                / math.sqrt(scenario.n) + 4.0 * ((1.0 - shrink) * target.sup_bound) ** 2)
+                / math.sqrt(scenario.n) + 4.0 * approx)
 
     def one(i: int) -> dict[str, bool]:
         data = generate(scenario, i)
@@ -502,14 +495,12 @@ class SelectionSettings:
             gamma = scenario.target.gamma0
         return GaussianKernel(gamma=gamma, dim=scenario.d)
 
-    def resolve_tau(self, k_diag: float, sigma: float) -> float:
-        if self.tau is not None:
-            return self.tau
-        return PRACTICAL_TAU_FACTOR * math.sqrt(k_diag) * sigma
-
     def gl_config(self, k_diag: float, sigma: float) -> GLConfig:
-        return GLConfig(tau=self.resolve_tau(k_diag, sigma), nu=self.nu, sigma=sigma,
-                        k_diag=k_diag, theory_mode=self.theory_mode)
+        tau = self.tau
+        if tau is None:
+            tau = PRACTICAL_TAU_FACTOR * math.sqrt(k_diag) * sigma
+        return GLConfig(tau=tau, nu=self.nu, sigma=sigma, k_diag=k_diag,
+                        theory_mode=self.theory_mode)
 
 
 @dataclass(frozen=True)
@@ -545,7 +536,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     # ``select_radius``'s calls, keeping its Gram for the holdout's pivot factor.
     k = gram(kernel, data.x)
     fits = fit_constrained(eigen_gram(k, data.y), grid)
-    result = _select([fits], gl_criterion(fits, cfg, data.n))
+    result = _select([fits], gl_criterion(fits, cfg))
     coeffs = np.stack([f.coeffs for f in fits], axis=1)
     basis = _pivot_basis(k, data.x, coeffs)
     del k  # freed before the holdout draws its points

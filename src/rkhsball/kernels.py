@@ -76,7 +76,9 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 def gram(kernel: GaussianKernel, x) -> np.ndarray:
     """Assemble the Gram matrix K[i, j] = k(X_i, X_j) for the given kernel."""
-    pts = _as_points(x, kernel.dim)
+    # A strided or reversed view of the points can make BLAS round ``x x^T``
+    # asymmetrically; on a C-contiguous copy it is exactly symmetric.
+    pts = np.ascontiguousarray(_as_points(x, kernel.dim))
     s = np.sum(pts * pts, axis=1)
     # The squared distances associate as (s_i + s_j) - 2 x_i.x_j: the sum and
     # the product ``x x^T`` are both exactly symmetric, so K is too.

@@ -169,11 +169,14 @@ def comparison_excess(preds, scales, coef: float) -> np.ndarray:
     return np.where(partners, excess, -np.inf).max(axis=1).reshape(w, r)
 
 
-def _criterion_rows(fits, widths, radii, scales, cfg, n: int) -> list[CriterionRow]:
+def _criterion_rows(fits, widths, radii, scales, cfg) -> list[CriterionRow]:
     """Criterion rows of a ``(W, R)`` table of fits with penalty scales ``scales``,
-    row-major; ``widths`` label the table's rows (``[None]`` for a fixed kernel)."""
-    if len({f.n for row in fits for f in row}) > 1:
+    row-major; ``widths`` label the table's rows (``[None]`` for a fixed kernel).
+    n is the training-set size that every fit shares."""
+    sizes = {f.n for row in fits for f in row}
+    if len(sizes) > 1:
         raise InputError("fits come from different training sets")
+    (n,) = sizes
     preds = np.stack([np.stack([f.train_pred for f in row]) for row in fits])
     sqrt_n = math.sqrt(n)
     bias = comparison_excess(preds, scales, cfg.tau / sqrt_n).ravel()
@@ -196,18 +199,18 @@ def _select(fits, rows: list[CriterionRow]) -> SelectionResult:
                            gamma_hat=row.gamma)
 
 
-def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig, n: int) -> list[CriterionRow]:
+def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig) -> list[CriterionRow]:
     """Evaluate the selection criterion over a table of fits.
 
     ``fits`` must be indexed by ascending grid radii and share one dataset and
-    kernel.  Returns one row per radius.
+    kernel; n is their training-set size.  Returns one row per radius.
     """
     if not fits:
         raise InputError("criterion requires at least one fitted radius")
     radii = np.asarray([f.r for f in fits])
     if np.any(radii[:-1] > radii[1:]):
         raise InputError("fits must be ordered by ascending radius")
-    return _criterion_rows([fits], [None], radii, radii[None], cfg, n)
+    return _criterion_rows([fits], [None], radii, radii[None], cfg)
 
 
 def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
@@ -228,4 +231,4 @@ def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> Sel
     if len(grid) == 0:
         raise InputError("radius grid is empty")
     fits = fit_radius_path(data, kernel, grid)
-    return _select([fits], gl_criterion(fits, cfg, data.n))
+    return _select([fits], gl_criterion(fits, cfg))

@@ -75,13 +75,12 @@ def _penalty_scales(widths, radii, dim: int) -> np.ndarray:
     return w[:, None] * np.asarray(radii, dtype=float)[None, :]
 
 
-def gauss_gl_criterion(fits: list[list[ConstrainedFit]], cfg: GaussGLConfig,
-                       n: int) -> list[CriterionRow]:
+def gauss_gl_criterion(fits: list[list[ConstrainedFit]], cfg: GaussGLConfig) -> list[CriterionRow]:
     """Evaluate the two-parameter criterion over a table of fits.
 
     ``fits[i][j]`` is the fit for the i-th width (ascending) and j-th radius
-    (ascending), all on the same dataset.  Rows are returned in row-major
-    (width, radius) order.
+    (ascending), all on the same dataset; n is its size.  Rows are returned in
+    row-major (width, radius) order.
     """
     widths = list(cfg.width_grid)
     radii = list(cfg.radius_grid)
@@ -89,8 +88,7 @@ def gauss_gl_criterion(fits: list[list[ConstrainedFit]], cfg: GaussGLConfig,
         raise InputError("criterion requires a non-empty width x radius table")
     if len(fits) != len(widths) or any(len(row) != len(radii) for row in fits):
         raise InputError("fit table shape does not match the configured grids")
-    return _criterion_rows(fits, widths, radii, _penalty_scales(widths, radii, cfg.dim),
-                           cfg, n)
+    return _criterion_rows(fits, widths, radii, _penalty_scales(widths, radii, cfg.dim), cfg)
 
 
 def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> SelectionResult:
@@ -103,4 +101,4 @@ def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> SelectionResult:
         raise InputError(f"dataset dimension {data.d} does not match config dimension {cfg.dim}")
     fits = [fit_radius_path(data, GaussianKernel(gamma=gamma, dim=cfg.dim), radii)
             for gamma in widths]
-    return _select(fits, gauss_gl_criterion(fits, cfg, data.n))
+    return _select(fits, gauss_gl_criterion(fits, cfg))

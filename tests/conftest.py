@@ -154,8 +154,7 @@ def bisect_mu(ge, r, n, max_doublings=200, max_bisections=200, width_rtol=1e-14)
     """
     if r >= ge.rho:
         return 0.0
-    d = ge.values[: ge.rank]
-    c = ge.proj[: ge.rank]
+    d, c = ge.values, ge.proj
 
     def phi(mu):
         return float(np.sum(d * c**2 / (d + n * mu) ** 2))
@@ -183,9 +182,8 @@ def bisect_mu(ge, r, n, max_doublings=200, max_bisections=200, width_rtol=1e-14)
 def full_eigen_gram(k, y):
     """Full-``eigh`` oracle for :func:`rkhsball.estimator.eigen_gram`.
 
-    Diagonalises the whole matrix and keeps every eigenpair (``values`` and
-    ``proj`` have length n), clipping eigenvalues below zero; ``rank`` counts
-    those above ``max(D) * n * RANK_RTOL``.
+    Diagonalises the whole matrix, clips eigenvalues below zero and keeps the
+    eigenpairs above ``max(D) * n * RANK_RTOL``.
     """
     k = np.asarray(k, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -208,12 +206,10 @@ def full_eigen_gram(k, y):
     values = np.maximum(values, 0.0)
     threshold = top * n * RANK_RTOL
     rank = int(np.count_nonzero(values > threshold))
+    values, vectors = values[:rank], vectors[:, :rank]
     proj = vectors.T @ y
-    if rank:
-        rho = math.sqrt(float(np.sum(proj[:rank] ** 2 / values[:rank])))
-    else:
-        rho = 0.0
-    return GramEigen(vectors=vectors, values=values, rank=rank, proj=proj, rho=rho)
+    rho = math.sqrt(float(np.sum(proj**2 / values))) if rank else 0.0
+    return GramEigen(vectors=vectors, values=values, proj=proj, rho=rho)
 
 
 def pivots_needed(k):

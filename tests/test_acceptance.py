@@ -156,7 +156,7 @@ def test_criterion_05_criterion_floors(capsys):
             ge = eigen_gram(k, data.y)
             fits = [fit_constrained(ge, r)
                     for r in radius_grid(1.0, 0.5, n)]
-            for row in gl_criterion(fits, cfg, n):
+            for row in gl_criterion(fits, cfg):
                 assert row.total >= 2.0 * cfg.nu * cfg.tau * row.r / math.sqrt(n) - 1e-12
         for seed in range(100):
             rng = np.random.default_rng(60_000 + seed)
@@ -172,7 +172,7 @@ def test_criterion_05_criterion_floors(capsys):
                 ge = eigen_gram(k, data.y)
                 table.append([fit_constrained(ge, r)
                               for r in cfg.radius_grid])
-            for row in gauss_gl_criterion(table, cfg, n):
+            for row in gauss_gl_criterion(table, cfg):
                 floor = 2.0 * cfg.nu * cfg.tau * row.gamma ** -0.5 * row.r / math.sqrt(n)
                 assert row.total >= floor - 1e-12
 

@@ -32,17 +32,16 @@ K1 = np.array([[1.0]])
 
 
 def synthetic_eigen(values, proj):
-    """GramEigen with the given spectrum, n = len(values); the solver reads only
-    the vectors' row count."""
-    rank = int(np.count_nonzero(values > 0))
-    rho = math.sqrt(float(np.sum(proj[:rank] ** 2 / values[:rank])))
-    return GramEigen(vectors=np.zeros((values.shape[0], 0)), values=values, rank=rank,
-                     proj=proj, rho=rho)
+    """GramEigen with the positive leading entries of the given spectrum, n =
+    len(values); the solver reads only the vectors' row count."""
+    n, rank = values.shape[0], int(np.count_nonzero(values > 0))
+    values, proj = values[:rank], proj[:rank]
+    rho = math.sqrt(float(np.sum(proj**2 / values)))
+    return GramEigen(vectors=np.zeros((n, 0)), values=values, proj=proj, rho=rho)
 
 
 def constraint_value(ge, mu, n):
-    d = ge.values[: ge.rank]
-    c = ge.proj[: ge.rank]
+    d, c = ge.values, ge.proj
     return float(np.sum(d * c**2 / (d + n * mu) ** 2))
 
 
@@ -148,7 +147,7 @@ class TestEigenGramPaths:
             assert ge.rank == ref.rank
         if ge.rank != ref.rank:
             return
-        assert np.all(np.abs(ge.values - ref.values[: ref.rank]) <= 1e-12 * top)
+        assert np.all(np.abs(ge.values - ref.values) <= 1e-12 * top)
         assert np.abs(ge.vectors.T @ ge.vectors - np.eye(ge.rank)).max() <= 1e-12
         # Fits on the selection grid: fitted values to 1e-7 of the response
         # scale, and kernel-section coefficients to 1e-4 of the radius in the
@@ -166,7 +165,7 @@ class TestEigenGramPaths:
         ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
         assert ge.rank == ref.rank < lt.shape[0] < 20
         assert ge.vectors.flags.c_contiguous and ge.vectors.flags.owndata
-        assert np.allclose(ge.values, ref.values[: ref.rank], rtol=0.0, atol=1e-12 * ref.values[0])
+        assert np.allclose(ge.values, ref.values, rtol=0.0, atol=1e-12 * ref.values[0])
 
     def test_near_full_rank_falls_back_to_full_eigh(self):
         k, y = smooth_instance(5, 200, 3, 0.25)
@@ -174,9 +173,9 @@ class TestEigenGramPaths:
         ge, ref = eigen_gram(k, y), full_eigen_gram(k, y)
         assert ge.rank == ref.rank > 100
         assert ge.vectors.flags.c_contiguous and ge.vectors.flags.owndata
-        assert np.array_equal(ge.values, ref.values[: ref.rank])
-        assert np.array_equal(ge.vectors, ref.vectors[:, : ref.rank])
-        assert np.allclose(ge.proj, ref.proj[: ref.rank], rtol=0.0, atol=1e-12)
+        assert np.array_equal(ge.values, ref.values)
+        assert np.array_equal(ge.vectors, ref.vectors)
+        assert np.allclose(ge.proj, ref.proj, rtol=0.0, atol=1e-12)
         assert ge.rho == pytest.approx(ref.rho, rel=1e-12)
 
     def test_rank_zero_keeps_n(self):
@@ -384,14 +383,14 @@ class TestMuOfR:
         assert mu_of_r(ge, r) == pytest.approx(math.sqrt(s) / (2 * r), rel=1e-8)
 
     def test_non_finite_rho_rejected(self):
-        ge = GramEigen(vectors=np.eye(1), values=np.array([1.0]), rank=1,
-                       proj=np.array([np.nan]), rho=math.nan)
+        ge = GramEigen(vectors=np.eye(1), values=np.array([1.0]), proj=np.array([np.nan]),
+                       rho=math.nan)
         with pytest.raises(NumericalError):
             mu_of_r(ge, 1.0)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_constraint_rejected(self):
-        ge = GramEigen(vectors=np.eye(2), values=np.array([1.0, 0.5]), rank=2,
+        ge = GramEigen(vectors=np.eye(2), values=np.array([1.0, 0.5]),
                        proj=np.array([1.0, np.inf]), rho=2.0)
         with pytest.raises(NumericalError):
             mu_of_r(ge, 1.0)
@@ -463,7 +462,7 @@ class TestFitConstrained:
             _, k, _, y = random_instance(rng, n_max=15)
             ge = eigen_gram(k, y)
             fit = fit_constrained(ge, ge.rho * 1.5 + 1.0)
-            proj = ge.vectors[:, : ge.rank] @ ge.proj[: ge.rank]
+            proj = ge.vectors @ ge.proj
             assert np.abs(fit.train_pred - proj).max() <= 1e-8 * (1.0 + np.abs(y).max())
 
     def test_matches_pgd_oracle(self, rng):

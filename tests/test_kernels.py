@@ -96,6 +96,16 @@ class TestGram:
             assert got.tobytes() == (0.5 * (k + k.T)).tobytes()
             assert np.array_equal(got, got.T)
 
+    def test_strided_and_reversed_points_give_the_contiguous_gram(self, rng):
+        # The layout of a view of the points can change how BLAS rounds x x^T;
+        # gram works on a C-contiguous copy, so K stays exactly symmetric.
+        kern = GaussianKernel(0.7, 2)
+        x = rng.uniform(size=(333, 4))
+        for view in (x[:, ::2], x[:, :2][::-1]):
+            got = gram(kern, view)
+            assert np.array_equal(got, got.T)
+            assert got.tobytes() == gram(kern, view.copy()).tobytes()
+
     def test_diag_sup_exact(self):
         assert GaussianKernel(2.0, 3).diag_sup == 2.0 ** -3
         assert GaussianKernel(0.5, 2).diag_sup == 0.5 ** -2

@@ -43,18 +43,23 @@ def test_public_surface():
 
 def test_removed_parameters_and_fields(tmp_path, capsys):
     from rkhsball.cli import main
-    from rkhsball.estimator import ConstrainedFit, fit_constrained
+    from rkhsball.estimator import ConstrainedFit, GramEigen, fit_constrained
     from rkhsball.experiments import (HatTarget, quadform_tail_check, replicate_seed,
                                       wilson_interval)
     from rkhsball.kernels import GaussianKernel
-    from rkhsball.selection_fixed import SelectionResult
+    from rkhsball.selection_fixed import SelectionResult, gl_criterion
+    from rkhsball.selection_gauss import gauss_gl_criterion
 
     assert "kernel_id" not in {f.name for f in dataclasses.fields(ConstrainedFit)}
     assert "fits" not in {f.name for f in dataclasses.fields(SelectionResult)}
+    # The rank is the length of the stored spectrum, not a second stored value.
+    assert "rank" not in {f.name for f in dataclasses.fields(GramEigen)}
+    assert isinstance(GramEigen.rank, property)
     assert not hasattr(GaussianKernel(1.0, 1), "kernel_id")
     assert not hasattr(HatTarget(1.0), "sup_bound")
     for func, name in ((fit_constrained, "kernel_id"), (wilson_interval, "z"),
-                       (replicate_seed, "stream"), (quadform_tail_check, "m")):
+                       (replicate_seed, "stream"), (quadform_tail_check, "m"),
+                       (gl_criterion, "n"), (gauss_gl_criterion, "n")):
         assert name not in inspect.signature(func).parameters, f"{func.__name__}({name})"
     cfg = tmp_path / "c.conf"
     cfg.write_text("scenario.n: 30\n", encoding="utf-8")

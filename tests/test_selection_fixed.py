@@ -99,7 +99,7 @@ class TestCriterion:
         kernel = GaussianKernel(1.0, 1)
         r0 = 1.5
         cfg = _config(tau=2.0, nu=0.7)
-        rows = gl_criterion(_fits_for(data, kernel, [r0]), cfg, data.n)
+        rows = gl_criterion(_fits_for(data, kernel, [r0]), cfg)
         assert len(rows) == 1
         sqrt_n = math.sqrt(data.n)
         assert rows[0].bias_proxy == pytest.approx(-2.0 * cfg.tau * r0 / sqrt_n, abs=1e-12)
@@ -109,7 +109,7 @@ class TestCriterion:
         data = Dataset(x=rng.uniform(size=(12, 1)), y=rng.normal(size=12))
         kernel = GaussianKernel(1.0, 1)
         cfg = GLConfig(tau=1e6, nu=0.5, sigma=0.1, k_diag=1.0)
-        rows = gl_criterion(_fits_for(data, kernel, [0.0, 2.0]), cfg, data.n)
+        rows = gl_criterion(_fits_for(data, kernel, [0.0, 2.0]), cfg)
         assert rows[0].bias_proxy == 0.0
         assert rows[0].total == 0.0
         assert rows[0].total < rows[1].total
@@ -119,7 +119,7 @@ class TestCriterion:
         kernel = GaussianKernel(1.0, 1)
         cfg = _config(tau=1.0, nu=0.5)
         radii = [0.0, 1.0, 2.0]
-        rows = gl_criterion(_fits_for(data, kernel, radii), cfg, data.n)
+        rows = gl_criterion(_fits_for(data, kernel, radii), cfg)
         sqrt_n = math.sqrt(data.n)
         for row in rows:
             assert row.bias_proxy == pytest.approx(-2.0 * cfg.tau * row.r / sqrt_n, abs=1e-12)
@@ -131,7 +131,7 @@ class TestCriterion:
     def test_empty_grid_rejected(self):
         cfg = _config()
         with pytest.raises(InputError):
-            gl_criterion([], cfg, 5)
+            gl_criterion([], cfg)
 
     def test_mixed_training_sets_rejected(self, rng):
         kernel = GaussianKernel(1.0, 1)
@@ -139,7 +139,7 @@ class TestCriterion:
         large = Dataset(x=rng.uniform(size=(6, 1)), y=rng.normal(size=6))
         fits = _fits_for(small, kernel, [0.0, 1.0]) + _fits_for(large, kernel, [2.0])
         with pytest.raises(InputError, match="fits come from different training sets"):
-            gl_criterion(fits, _config(), 5)
+            gl_criterion(fits, _config())
 
     def test_floor_on_seeded_datasets(self):
         # Criterion totals never drop below 2*nu*tau*r/sqrt(n).
@@ -150,8 +150,7 @@ class TestCriterion:
             data = Dataset(x=rng.uniform(size=(n, 1)), y=rng.normal(size=n))
             cfg = _quiet_config(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.1, 2.0)),
                                 0.1, 1.0)
-            rows = gl_criterion(_fits_for(data, kernel, list(radius_grid(1.0, 0.5, n))),
-                                cfg, n)
+            rows = gl_criterion(_fits_for(data, kernel, list(radius_grid(1.0, 0.5, n))), cfg)
             for row in rows:
                 assert row.total >= 2.0 * cfg.nu * cfg.tau * row.r / math.sqrt(n) - 1e-12
 
@@ -159,8 +158,8 @@ class TestCriterion:
         data = Dataset(x=rng.uniform(size=(15, 1)), y=rng.normal(size=15))
         kernel = GaussianKernel(1.0, 1)
         fits = _fits_for(data, kernel, [0.0, 0.5, 1.0, 2.0])
-        lo = gl_criterion(fits, _config(tau=0.5, nu=0.5), data.n)
-        hi = gl_criterion(fits, _config(tau=1.5, nu=0.5), data.n)
+        lo = gl_criterion(fits, _config(tau=0.5, nu=0.5))
+        hi = gl_criterion(fits, _config(tau=1.5, nu=0.5))
         for a, b in zip(lo, hi):
             assert b.bias_proxy <= a.bias_proxy + 1e-12
             assert b.variance_term >= a.variance_term - 1e-12
@@ -169,8 +168,7 @@ class TestCriterion:
         data = Dataset(x=rng.uniform(size=(20, 1)), y=rng.normal(size=20))
         kernel = GaussianKernel(1.0, 1)
         cfg = _config(tau=0.8, nu=0.5)
-        rows = gl_criterion(_fits_for(data, kernel, list(radius_grid(1.0, 0.5, 20))),
-                            cfg, data.n)
+        rows = gl_criterion(_fits_for(data, kernel, list(radius_grid(1.0, 0.5, 20))), cfg)
         totals = [row.total for row in rows]
         base = min(range(len(rows)), key=lambda i: (totals[i], rows[i].r))
         shifted = [t + 17.3 for t in totals]

@@ -68,7 +68,7 @@ class TestGaussCriterion:
         grid = RadiusGrid(a=0.75, b=2.0, n=4)  # values {0, 1.5}
         cfg = _quiet_gauss_config(tau=1.0, nu=0.8, sigma=0.1, dim=1,
                                   width_grid=widths, radius_grid=grid)
-        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg, data.n)
+        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
         # Non-zero singleton width; criterions at r=0 and at the cap.
         cap = rows[-1]
         scale = 1.5 ** -0.5 * cap.r
@@ -84,7 +84,7 @@ class TestGaussCriterion:
         grid = RadiusGrid(a=0.5, b=1.0, n=4)  # values {0, 1}
         cfg = _quiet_gauss_config(tau=1.0, nu=1.0, sigma=0.1, dim=2,
                                   width_grid=widths, radius_grid=grid)
-        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg, data.n)
+        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
         row = next(r for r in rows if r.gamma == 2.0 and r.r == 1.0)
         assert row.variance_term == pytest.approx(1.0, abs=1e-12)
 
@@ -94,7 +94,7 @@ class TestGaussCriterion:
         grid = radius_grid(1.0, 1.0, 9)
         cfg = _quiet_gauss_config(tau=1.0, nu=0.5, sigma=0.1, dim=1,
                                   width_grid=widths, radius_grid=grid)
-        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg, data.n)
+        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
         for row in rows:
             scale = row.gamma ** -0.5 * row.r
             assert row.total == pytest.approx(
@@ -113,7 +113,7 @@ class TestGaussCriterion:
             cfg = _quiet_gauss_config(tau=float(rng.uniform(0.2, 2.0)),
                                       nu=float(rng.uniform(0.1, 1.5)), sigma=0.1,
                                       dim=1, width_grid=widths, radius_grid=grid)
-            rows = gauss_gl_criterion(_fit_table(data, cfg), cfg, data.n)
+            rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
             for row in rows:
                 floor = 2.0 * cfg.nu * cfg.tau * row.gamma ** -0.5 * row.r / math.sqrt(n)
                 assert row.total >= floor - 1e-12
@@ -126,7 +126,7 @@ class TestGaussCriterion:
         table = _fit_table(Dataset(x=rng.uniform(size=(4, 1)), y=rng.normal(size=4)), cfg)
         table[1] = _fit_table(Dataset(x=rng.uniform(size=(5, 1)), y=rng.normal(size=5)), cfg)[1]
         with pytest.raises(InputError, match="fits come from different training sets"):
-            gauss_gl_criterion(table, cfg, 4)
+            gauss_gl_criterion(table, cfg)
 
     def test_empty_table_rejected(self):
         widths = width_grid(0.5, 2.0, 2.0)
@@ -134,7 +134,7 @@ class TestGaussCriterion:
         cfg = _quiet_gauss_config(tau=1.0, nu=0.5, sigma=0.1, dim=1,
                                   width_grid=widths, radius_grid=grid)
         with pytest.raises(InputError):
-            gauss_gl_criterion([], cfg, 4)
+            gauss_gl_criterion([], cfg)
 
 
 class TestSelectWidthRadius:
@@ -188,7 +188,7 @@ class TestSelectWidthRadius:
                                   width_grid=widths, radius_grid=grid)
         preds = [[f.train_pred for f in row] for row in _fit_table(data, cfg)]
         gammas, radii = list(widths), list(grid)
-        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg, data.n)
+        rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
         idx = 0
         for i, gamma in enumerate(gammas):
             for j, r in enumerate(radii):
@@ -240,7 +240,7 @@ class TestSelectWidthRadius:
             warnings.simplefilter("ignore", UserWarning)
             fixed_cfg = GLConfig(tau=tau * gamma ** (-d / 2.0), nu=0.5, sigma=0.1,
                                  k_diag=kernel.diag_sup)
-        fixed_rows = gl_criterion(fits, fixed_cfg, n)
+        fixed_rows = gl_criterion(fits, fixed_cfg)
         gauss_totals = [row.total for row in gauss_result.criterion]
         fixed_totals = [row.total for row in fixed_rows]
         assert gauss_totals == pytest.approx(fixed_totals, abs=1e-12)
