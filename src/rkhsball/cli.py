@@ -251,6 +251,8 @@ def read_data_csv(path: str) -> Dataset:
         if "y" not in header:
             raise InputError(f"{path}: line 1: missing y column")
         d = len(header) - 1
+        if d < 1:
+            raise InputError(f"{path}: line 1: no x_ column, expected x_1,...,x_d,y")
         expected = [f"x_{i}" for i in range(1, d + 1)] + ["y"]
         if header != expected:
             raise InputError(

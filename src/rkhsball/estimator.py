@@ -48,8 +48,6 @@ __all__ = [
 RANK_RTOL = 1e-12
 # An eigenvalue below -PSD_RTOL * max(D) makes the Gram matrix not PSD.
 PSD_RTOL = 1e-10
-# max |K_ij - K_ji| above SYM_RTOL * (1 + max |K_ij|) makes it asymmetric.
-SYM_RTOL = 1e-12
 # The pivoted Cholesky stops at a residual trace of lb * n * RANK_RTOL times
 # this margin.  A margin of 1 already loses no eigenvalue above the rank
 # threshold, but the span of the factor then misses the eigenvectors with
@@ -62,8 +60,11 @@ CHOLESKY_MARGIN = 1e-3
 # need more than this fraction of n pivots: near full rank its O(n p^2) loop
 # and the Rayleigh-Ritz step cost more than the O(n^3) eigh they replace.
 PIVOT_FRACTION = 0.5
-# The pivoted Cholesky tests its reach every BLOCK_ROWS pivots, and the checks
-# over K take its rows 8 * BLOCK_ROWS at a time (see _scale_and_asymmetry).
+# The pivoted Cholesky tests its reach every BLOCK_ROWS pivots, and the
+# Schur-complement check takes K's rows 8 * BLOCK_ROWS at a time, so a Gram of
+# up to 256 points is checked in one block: with two threads calling it at
+# n = 200, 32-row blocks took three times as long as one block, and checking
+# the whole of K at once raised the peak memory at n = 800.
 BLOCK_ROWS = 32
 MU_REL_TOL = 1e-10
 # Newton from the left of the root took at most 12 iterations on spectra
@@ -117,12 +118,14 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
       assumes that the decay does not speed up faster than it has; where it
       does, the full ``eigh`` runs on a Gram the Cholesky would have finished.
 
-    Raises :class:`InputError` when the responses are non-finite and
-    :class:`NumericalError` when the matrix is non-finite, asymmetric or not PSD.
-    The full path rejects an eigenvalue below ``-PSD_RTOL * max(D)``.  The
-    Cholesky path rejects a Ritz value below that, or an entry of S larger in
-    magnitude than ``max_i S_ii + PSD_RTOL * lb`` plus the asymmetry; what it
-    certifies is weaker: no eigenvalue of K is below ``-n`` times that
+    K must be finite and exactly symmetric, as :func:`~rkhsball.kernels.gram`
+    builds it; ``0.5 * (k + k.T)`` symmetrises a matrix that is symmetric only
+    up to rounding.  Raises :class:`InputError` when the responses are
+    non-finite and :class:`NumericalError` when the matrix is non-finite, not
+    exactly symmetric or not PSD.  The full path rejects an eigenvalue below
+    ``-PSD_RTOL * max(D)``.  The Cholesky path rejects a Ritz value below that,
+    or an entry of S larger in magnitude than ``max_i S_ii + PSD_RTOL * lb``;
+    what it certifies is weaker: no eigenvalue of K is below ``-n`` times that
     bound, at most about ``-(n**2 * RANK_RTOL * CHOLESKY_MARGIN + n * PSD_RTOL)
     * lambda_max`` (``-8e-8 * lambda_max`` at n = 800).
     """
@@ -135,16 +138,16 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
         raise InputError(f"response length {y.shape[0]} does not match Gram size {n}")
     if not np.isfinite(y).all():
         raise InputError("responses have a non-finite entry")
-    scale, asym = _scale_and_asymmetry(k)
-    if asym > SYM_RTOL * (1.0 + scale):
-        raise NumericalError(f"Gram matrix asymmetric beyond tolerance ({asym:.3e})")
+    if not np.isfinite(k).all():
+        raise NumericalError("Gram matrix has a non-finite entry")
+    if not np.array_equal(k, k.T):
+        raise NumericalError(f"Gram matrix not exactly symmetric: max |K_ij - K_ji| = "
+                             f"{_max_abs(k - k.T):.3e}; pass 0.5 * (k + k.T) to symmetrise it")
     factor = _pivoted_cholesky(k) if n else None
     if factor is None:
-        # Symmetrising an exactly symmetric matrix changes no bit; skipping it
-        # saves an n x n copy.
-        values, vectors = _leading_eigen(k if asym == 0.0 else 0.5 * (k + k.T), n)
+        values, vectors = _leading_eigen(k, n)
     else:
-        values, vectors = _ritz_eigen(k, *factor[:3], asym)
+        values, vectors = _ritz_eigen(k, *factor[:3])
     proj = vectors.T @ y
     rho = math.sqrt(float(np.sum(proj**2 / values))) if values.size else 0.0
     return GramEigen(vectors=vectors, values=values, proj=proj, rho=rho)
@@ -152,30 +155,6 @@ def eigen_gram(k: np.ndarray, y: np.ndarray) -> GramEigen:
 
 def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
-
-
-def _scale_and_asymmetry(k: np.ndarray):
-    """``max |K_ij|`` and ``max |K_ij - K_ji|`` in one pass over row blocks.
-
-    Each block of rows is compared with the matching columns from the
-    diagonal on; ``K_ji - K_ij`` is exactly ``-(K_ij - K_ji)``, so the upper
-    triangle gives the same maximum as the whole of ``K - K^T``.  The blocks
-    have ``8 * BLOCK_ROWS`` rows, so a Gram of up to 256 points is checked in
-    one block: with two threads calling it at n = 200, 32-row blocks took
-    three times as long as the unblocked check.
-    """
-    n = k.shape[0]
-    height = 8 * BLOCK_ROWS
-    scale = asym = 0.0
-    for start in range(0, n, height):
-        rows, right = slice(start, start + height), slice(start, n)
-        block = _max_abs(k[rows])
-        # ``max`` keeps its first argument against a NaN, so test before folding in.
-        if not math.isfinite(block):
-            raise NumericalError("Gram matrix has a non-finite entry")
-        scale = max(scale, block)
-        asym = max(asym, _max_abs(k[rows, right] - k[right, rows].T))
-    return scale, asym
 
 
 def _rank(values: np.ndarray, n: int) -> int:
@@ -272,16 +251,15 @@ def _out_of_reach(gaps: list, cap: int) -> bool:
     return needed > cap - j
 
 
-def _ritz_eigen(k: np.ndarray, lt: np.ndarray, resid: np.ndarray, lb: float, asym: float):
+def _ritz_eigen(k: np.ndarray, lt: np.ndarray, resid: np.ndarray, lb: float):
     """Rank-truncated Ritz pairs of K on the span of its Cholesky factor.
 
     Bounds the entries of the Schur complement ``S = K - L L^T`` first: for a
-    PSD K, ``|S_ij| <= max_i S_ii``.  The blocks of rows are those of
-    :func:`_scale_and_asymmetry`.
+    PSD K, ``|S_ij| <= max_i S_ii``, in blocks of ``8 * BLOCK_ROWS`` rows.
     """
     n = k.shape[0]
     height = 8 * BLOCK_ROWS
-    bound = max(float(resid.max()), 0.0) + PSD_RTOL * max(lb, 0.0) + asym
+    bound = max(float(resid.max()), 0.0) + PSD_RTOL * max(lb, 0.0)
     for start in range(0, n, height):
         # S is symmetric: the blocks right of the diagonal cover it.
         rows, right = slice(start, start + height), slice(start, n)

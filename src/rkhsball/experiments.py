@@ -303,8 +303,9 @@ def _holdout_means(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig
         sq *= sq
         # Adding each block's rows to the total in order, as ``mean(axis=0)`` of the
         # whole table does for two or more columns (a grid has at least two radii),
-        # keeps the means bit-identical to it.
-        total = np.add.reduce(np.vstack((total, sq)), axis=0)
+        # keeps the means bit-identical to it: the total goes into the first row.
+        sq[0] += total
+        total = np.add.reduce(sq, axis=0)
     return total / scenario.holdout_size
 
 

@@ -71,6 +71,8 @@ def _as_points(x, dim: int) -> np.ndarray:
         raise InputError(f"points must form an (n, d) array, got shape {pts.shape}")
     if pts.shape[1] != dim:
         raise InputError(f"points have dimension {pts.shape[1]}, kernel expects {dim}")
+    if not np.isfinite(pts).all():
+        raise InputError("points have a non-finite entry")
     return pts
 
 

@@ -56,6 +56,12 @@ class TestFit:
         cfg = _write(tmp_path / "cfg.json", json.dumps({"data": bad, "r": 1.0}))
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_missing_x_column(self, tmp_path, capsys):
+        bad = _write(tmp_path / "bad.csv", "y\n1.0\n2.0\n")
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"data": bad, "r": 1.0}))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "bad.csv: line 1: no x_ column" in capsys.readouterr().err
+
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         bad = _write(tmp_path / "bad.csv", "x_1,y\n0.0,1.0\n0.5,oops\n")
         cfg = _write(tmp_path / "cfg.json", json.dumps({"data": bad, "r": 1.0}))

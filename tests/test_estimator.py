@@ -77,6 +77,25 @@ class TestEigenGram:
         with pytest.raises(NumericalError):
             eigen_gram(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
+    def test_one_ulp_asymmetry_rejected(self, rng):
+        k = gram(GaussianKernel(0.7, 2), rng.uniform(size=(30, 2)))
+        k[3, 7] = np.nextafter(k[3, 7], 2.0)
+        with pytest.raises(NumericalError,
+                           match=r"not exactly symmetric: .*pass 0\.5 \* \(k \+ k\.T\)"):
+            eigen_gram(k, np.ones(30))
+
+    def test_strided_and_reversed_points_decompose_as_their_copy(self, rng):
+        # The views of the kernel test of the same name: gram's exactly symmetric
+        # K passes the symmetry check, and the layout changes no output bit.
+        kern = GaussianKernel(0.7, 2)
+        x = rng.uniform(size=(333, 4))
+        y = rng.normal(size=333)
+        for view in (x[:, ::2], x[:, :2][::-1]):
+            got, ref = eigen_gram(gram(kern, view), y), eigen_gram(gram(kern, view.copy()), y)
+            for name in ("values", "vectors", "proj"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            assert got.rho == ref.rho
+
     @pytest.mark.parametrize("cells,value", [
         (((1, 2),), float("nan")),
         (((1, 2), (2, 1)), float("nan")),

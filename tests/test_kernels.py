@@ -106,6 +106,14 @@ class TestGram:
             assert np.array_equal(got, got.T)
             assert got.tobytes() == gram(kern, view.copy()).tobytes()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        kern, pts = GaussianKernel(1.0, 1), [[bad], [0.0]]
+        for call in (lambda: gram(kern, pts), lambda: cross_gram(kern, pts, [[0.5]]),
+                     lambda: cross_gram(kern, [[0.5]], pts)):
+            with pytest.raises(InputError, match="^points have a non-finite entry$"):
+                call()
+
     def test_diag_sup_exact(self):
         assert GaussianKernel(2.0, 3).diag_sup == 2.0 ** -3
         assert GaussianKernel(0.5, 2).diag_sup == 0.5 ** -2
