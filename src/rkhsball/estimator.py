@@ -18,10 +18,14 @@ Gram matrix is numerically low-rank and by a full ``eigh`` otherwise.
 the :class:`GramEigen` of :func:`eigen_gram`: given a sequence of R radii it
 stacks their weights into an ``R x rank`` matrix ``W``, so that every
 coefficient vector comes from the one product ``W A^T`` and every fitted value
-from the one product ``(W diag(D)) A^T``.  The multipliers are still solved
-one radius at a time, by :func:`mu_of_r`.  A fit holds its values on the
-training points only; the harness's holdout in :mod:`rkhsball.experiments`
-evaluates fits on fresh points.
+from the one product ``(W diag(D)) A^T``.  Each positive radius's multiplier
+comes from one :func:`mu_of_r` call, which evaluates the secular function in
+Python floats when the spectrum has at most ``SCALAR_RANK`` entries, where
+numpy's cost per call would outweigh the arithmetic, and in numpy arrays
+otherwise.  The float path sums its terms in a fixed order, with no BLAS dot
+product, so its multipliers can differ from the array path's in the last
+digits.  A fit holds its values on the training points only; the harness's
+holdout in :mod:`rkhsball.experiments` evaluates fits on fresh points.
 """
 
 from __future__ import annotations
@@ -67,6 +71,16 @@ PIVOT_FRACTION = 0.5
 # the whole of K at once raised the peak memory at n = 800.
 BLOCK_ROWS = 32
 MU_REL_TOL = 1e-10
+# A spectrum of at most this many entries solves its multiplier in Python
+# floats, a longer one in numpy arrays.  On short spectra numpy's cost per call,
+# not the arithmetic, sets the time; the float loop's cost grows with the rank.
+# Per mu_of_r call, 1 BLAS thread, 2-core host, numpy vs floats: 34.0 vs 13.7,
+# 35.0 vs 10.7 and 22.1 vs 7.5 us on the n = 200, d = 1 Grams of ranks 11, 7
+# and 6; on synthetic spectra over 12 decades, 28.5 vs 15.6 us at rank 16,
+# 30.5 vs 26.4 at 32, 32.0 vs 33.4 at 40 and 33.6 vs 86.2 at 113.  Another
+# run on a similar host broke even at rank 16 (62 vs 59 us) and lost at 24
+# (53 vs 82 us), so the threshold takes the lower break-even.
+SCALAR_RANK = 16
 # Newton from the left of the root took at most 12 iterations on spectra
 # spanning 12 decades; the cap only bounds a diverging solve.
 MU_MAX_ITER = 50
@@ -290,7 +304,13 @@ def mu_of_r(ge: GramEigen, r: float) -> float:
     ``phi``.  A step leaving that bracket is replaced by bisection.  The
     iteration stops once ``|phi - r**2| <= MU_REL_TOL * r**2`` and returns one
     further Newton step from there, which leaves ``mu`` accurate well beyond
-    the stop tolerance.  Raises :class:`InputError` unless ``r`` is a finite
+    the stop tolerance.
+
+    A spectrum of at most ``SCALAR_RANK`` entries is solved in Python floats
+    (:func:`_secular_floats`), a longer one in numpy arrays
+    (:func:`_secular_arrays`); the two differ only in how they sum, so their
+    multipliers agree to rounding.  The float path sums in a fixed order, with
+    no BLAS dot product.  Raises :class:`InputError` unless ``r`` is a finite
     positive real number, and :class:`NumericalError` on a non-finite
     decomposition or when ``MU_MAX_ITER`` iterations do not converge.
     """
@@ -299,16 +319,24 @@ def mu_of_r(ge: GramEigen, r: float) -> float:
         raise NumericalError(f"interpolation radius is not finite ({ge.rho})")
     if r >= ge.rho:
         return 0.0
-    d = ge.values
-    dc2 = d * ge.proj**2
+    if ge.rank <= SCALAR_RANK:
+        d, c = ge.values.tolist(), ge.proj.tolist()
+        dc2 = [di * (ci * ci) for di, ci in zip(d, c)]
+        total = math.fsum(dc2)
+        single = max(math.sqrt(t) / r - di for t, di in zip(dc2, d))
+        secular = _secular_floats
+    else:
+        d = ge.values
+        dc2 = d * ge.proj**2
+        total = float(dc2.sum())
+        single = float(np.max(np.sqrt(dc2) / r - d))
+        secular = _secular_arrays
     target = r * r
-    hi = math.sqrt(float(dc2.sum())) / r
-    lo = max(0.0, hi - float(d[0]), float(np.max(np.sqrt(dc2) / r - d)))
+    hi = math.sqrt(total) / r
+    lo = max(0.0, hi - float(d[0]), single)
     lam = lo
     for _ in range(MU_MAX_ITER):
-        inv = 1.0 / (d + lam)
-        terms = dc2 * inv * inv
-        phi = float(terms.sum())
+        phi, slope = secular(d, dc2, lam)
         if not math.isfinite(phi):
             raise NumericalError(f"constraint value is not finite ({phi}) at radius {r}")
         if phi > target:
@@ -317,12 +345,31 @@ def mu_of_r(ge: GramEigen, r: float) -> float:
             hi = lam
         # Newton step on psi: psi / psi' = (phi - phi**1.5 / r) / sum(D c^2 / (D + lam)^3).
         # The slope underflows only for radii near 1e-150; bisect then.
-        slope = float(terms @ inv)
         step = lam + phi * (math.sqrt(phi) / r - 1.0) / slope if slope > 0.0 else lam
         if abs(phi - target) <= MU_REL_TOL * target:
             return min(max(step, lo), hi) / ge.n
         lam = step if lo < step < hi else 0.5 * (lo + hi)
     raise NumericalError(f"constraint multiplier did not converge in {MU_MAX_ITER} iterations")
+
+
+def _secular_floats(d: list, dc2: list, lam: float) -> tuple[float, float]:
+    """``(phi, slope)`` at ``lam`` from lists of floats, each summed left to right:
+    ``phi = sum_i D_i c_i^2 / (D_i + lam)^2`` and
+    ``slope = sum_i D_i c_i^2 / (D_i + lam)^3``."""
+    phi = slope = 0.0
+    for di, t in zip(d, dc2):
+        inv = 1.0 / (di + lam)
+        term = t * inv * inv
+        phi += term
+        slope += term * inv
+    return phi, slope
+
+
+def _secular_arrays(d: np.ndarray, dc2: np.ndarray, lam: float) -> tuple[float, float]:
+    """``(phi, slope)`` of :func:`_secular_floats` from arrays, in numpy's sum and BLAS's dot."""
+    inv = 1.0 / (d + lam)
+    terms = dc2 * inv * inv
+    return float(terms.sum()), float(terms @ inv)
 
 
 @dataclass(frozen=True)

@@ -310,10 +310,15 @@ def _holdout_means(coeffs: np.ndarray, kernel, x_train, scenario: ScenarioConfig
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score 95% interval for a binomial proportion."""
+    """Wilson score 95% interval for a binomial proportion.
+
+    Raises :class:`InputError` unless ``successes`` and ``trials`` are integers
+    with ``0 <= successes <= trials`` and ``trials >= 1``."""
     z = WILSON_Z
-    if trials < 1:
-        raise InputError("Wilson interval needs at least one trial")
+    successes = check_int(successes, "successes", 0)
+    trials = check_int(trials, "trials")
+    if successes > trials:
+        raise InputError(f"successes must be at most trials ({trials}), got {successes}")
     phat = successes / trials
     denom = 1.0 + z**2 / trials
     center = (phat + z**2 / (2.0 * trials)) / denom

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ def synthetic_eigen(values, proj):
     values, proj = values[:rank], proj[:rank]
     rho = math.sqrt(float(np.sum(proj**2 / values)))
     return GramEigen(vectors=np.zeros((n, 0)), values=values, proj=proj, rho=rho)
+
+
+# mu_of_r's two evaluators, each forced by the rank threshold: every spectrum is
+# solved in numpy arrays at SCALAR_RANK = 0 and in Python floats at sys.maxsize.
+PATHS = {"arrays": 0, "floats": sys.maxsize}
+
+
+def on_both_paths(monkeypatch):
+    """Yield each evaluator's name with mu_of_r forced onto it."""
+    for name, threshold in PATHS.items():
+        monkeypatch.setattr(estimator, "SCALAR_RANK", threshold)
+        yield name
+
+
+def spread_spectrum(seed, rank, n=200):
+    """GramEigen of n rows whose rank values spread over 12 decades."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(10.0 ** (-12.0 * rng.uniform(size=rank)))[::-1]
+    return synthetic_eigen(np.concatenate([values, np.zeros(n - rank)]), rng.normal(size=n))
 
 
 def constraint_value(ge, mu, n):
@@ -363,8 +383,37 @@ class TestMuOfR:
         values = np.array([1.0, 1e-6, 1e-12])
         ge = synthetic_eigen(values, np.array([1.0, 1.0, 1.0]))
         monkeypatch.setattr(estimator, "MU_MAX_ITER", 1)
-        with pytest.raises(NumericalError):
-            mu_of_r(ge, 0.5 * ge.rho)
+        raised = {}
+        for path in on_both_paths(monkeypatch):
+            with pytest.raises(NumericalError) as info:
+                mu_of_r(ge, 0.5 * ge.rho)
+            raised[path] = (type(info.value), str(info.value))
+        assert raised["arrays"] == raised["floats"]
+
+    @pytest.mark.parametrize("rank", [1, estimator.SCALAR_RANK, estimator.SCALAR_RANK + 1, 120])
+    def test_matches_bisection_oracle_on_either_side_of_the_threshold(self, rank):
+        # The rank alone picks the evaluator: floats up to SCALAR_RANK, arrays past it.
+        for seed in range(4):
+            ge = spread_spectrum(seed, rank)
+            for frac in (-6.0, -3.0, -1.0, -0.3, -0.05):
+                r = ge.rho * (1.0 - 10.0**frac)
+                mu = mu_of_r(ge, r)
+                assert abs(constraint_value(ge, mu, ge.n) - r * r) <= 1e-10 * r * r
+                ref = bisect_mu(ge, r, ge.n)
+                assert abs(mu - ref) <= 1e-8 * ref
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evaluators_agree(self, monkeypatch, seed):
+        # The two paths differ only in the order of their sums.  The multiplier's
+        # condition number phi / (2 lam |phi'|) grows like 1 / (2 (1 - r / rho))
+        # near rho, and the gap with it: up to 2.3e-14 at r <= 0.99 rho over 200
+        # seeds, 2.2e-13 at r = 0.999 rho.
+        ge = spread_spectrum(seed, estimator.SCALAR_RANK)
+        radii = ge.rho * np.geomspace(1e-4, 0.99, 29)
+        mus = {path: np.array([mu_of_r(ge, r) for r in radii])
+               for path in on_both_paths(monkeypatch)}
+        assert np.all(mus["arrays"] > 0)
+        assert np.all(np.abs(mus["floats"] - mus["arrays"]) <= 1e-13 * mus["arrays"])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), a=st.floats(1e-3, 1e3),
@@ -394,12 +443,13 @@ class TestMuOfR:
             assert abs(h - min(r, ge.rho)) <= 1e-9 * min(r, ge.rho)
         assert all(a <= b * (1.0 + 1e-9) for a, b in zip(norms, norms[1:]))
 
-    def test_tiny_radius(self):
+    def test_tiny_radius(self, monkeypatch):
         # The Newton slope underflows near r = 1e-150; mu -> sqrt(S) / (n r).
         ge = synthetic_eigen(np.array([2.0, 0.5]), np.array([1.0, -3.0]))
         r = 1e-150
         s = float(np.sum(ge.values * ge.proj**2))
-        assert mu_of_r(ge, r) == pytest.approx(math.sqrt(s) / (2 * r), rel=1e-8)
+        for _ in on_both_paths(monkeypatch):
+            assert mu_of_r(ge, r) == pytest.approx(math.sqrt(s) / (2 * r), rel=1e-8)
 
     def test_non_finite_rho_rejected(self):
         ge = GramEigen(vectors=np.eye(1), values=np.array([1.0]), proj=np.array([np.nan]),
@@ -408,11 +458,15 @@ class TestMuOfR:
             mu_of_r(ge, 1.0)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_constraint_rejected(self):
+    def test_non_finite_constraint_rejected(self, monkeypatch):
         ge = GramEigen(vectors=np.eye(2), values=np.array([1.0, 0.5]),
                        proj=np.array([1.0, np.inf]), rho=2.0)
-        with pytest.raises(NumericalError):
-            mu_of_r(ge, 1.0)
+        raised = {}
+        for path in on_both_paths(monkeypatch):
+            with pytest.raises(NumericalError) as info:
+                mu_of_r(ge, 1.0)
+            raised[path] = (type(info.value), str(info.value))
+        assert raised["arrays"] == raised["floats"]
 
     def test_nan_response_raises(self):
         k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
@@ -572,8 +626,10 @@ class TestRadiusPath:
 
     def test_radius_path_is_one_call(self, monkeypatch):
         # The path makes one fit_constrained call and one mu_of_r call per
-        # positive radius; the benchmark traces both layers by these names.
-        calls = {"fit_constrained": 0, "mu_of_r": 0}
+        # positive radius on either evaluator: at width 1 the Gram of 200 points
+        # has rank 7 in one dimension and 115, past SCALAR_RANK, in three.  The
+        # benchmark traces both layers by these names.
+        calls = {}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -584,12 +640,17 @@ class TestRadiusPath:
         monkeypatch.setattr(selection_fixed, "fit_constrained",
                             counting("fit_constrained", fit_constrained))
         monkeypatch.setattr(estimator, "mu_of_r", counting("mu_of_r", mu_of_r))
-        x = np.random.default_rng(2).uniform(size=(200, 1))
-        data = Dataset(x=x, y=np.sin(3.0 * x[:, 0]))
-        grid = radius_grid(1.0, 0.5, data.n)
-        fits = selection_fixed.fit_radius_path(data, GaussianKernel(1.0, 1), grid)
-        assert len(fits) == len(grid) == 30
-        assert calls == {"fit_constrained": 1, "mu_of_r": 29}
+        for d, short in ((1, True), (3, False)):
+            x = np.random.default_rng(2).uniform(size=(200, d))
+            data = Dataset(x=x, y=np.sin(3.0 * x[:, 0]))
+            kernel = GaussianKernel(1.0, d)
+            rank = eigen_gram(gram(kernel, data.x), data.y).rank
+            assert (rank <= estimator.SCALAR_RANK) == short
+            grid = radius_grid(1.0, 0.5, data.n)
+            calls.update(fit_constrained=0, mu_of_r=0)
+            fits = selection_fixed.fit_radius_path(data, kernel, grid)
+            assert len(fits) == len(grid) == 30
+            assert calls == {"fit_constrained": 1, "mu_of_r": 29}
 
 
 class TestDistances:

@@ -434,6 +434,23 @@ class TestWilson:
         lo, hi = wilson_interval(450, 500)
         assert 0.0 <= lo <= 450 / 500 <= hi <= 1.0
 
+    @pytest.mark.parametrize("successes, trials, message", [
+        (5, 3, "successes must be at most trials (3), got 5"),
+        (-1, 3, "successes must be at least 0, got -1"),
+        (1.5, 3, "successes must be an integer, got 1.5"),
+        (True, 3, "successes must be an integer, got True"),
+        (1, 0, "trials must be at least 1, got 0"),
+        (1, 2.5, "trials must be an integer, got 2.5"),
+        (1, False, "trials must be an integer, got False"),
+    ])
+    def test_bad_counts_rejected(self, successes, trials, message):
+        with pytest.raises(InputError) as info:
+            wilson_interval(successes, trials)
+        assert str(info.value) == message
+
+    def test_integral_counts_accepted(self):
+        assert wilson_interval(np.int64(3), 4.0) == wilson_interval(3, 4)
+
 
 class TestEventChecks:
     def test_zero_target_tiny_noise_frequency_one(self):
