@@ -8,10 +8,12 @@ so its diagonal value is ``gamma**(-d)`` everywhere.  The scaling makes the
 unit balls of the associated function spaces nested: shrinking the width
 enlarges the ball.  ``gram`` assembles the kernel matrix of the training
 points and ``cross_gram`` the matrix between new and training points, which
-evaluates a fit off the training set.  This module imports nothing from the
-package but its errors.  It also provides the closed-form geometry of the
-width family (covering numbers, the entropy integral and the chaining
-constant): the chaining constant scales the width-adaptive penalties.
+evaluates a fit off the training set.  Both add up the squared coordinate
+differences of each pair of points and make no BLAS call.  This module
+imports nothing from the package but its errors.  It also provides the
+closed-form geometry of the width family (covering numbers, the entropy
+integral and the chaining constant): the chaining constant scales the
+width-adaptive penalties.
 """
 
 from __future__ import annotations
@@ -77,33 +79,34 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 
 def gram(kernel: GaussianKernel, x) -> np.ndarray:
-    """Assemble the Gram matrix K[i, j] = k(X_i, X_j) for the given kernel."""
-    # A strided or reversed view of the points can make BLAS round ``x x^T``
-    # asymmetrically; on a C-contiguous copy it is exactly symmetric.
-    pts = np.ascontiguousarray(_as_points(x, kernel.dim))
-    s = np.sum(pts * pts, axis=1)
-    # The squared distances associate as (s_i + s_j) - 2 x_i.x_j: the sum and
-    # the product ``x x^T`` are both exactly symmetric, so K is too.
-    return _gaussian(kernel, pts @ pts.T, s[:, None] + s[None, :])
+    """Assemble the Gram matrix K[i, j] = k(X_i, X_j) for the given kernel.
+
+    Each entry adds ``(X_ik - X_jk)**2`` over the coordinates k in order, and
+    ``fl(a - b) = -fl(b - a)``, so K is exactly symmetric for any layout of
+    the points and its diagonal is exactly ``kernel.diag_sup``.  The squared
+    distances of points far from the origin do not cancel.
+    """
+    pts = _as_points(x, kernel.dim)
+    return _gaussian(kernel, pts, pts)
 
 
 def cross_gram(kernel: GaussianKernel, x_train, x_new) -> np.ndarray:
-    """Rectangular kernel matrix K[j, i] = k(X_new_j, X_train_i)."""
-    a = _as_points(x_new, kernel.dim)
-    b = _as_points(x_train, kernel.dim)
-    return _gaussian(kernel, a @ b.T, np.sum(a * a, axis=1)[:, None],
-                     np.sum(b * b, axis=1)[None, :])
+    """Rectangular kernel matrix K[j, i] = k(X_new_j, X_train_i), built as
+    :func:`gram` builds K, whose bytes it has on the same points."""
+    return _gaussian(kernel, _as_points(x_new, kernel.dim), _as_points(x_train, kernel.dim))
 
 
-def _gaussian(kernel: GaussianKernel, out: np.ndarray, *sq_norms) -> np.ndarray:
-    """Kernel values in place in ``out``, the inner products of two point sets:
-    ``gamma**(-d) * exp(-max(sq, 0) / gamma**2)``, ``sq = -2 * out`` plus each
-    of ``sq_norms`` in turn.  So a holdout block is built in one buffer, and a
-    Gram in one plus its n x n sum of squared norms."""
-    out *= -2.0
-    for sq in sq_norms:
-        out += sq
-    np.maximum(out, 0.0, out=out)
+def _gaussian(kernel: GaussianKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[j, i] = k(a_j, b_i)`` in one buffer, adding one coordinate's squared
+    differences at a time through one scratch buffer when d >= 2."""
+    out = np.subtract(a[:, :1], b[:, 0])
+    out *= out
+    if kernel.dim > 1:
+        diff = np.empty_like(out)
+        for k in range(1, kernel.dim):
+            np.subtract(a[:, k:k + 1], b[:, k], out=diff)
+            diff *= diff
+            out += diff
     out /= -kernel.gamma**2
     np.exp(out, out=out)
     out *= kernel.gamma ** (-kernel.dim)

@@ -129,6 +129,23 @@ class TestSelect:
         sel = json.loads((tmp_path / "selection.json").read_text())
         assert sel["tau"] == pytest.approx(8.0)
 
+    def test_points_far_from_origin(self, tmp_path):
+        # 300 points in [1000, 1001]^3: the Gram keeps its accuracy, so the
+        # PSD check passes and the selection is that of the unshifted points.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(300, 3))
+        y = np.sin(3.0 * x.sum(axis=1)) + 0.1 * rng.normal(size=300)
+        chosen = []
+        for shift in (0.0, 1000.0):
+            out = tmp_path / f"o{shift:g}"
+            rows = [[*map(float, point + shift), float(v)] for point, v in zip(x, y)]
+            data = _data_csv(tmp_path / f"d{shift:g}.csv", rows, d=3)
+            cfg = self._config(tmp_path, data, tau=0.05)
+            with pytest.warns(UserWarning):
+                assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+            chosen.append(json.loads((out / "selection.json").read_text())["r_hat"])
+        assert chosen[0] == chosen[1] > 0.0
+
 
 class TestSelectGauss:
     def test_runs(self, tmp_path):

@@ -178,6 +178,26 @@ class TestGenerate:
         ScenarioConfig(**{"n": 10, name: np.int64(1)}, target=target)  # numpy integers count
 
 
+def product_spy(calls):
+    """A stand-in for ``experiments.cross_gram`` that appends ``[points, x_block]``
+    to ``calls`` for each kernel block it builds, then the values of the
+    product the caller takes from that block."""
+
+    class Block(np.ndarray):
+        """A kernel block that records the values the caller takes from it."""
+
+        def __matmul__(self, weights):
+            values = np.asarray(self) @ weights
+            calls[-1].append(values.copy())
+            return values
+
+    def spy(kern, points, x_block):
+        calls.append([points, x_block])
+        return cross_gram(kern, points, x_block).view(Block)
+
+    return spy
+
+
 class TestHoldout:
     def test_exact_representation_gives_zero(self):
         target = RkhsTarget(gamma0=1.0, centers=[[0.5]], weights=[2.0])
@@ -216,12 +236,24 @@ class TestHoldout:
         kernel = GaussianKernel(0.5, 1)
         fits = fit_constrained(eigen_gram(gram(kernel, data.x), data.y), [0.5, 1.0])
         coeffs = np.stack([f.coeffs for f in fits], axis=1)
-        means = experiments._holdout_means(coeffs, kernel, data.x, scen,
-                                           replicate_rng(2, 0, stream=1), None)
-        x_new = replicate_rng(2, 0, stream=1).uniform(0.0, 1.0, size=(20001, 1))
-        preds = np.clip(cross_gram(kernel, data.x, x_new) @ coeffs, -scen.c, scen.c)
-        sq = (preds - scen.target.evaluate(x_new)[:, None]) ** 2
+        calls = []
+        with mock.patch.object(experiments, "cross_gram", product_spy(calls)):
+            means = experiments._holdout_means(coeffs, kernel, data.x, scen,
+                                               replicate_rng(2, 0, stream=1), None)
+        # The target's own kernel products are not holdout blocks.
+        blocks = [call for call in calls if call[0] is data.x]
+        assert [len(x_block) for _, x_block, _ in blocks] == [6553, 6553, 6553, 342]
+        x_new = np.vstack([x_block for _, x_block, _ in blocks])
+        preds = np.vstack([values for _, _, values in blocks])
+        # The means are mean(axis=0) of the clipped errors of the loop's own
+        # block products, bit for bit.
+        sq = (np.clip(preds, -scen.c, scen.c) - scen.target.evaluate(x_new)[:, None]) ** 2
         assert np.array_equal(means, sq.mean(axis=0))
+        # A block product and the one full product are different BLAS calls; they
+        # agree to within the full product's worst-case rounding,
+        # n * eps * diag_sup * ||c||_1 per fit.
+        bound = len(data.x) * np.finfo(float).eps * kernel.diag_sup * np.abs(coeffs).sum(axis=0)
+        assert np.all(np.abs(preds - cross_gram(kernel, data.x, x_new) @ coeffs) <= bound)
         for fit, mean in zip(fits, means):
             err = holdout_sq_error(fit, kernel, data.x, scen, rng=replicate_rng(2, 0, stream=1))
             assert err.mean == pytest.approx(mean, rel=1e-12)
@@ -281,20 +313,7 @@ class TestPivotBasisHoldout:
         # The tent target calls no kernel, so every cross-Gram below is the holdout's.
         scen = ScenarioConfig(n=n, d=d, target=HatTarget(1.0), holdout_size=10000)
         calls = []
-
-        class Block(np.ndarray):
-            """A kernel block that records the values the loop takes from it."""
-
-            def __matmul__(self, weights):
-                values = np.asarray(self) @ weights
-                calls[-1].append(values.copy())
-                return values
-
-        def spy(kern, points, x_block):
-            calls.append([points, x_block])
-            return cross_gram(kern, points, x_block).view(Block)
-
-        with mock.patch.object(experiments, "cross_gram", spy):
+        with mock.patch.object(experiments, "cross_gram", product_spy(calls)):
             experiments._holdout_means(coeffs, kernel, x, scen, rng, basis)
         # The first block is the full evaluation's, bit for bit.
         (points, first, values), *later = calls
@@ -320,17 +339,25 @@ class TestPivotBasisHoldout:
                 assert rec.err_adaptive == means[radii.index(r_hat)]
                 assert rec.err_oracle_grid == means.min()
 
-    @pytest.mark.parametrize("gamma,gives_up", [(1e-3, True), (0.3, False)])
+    @pytest.mark.parametrize("gamma,gives_up", [(1e-3, True), (1.0, False)])
     def test_fallback_is_the_full_evaluation(self, monkeypatch, gamma, gives_up):
         # Two holdout blocks at n = 40.  At width 1e-3 the Gram is nearly
         # 1000 * I and the Cholesky reaches its cap of 20 pivots, so there is no
-        # basis; at width 0.3 it finishes, but the basis misses the first
+        # basis.  At width 1.0 it finishes with about a dozen pivots, and every
+        # weight is shifted by 1: each value then moves by at least the largest
+        # kernel value at a pivot, far past the check's tolerance of
+        # n * eps * diag_sup * ||c||_1 / 2, so the basis misses the first
         # block's full values and only that check reads it.  Either way both
         # blocks come from the full cross-Gram.
         taken, reads = [], []
         real_basis, real_cross = experiments._pivot_basis, experiments.cross_gram
-        monkeypatch.setattr(experiments, "_pivot_basis",
-                            lambda *args: taken.append(real_basis(*args)) or taken[-1])
+
+        def basis(*args):
+            real = real_basis(*args)
+            taken.append(real if real is None else (real[0], real[1] + 1.0))
+            return taken[-1]
+
+        monkeypatch.setattr(experiments, "_pivot_basis", basis)
 
         def cross(kernel, points, x):
             reads.append(any(b is not None and points is b[0] for b in taken))

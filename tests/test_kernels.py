@@ -82,29 +82,37 @@ class TestGram:
             w = np.linalg.eigvalsh(k)
             assert w.min() >= -1e-10 * max(w.max(), 0.0)
 
-    def test_matches_unfused_formula_bytewise(self, rng):
-        # Up to 400 points, where BLAS blocks the product x x^T; K's exact
-        # symmetry rests on that product's.
+    def test_matches_difference_formula_bytewise(self, rng):
+        # The squared distance summed one coordinate difference at a time, in
+        # coordinate order; the cross-Gram on points shifted off the unit cube.
         for _ in range(30):
             n, d = int(rng.integers(1, 401)), int(rng.integers(1, 6))
             gamma = float(rng.uniform(0.3, 3.0))
             x = rng.uniform(size=(n, d))
-            x2 = np.sum(x * x, axis=1)
-            sq = np.maximum(x2[:, None] + x2[None, :] - 2.0 * (x @ x.T), 0.0)
-            k = gamma ** (-d) * np.exp(-sq / gamma**2)
-            got = gram(GaussianKernel(gamma, d), x)
-            assert got.tobytes() == (0.5 * (k + k.T)).tobytes()
-            assert np.array_equal(got, got.T)
+            z = x[::2] + 0.5
+            kern = GaussianKernel(gamma, d)
+            k = gram(kern, x)
+            for got, a, b in ((k, x, x), (cross_gram(kern, x, z), z, x)):
+                sq = np.zeros((len(a), len(b)))
+                for j in range(d):
+                    sq += (a[:, j, None] - b[None, :, j]) ** 2
+                want = gamma ** (-d) * np.exp(-sq / gamma**2)
+                assert got.tobytes() == want.tobytes()
+            assert np.array_equal(k, k.T)
 
     def test_strided_and_reversed_points_give_the_contiguous_gram(self, rng):
-        # The layout of a view of the points can change how BLAS rounds x x^T;
-        # gram works on a C-contiguous copy, so K stays exactly symmetric.
+        # Each entry is built from its own two points' coordinate differences,
+        # so the layout of a view of the points changes no bit: K is exactly
+        # symmetric, its diagonal is diag_sup, and the cross-Gram of the
+        # points with themselves is the Gram.
         kern = GaussianKernel(0.7, 2)
         x = rng.uniform(size=(333, 4))
         for view in (x[:, ::2], x[:, :2][::-1]):
             got = gram(kern, view)
             assert np.array_equal(got, got.T)
+            assert np.all(np.diagonal(got) == kern.diag_sup)
             assert got.tobytes() == gram(kern, view.copy()).tobytes()
+            assert got.tobytes() == cross_gram(kern, view, view).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):

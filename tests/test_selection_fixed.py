@@ -232,6 +232,22 @@ class TestSelectRadius:
         assert result.gamma_hat is None
         assert all(row.gamma is None for row in result.criterion)
 
+    def test_translation_far_from_origin_keeps_the_selection(self):
+        # The kernel depends on x - x' alone.  Shifting 300 points in the unit
+        # cube by 1000 rounds each coordinate by up to 5.7e-14; over seeds
+        # 0-19 the fitted values then moved by at most 3.7e-13, so 1e-12 is
+        # the bound.
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(300, 3))
+        y = np.sin(3.0 * x.sum(axis=1)) + 0.1 * rng.normal(size=300)
+        kernel = GaussianKernel(1.0, 3)
+        grid = radius_grid(1.0, 0.5, 300)
+        cfg = _quiet_config(0.05, 0.5, 0.1, kernel.diag_sup)
+        near = select_radius(Dataset(x=x, y=y), kernel, grid, cfg)
+        far = select_radius(Dataset(x=x + 1000.0, y=y), kernel, grid, cfg)
+        assert near.r_hat > 0.0 and far.r_hat == near.r_hat
+        assert np.abs(far.fit_hat.train_pred - near.fit_hat.train_pred).max() <= 1e-12
+
 
 @st.composite
 def _comparison_tables(draw):
