@@ -19,6 +19,7 @@ from .kernels import (
     WidthGrid,
     chaining_constant_bound,
     covering_number_bound,
+    cross_gram,
     entropy_integral_bound,
     gram,
     width_grid,

@@ -10,8 +10,10 @@ parameters live in a config file (``--config``): either JSON or
 ``dotted.key = value`` lines, where ``#`` starts a comment outside a
 double-quoted string.  A subcommand accepts only the keys of its
 :data:`DEFAULTS` entry, and reads them all.  Each value is checked against the
-type of its default when the config is read, so ``--print-config`` too rejects
-a malformed config (exit code 2).
+type of its default when the config is read, a number by the package's one rule
+(:func:`~rkhsball.errors.check_real` or :func:`~rkhsball.errors.check_int`), so
+a quoted number such as ``"1.5"`` is a string and fails; ``--print-config`` too
+rejects a malformed config (exit code 2).
 ``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
 ``seed``); it, ``--threads`` and ``--theory-mode`` exist only where the key
 does.
@@ -277,19 +279,13 @@ def read_data_csv(path: str) -> Dataset:
 
 
 def _number(value, key: str, kind=float):
-    """``kind(value)`` for the config value at ``key``; an input error naming the key
-    when the value is a bool, does not convert, is not finite (JSON's ``Infinity``
-    and ``NaN``), or converts to an integer only by truncation."""
-    try:
-        number = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and isinstance(value, float) and number != value):
-        what = "an integer" if kind is int else "a number"
-        raise InputError(f"config key {key} must be {what}, got {value!r}")
-    if not math.isfinite(number):
-        raise InputError(f"config key {key} must be finite, got {value!r}")
-    return number
+    """The config value at ``key`` as ``kind``, by the package's rule for numbers,
+    :func:`~rkhsball.errors.check_int` or :func:`~rkhsball.errors.check_real`, with
+    no lower bound: the checks downstream name the bounds."""
+    name = f"config key {key}"
+    if kind is int:
+        return check_int(value, name, -math.inf)
+    return check_real(value, name, -math.inf)
 
 
 def _build_target(spec: dict):

@@ -41,7 +41,10 @@ def check_real(value, name: str, low: float = 0.0, *, strict: bool = True) -> fl
     the parameter ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a real number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise InputError(f"{name} must be finite, got {value!r}")
     if not (number > low if strict else number >= low):

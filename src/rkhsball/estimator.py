@@ -15,8 +15,9 @@ threshold are computed, by pivoted Cholesky and a Rayleigh-Ritz step when the
 Gram matrix is numerically low-rank and by a full ``eigh`` otherwise.
 
 :func:`fit_constrained` fits a whole radius path from its only data input,
-the :class:`GramEigen` of :func:`eigen_gram`: given a sequence of R radii it
-stacks their weights into an ``R x rank`` matrix ``W``, so that every
+the :class:`GramEigen` of :func:`eigen_gram`: it takes a sequence of R radii,
+always, and returns the list of their R fits.  It stacks their weights into an
+``R x rank`` matrix ``W``, so that every
 coefficient vector comes from the one product ``W A^T`` and every fitted value
 from the one product ``(W diag(D)) A^T``.  Each positive radius's multiplier
 comes from one :func:`mu_of_r` call, which evaluates the secular function in
@@ -31,7 +32,6 @@ holdout in :mod:`rkhsball.experiments` evaluates fits on fresh points.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -397,30 +397,28 @@ class ConstrainedFit:
         return empirical_sq_distance(self.train_pred, y)
 
 
-def fit_constrained(eigen: GramEigen, r: float | Iterable[float]) -> ConstrainedFit | list[ConstrainedFit]:
-    """Fit the least-squares estimator constrained to the radius-``r`` ball.
+def fit_constrained(eigen: GramEigen, radii: Iterable[float]) -> list[ConstrainedFit]:
+    """The least-squares fits constrained to the balls of ``radii``, in their order.
 
     ``eigen`` is the decomposition from :func:`eigen_gram` of the Gram matrix
     and responses, one per dataset-kernel pair for any number of radii; n, the
-    rank, the spectrum and the projections all come from it.  ``r`` is one
-    radius, giving one :class:`ConstrainedFit`, or a sequence of radii, giving
-    the list of their fits in the same order.  Every radius goes through
-    :func:`~rkhsball.errors.check_real` as ``radius``, a finite real number of at
-    least 0, before any multiplier is solved; a numpy array counts as a sequence
-    of its entries, or as one radius when it is 0-d, and a string, bytes or any
-    other value that is not iterable counts as one radius, so the error shows the
-    whole value.  Every positive radius's
+    rank, the spectrum and the projections all come from it.  ``radii`` is a
+    sequence, so one radius's fit is ``fit_constrained(eigen, [r])[0]``; a
+    string, bytes, a 0-d array or a value that is not iterable raises
+    :class:`InputError` naming the whole value.  Every radius goes through
+    :func:`~rkhsball.errors.check_real` as ``radius``, a finite real number of
+    at least 0, before any multiplier is solved.  Every positive radius's
     multiplier comes from :func:`mu_of_r`.  With the eigenvectors ``A`` and the
     ``R x rank`` weights ``W = c / (D + n * mu)``, every coefficient vector
     comes from one product ``W A^T`` and every fitted value from one product
-    ``(W diag(D)) A^T``; each fit holds one row of each.  ``r = 0`` gives the
-    zero fit, all ``+0.0``, as does a Gram of rank 0.
+    ``(W diag(D)) A^T``; each fit holds one row of each.  A radius of 0 gives
+    the zero fit, all ``+0.0``, as does a Gram of rank 0.
     """
-    if isinstance(r, np.ndarray):
-        r = r.tolist()  # a 0-d array becomes one Python number
-    single = isinstance(r, (numbers.Real, str, bytes)) or not isinstance(r, Iterable)
-    radii = np.array([check_real(s, "radius", 0.0, strict=False) for s in ([r] if single else r)],
-                     dtype=float)
+    if isinstance(radii, np.ndarray):
+        radii = radii.tolist()  # a 0-d array becomes one Python number
+    if isinstance(radii, (str, bytes)) or not isinstance(radii, Iterable):
+        raise InputError(f"radii must be a sequence of real numbers, got {radii!r}")
+    radii = np.array([check_real(s, "radius", 0.0, strict=False) for s in radii], dtype=float)
     mus = [mu_of_r(eigen, float(s)) if s > 0.0 else 0.0 for s in radii]
     d, vectors = eigen.values, eigen.vectors
     w = eigen.proj / (d + eigen.n * np.array(mus)[:, None])
@@ -431,10 +429,9 @@ def fit_constrained(eigen: GramEigen, r: float | Iterable[float]) -> Constrained
     # A product of zero weights can round to -0.0; the zero fit is +0.0.
     coeffs[zero] = train_pred[zero] = 0.0
     h_norms = np.sqrt((d * w**2).sum(axis=1))
-    fits = [ConstrainedFit(r=float(radii[i]), mu=mus[i], coeffs=coeffs[i],
+    return [ConstrainedFit(r=float(radii[i]), mu=mus[i], coeffs=coeffs[i],
                            train_pred=train_pred[i], h_norm=float(h_norms[i]))
             for i in range(len(radii))]
-    return fits[0] if single else fits
 
 
 def empirical_sq_distance(p, q) -> float:

@@ -29,6 +29,7 @@ __all__ = [
     "GaussianKernel",
     "WidthGrid",
     "gram",
+    "cross_gram",
     "covering_number_bound",
     "entropy_integral_bound",
     "chaining_constant_bound",

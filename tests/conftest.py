@@ -303,7 +303,7 @@ def naive_comparison_excess(preds, scales, coef):
 def _loop_path_preds(data, kernel, radii):
     k = gram(kernel, data.x)
     ge = eigen_gram(k, data.y)
-    return np.stack([fit_constrained(ge, r).train_pred for r in radii])
+    return np.stack([fit_constrained(ge, [r])[0].train_pred for r in radii])
 
 
 def _loop_approx_upper(target, r):

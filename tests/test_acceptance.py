@@ -42,6 +42,7 @@ from rkhsball.kernels import (
 )
 from rkhsball.selection_fixed import (
     GLConfig,
+    fit_radius_path,
     gl_criterion,
     radius_grid,
     select_radius,
@@ -82,17 +83,17 @@ def test_criterion_01_closed_form_unit_instance(capsys):
     with report(capsys, 1, "1x1 closed form (mu, coefficients) exact to 1e-10, < 1 ms"):
         k = np.array([[1.0]])
         y = np.array([2.0])
-        fit1 = fit_constrained(eigen_gram(k, y), 1.0)
+        fit1 = fit_constrained(eigen_gram(k, y), [1.0])[0]
         assert abs(fit1.mu - 1.0) <= 1e-10
         assert abs(fit1.coeffs[0] - 1.0) <= 1e-10
         for r in (2.0, 3.0, 10.0):
-            fit = fit_constrained(eigen_gram(k, y), r)
+            fit = fit_constrained(eigen_gram(k, y), [r])[0]
             assert fit.mu == 0.0
             assert abs(fit.coeffs[0] - 2.0) <= 1e-10
         times = []
         for _ in range(11):
             t0 = time.perf_counter()
-            fit_constrained(eigen_gram(k, y), 1.0)
+            fit_constrained(eigen_gram(k, y), [1.0])
             times.append(time.perf_counter() - t0)
         assert min(times) < 1e-3
 
@@ -105,7 +106,7 @@ def test_criterion_02_feasibility_activity(capsys):
             _, k, _, y = random_instance(rng, n_max=40)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.05, 1.2)) * stable_radius_scale(k, y)
-            fit = fit_constrained(ge, r)
+            fit = fit_constrained(ge, [r])[0]
             sq = float(fit.coeffs @ k @ fit.coeffs)
             assert sq <= r * r * (1.0 + 1e-8)
             if fit.mu > 0:
@@ -126,7 +127,7 @@ def test_criterion_03_radius_lipschitz(capsys):
                 r, s = (float(v) for v in rng.uniform(0.0, 1.3, size=2) * scale)
                 for radius in (r, s):
                     if radius not in fits:
-                        fits[radius] = fit_constrained(ge, radius)
+                        fits[radius] = fit_constrained(ge, [radius])[0]
                 lhs = rkhs_sq_distance(fits[r], fits[s], k)
                 assert lhs <= abs(r * r - s * s) + 1e-8 * (1.0 + r * r + s * s)
 
@@ -138,7 +139,7 @@ def test_criterion_04_projected_gradient_oracle(capsys):
             k, y = conditioned_instance(rng, n_max=6)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.1, 1.1)) * max(ge.rho, 0.5)
-            loss = fit_constrained(ge, r).train_loss(y)
+            loss = fit_constrained(ge, [r])[0].train_loss(y)
             oracle = pgd_constrained_loss(k, y, r)
             assert abs(loss - oracle) <= 1e-6 * max(abs(oracle), abs(loss)) + 1e-12
 
@@ -154,7 +155,7 @@ def test_criterion_05_criterion_floors(capsys):
                             sigma=0.1, k_diag=1.0)
             k = gram(kernel, data.x)
             ge = eigen_gram(k, data.y)
-            fits = [fit_constrained(ge, r)
+            fits = [fit_constrained(ge, [r])[0]
                     for r in radius_grid(1.0, 0.5, n)]
             for row in gl_criterion(fits, cfg):
                 assert row.total >= 2.0 * cfg.nu * cfg.tau * row.r / math.sqrt(n) - 1e-12
@@ -170,7 +171,7 @@ def test_criterion_05_criterion_floors(capsys):
                 kern = GaussianKernel(gamma, 1)
                 k = gram(kern, data.x)
                 ge = eigen_gram(k, data.y)
-                table.append([fit_constrained(ge, r)
+                table.append([fit_constrained(ge, [r])[0]
                               for r in cfg.radius_grid])
             for row in gauss_gl_criterion(table, cfg):
                 floor = 2.0 * cfg.nu * cfg.tau * row.gamma ** -0.5 * row.r / math.sqrt(n)
@@ -190,9 +191,8 @@ def test_criterion_06_brute_force_selection(capsys):
             cfg = _quiet_gl(tau=float(rng.uniform(0.1, 2.0)), nu=float(rng.uniform(0.1, 1.5)),
                             sigma=0.1, k_diag=1.0)
             result = select_radius(data, kernel, grid, cfg)
-            k = gram(kernel, data.x)
-            ge = eigen_gram(k, data.y)
-            preds = [fit_constrained(ge, r).train_pred for r in grid]
+            # The selection's own fits: the criteria are what differ.
+            preds = [f.train_pred for f in fit_radius_path(data, kernel, grid)]
             _, r_hat = naive_fixed_criterion(preds, list(grid), cfg.tau, cfg.nu, n)
             assert result.r_hat == r_hat
         for seed in range(50):
@@ -206,13 +206,8 @@ def test_criterion_06_brute_force_selection(capsys):
             cfg = _quiet_gauss(tau=float(rng.uniform(0.1, 1.5)), nu=float(rng.uniform(0.1, 1.5)),
                                sigma=0.1, dim=1, width_grid=widths, radius_grid=grid)
             result = select_width_radius(data, cfg)
-            preds = []
-            for gamma in widths:
-                kern = GaussianKernel(gamma, 1)
-                k = gram(kern, data.x)
-                ge = eigen_gram(k, data.y)
-                preds.append([fit_constrained(ge, r).train_pred
-                              for r in grid])
+            preds = [[f.train_pred for f in fit_radius_path(data, GaussianKernel(gamma, 1), grid)]
+                     for gamma in widths]
             _, gamma_hat, r_hat = naive_gauss_criterion(
                 preds, list(widths), list(grid), cfg.tau, cfg.nu, cfg.dim, n)
             assert (result.gamma_hat, result.r_hat) == (gamma_hat, r_hat)

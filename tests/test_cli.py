@@ -495,7 +495,7 @@ class TestReplicatesBoundary:
         ("quadform", {"n": 8, "t_list": 5}, "config key t_list must be a list, got 5"),
         ("rates", {"n_list": 5}, "config key n_list must be a list, got 5"),
         ("bounds", {"approx": {"kind": "element", "sup": 1.0}},
-         "config key approx.norm must be a number, got None"),
+         "config key approx.norm must be a real number, got None"),
         ("rates", {"theory_mode": "abc"}, "config key theory_mode must be true or false"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "master_seed": -1}},
          "master_seed must be at least 0, got -1"),
@@ -508,9 +508,9 @@ class TestReplicatesBoundary:
         ("rates", {**_SMALL_RATES, "threads": 0}, "threads must be at least 1, got 0"),
         ("rates", {"scenario": 5}, "config key scenario must be a mapping, got 5"),
         ("select", {"data": 0}, "config key data must be a string, got 0"),
-        ("fit", {"data": "data.csv", "r": True}, "config key r must be a number, got True"),
+        ("fit", {"data": "data.csv", "r": True}, "config key r must be a real number, got True"),
         ("select", {"data": "data.csv", "grid": {"a": True}},
-         "config key grid.a must be a number, got True"),
+         "config key grid.a must be a real number, got True"),
         ("rates", {**_SMALL_RATES, "n_list": [8, True, 16, 24]},
          "config key n_list must be an integer, got True"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "design": 5}},
@@ -557,6 +557,21 @@ class TestNonNumericConfig:
         assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config key {key} must be" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("select", 'grid.a = "1.5"', "config key grid.a must be a real number, got '1.5'"),
+        ("rates", 'scenario.n = "30"', "config key scenario.n must be an integer, got '30'"),
+        ("rates", "scenario.n = 30.0", None),
+    ])
+    def test_quoted_number_is_a_string(self, tmp_path, capsys, command, line, message):
+        # A config number follows the package's one rule: a string is no number.
+        cfg = _write(tmp_path / "c.conf", f"{line}\n")
+        assert main([command, "--config", cfg, "--print-config"]) == (2 if message else 0)
+        captured = capsys.readouterr()
+        if message:
+            assert captured.err == f"input error: {message}\n"
+        else:
+            assert json.loads(captured.out)["scenario"]["n"] == 30
 
 
 class TestOutputFiles:

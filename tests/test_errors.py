@@ -36,6 +36,10 @@ class TestHelpers:
             assert check_int(value, "x") == 2 and type(check_int(value, "x")) is int
         assert check_int(0, "x", 0) == 0
 
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(InputError, match="^x must be finite, got 1000"):
+            check_real(10**400, "x")
+
 
 @pytest.mark.parametrize("call,expected", [
     (lambda: radius_grid(_INF, 0.5, 10), "a must be finite, got inf"),
@@ -84,11 +88,15 @@ class TestHelpers:
     (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), ["1.0"]),
      "radius must be a real number, got '1.0'"),
     (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), "1.0"),
-     "radius must be a real number, got '1.0'"),
+     "radii must be a sequence of real numbers, got '1.0'"),
     (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), None),
-     "radius must be a real number, got None"),
+     "radii must be a sequence of real numbers, got None"),
     (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), b"1"),
-     "radius must be a real number, got b'1'"),
+     "radii must be a sequence of real numbers, got b'1'"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), 1.5),
+     "radii must be a sequence of real numbers, got 1.5"),
+    (lambda: fit_constrained(eigen_gram(np.eye(2), np.ones(2)), np.array(1.5)),
+     "radii must be a sequence of real numbers, got 1.5"),
 ], ids=["radius-a-inf", "width-v-inf", "radius-n-fraction", "radius-n-bool", "radius-b-str",
         "gl-nu-str", "width-c-inf", "gl-tau-inf", "tau-min-inf", "gauss-dim-fraction",
         "gauss-dim-bool", "kernel-gamma-bool", "target-gamma0-bool", "kernel-gamma-str",
@@ -97,7 +105,7 @@ class TestHelpers:
         "family-bound-j-const", "fixed-bound-approx-sq", "oracle-gap-threads",
         "oracle-gap-threshold", "oracle-gap-pass-fraction", "mu-r-bool", "settings-grid-b", "settings-kernel-gamma",
         "fit-radius-inf", "fit-radius-bool", "fit-radius-str", "fit-radii-str",
-        "fit-radii-none", "fit-radii-bytes"])
+        "fit-radii-none", "fit-radii-bytes", "fit-radii-float", "fit-radii-0d-array"])
 def test_bad_value_names_its_parameter(call, expected):
     with pytest.raises(InputError) as info:
         call()

@@ -193,8 +193,8 @@ class TestEigenGramPaths:
         # function-space norm sqrt(dc^T K dc).
         y_scale = float(np.abs(y).max())
         for r in list(radius_grid(1.0, 0.5, n))[1:]:
-            fit = fit_constrained(ge, r)
-            oracle = fit_constrained(ref, r)
+            fit = fit_constrained(ge, [r])[0]
+            oracle = fit_constrained(ref, [r])[0]
             assert np.abs(fit.train_pred - oracle.train_pred).max() <= 1e-7 * y_scale
             assert math.sqrt(max(rkhs_sq_distance(fit, oracle, k), 0.0)) <= 1e-4 * r
 
@@ -222,7 +222,7 @@ class TestEigenGramPaths:
         ge = eigen_gram(k, np.ones(5))
         assert ge.rank == 0 and ge.n == 5 and ge.rho == 0.0
         assert ge.vectors.shape == (5, 0) and ge.values.shape == ge.proj.shape == (0,)
-        fit = fit_constrained(ge, 1.0)
+        fit = fit_constrained(ge, [1.0])[0]
         assert fit.n == 5 and np.all(fit.coeffs == 0.0)
 
     def test_single_point(self):
@@ -234,7 +234,7 @@ class TestEigenGramPaths:
         k, y = smooth_instance(8, 60, 1, 2.0)
         ge = eigen_gram(k, y)
         assert ge.rank < 15 and ge.n == 60 and ge.vectors.shape == (60, ge.rank)
-        assert fit_constrained(ge, 1.0).n == 60
+        assert fit_constrained(ge, [1.0])[0].n == 60
 
     @pytest.mark.parametrize("diag", [0.0, 1e-13])
     def test_hidden_indefinite_block_rejected(self, diag):
@@ -425,8 +425,8 @@ class TestMuOfR:
         if ge.rank == 0:
             return
         r = frac * ge.rho
-        fit = fit_constrained(ge, r)
-        fit_a = fit_constrained(ge_a, a * r)
+        fit = fit_constrained(ge, [r])[0]
+        fit_a = fit_constrained(ge_a, [a * r])[0]
         assert abs(fit_a.mu - fit.mu) <= 1e-8 * fit.mu
         scale = np.abs(fit.coeffs).max()
         assert np.abs(fit_a.coeffs - a * fit.coeffs).max() <= 1e-8 * a * scale
@@ -438,7 +438,7 @@ class TestMuOfR:
         _, k, _, y = random_instance(np.random.default_rng(seed), n_max=25)
         ge = eigen_gram(k, y)
         radii = sorted(f * max(ge.rho, 1e-3) for f in fracs)
-        norms = [fit_constrained(ge, r).h_norm for r in radii]
+        norms = [fit_constrained(ge, [r])[0].h_norm for r in radii]
         for r, h in zip(radii, norms):
             assert abs(h - min(r, ge.rho)) <= 1e-9 * min(r, ge.rho)
         assert all(a <= b * (1.0 + 1e-9) for a, b in zip(norms, norms[1:]))
@@ -472,7 +472,7 @@ class TestMuOfR:
         k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
         y = np.array([0.1, np.nan, 0.3, 0.2, 0.0])
         with pytest.raises(InputError, match="responses have a non-finite entry"):
-            fit_constrained(eigen_gram(k, y), 0.5)
+            fit_constrained(eigen_gram(k, y), [0.5])
         with pytest.raises(InputError):
             Dataset(x=np.linspace(0, 1, 5), y=y)
         with pytest.raises(InputError):
@@ -481,19 +481,19 @@ class TestMuOfR:
 
 class TestFitConstrained:
     def test_zero_radius(self):
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 0.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), [0.0])[0]
         assert fit.coeffs[0] == 0.0
         assert fit.train_loss(np.array([2.0])) == 4.0
 
     def test_active_constraint(self):
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), [1.0])[0]
         assert fit.coeffs[0] == pytest.approx(1.0, abs=1e-10)
         assert fit.train_pred[0] == pytest.approx(1.0, abs=1e-10)
         assert fit.h_norm == pytest.approx(1.0, abs=1e-10)
         assert fit.mu == pytest.approx(1.0, abs=1e-10)
 
     def test_interpolation_branch(self):
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), [3.0])[0]
         assert fit.mu == 0.0
         assert fit.coeffs[0] == pytest.approx(2.0, abs=1e-12)
         assert fit.h_norm == pytest.approx(2.0, abs=1e-12)
@@ -503,7 +503,7 @@ class TestFitConstrained:
             _, k, _, y = random_instance(rng)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.05, 1.2)) * stable_radius_scale(k, y)
-            fit = fit_constrained(ge, r)
+            fit = fit_constrained(ge, [r])[0]
             sq = float(fit.coeffs @ k @ fit.coeffs)
             assert sq <= r * r * (1.0 + 1e-8)
             if fit.mu > 0:
@@ -517,8 +517,8 @@ class TestFitConstrained:
             scale = max(stable_radius_scale(k, y), 1.0)
             for _ in range(10):
                 r, s = rng.uniform(0.0, 1.3, size=2) * scale
-                fa = fit_constrained(ge, float(r))
-                fb = fit_constrained(ge, float(s))
+                fa = fit_constrained(ge, [float(r)])[0]
+                fb = fit_constrained(ge, [float(s)])[0]
                 lhs = rkhs_sq_distance(fa, fb, k)
                 assert lhs <= abs(r * r - s * s) + 1e-8 * (1.0 + r * r + s * s)
 
@@ -526,7 +526,7 @@ class TestFitConstrained:
         for _ in range(10):
             _, k, _, y = random_instance(rng, n_max=25)
             ge = eigen_gram(k, y)
-            losses = [fit_constrained(ge, r).train_loss(y)
+            losses = [fit_constrained(ge, [r])[0].train_loss(y)
                       for r in np.linspace(0.0, 1.2 * max(ge.rho, 1.0), 8)]
             assert all(a >= b - 1e-10 for a, b in zip(losses, losses[1:]))
 
@@ -534,7 +534,7 @@ class TestFitConstrained:
         for _ in range(10):
             _, k, _, y = random_instance(rng, n_max=15)
             ge = eigen_gram(k, y)
-            fit = fit_constrained(ge, ge.rho * 1.5 + 1.0)
+            fit = fit_constrained(ge, [ge.rho * 1.5 + 1.0])[0]
             proj = ge.vectors @ ge.proj
             assert np.abs(fit.train_pred - proj).max() <= 1e-8 * (1.0 + np.abs(y).max())
 
@@ -543,23 +543,23 @@ class TestFitConstrained:
             k, y = conditioned_instance(rng, n_max=6)
             ge = eigen_gram(k, y)
             r = float(rng.uniform(0.1, 1.1)) * max(ge.rho, 0.5)
-            loss = fit_constrained(ge, r).train_loss(y)
+            loss = fit_constrained(ge, [r])[0].train_loss(y)
             oracle = pgd_constrained_loss(k, y, r)
             assert loss == pytest.approx(oracle, rel=1e-6, abs=1e-12)
 
     def test_negative_radius(self):
         with pytest.raises(InputError):
-            fit_constrained(eigen_gram(K1, np.array([1.0])), -0.5)
+            fit_constrained(eigen_gram(K1, np.array([1.0])), [-0.5])
 
     def test_zero_responses_give_zero_fit(self):
         k = gram(GaussianKernel(1.0, 1), np.linspace(0, 1, 5)[:, None])
-        fit = fit_constrained(eigen_gram(k, np.zeros(5)), 2.0)
+        fit = fit_constrained(eigen_gram(k, np.zeros(5)), [2.0])[0]
         assert fit.h_norm == 0.0
         assert np.all(fit.coeffs == 0.0)
 
 
 class TestRadiusPath:
-    """A sequence of radii against one scalar call per radius."""
+    """A radius path against a one-radius path for each of its radii."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), d=st.integers(1, 3),
@@ -574,7 +574,7 @@ class TestRadiusPath:
         assert [f.r for f in path] == radii
         eps = np.finfo(float).eps
         for r, fit in zip(radii, path):
-            one = fit_constrained(ge, r)
+            one = fit_constrained(ge, [r])[0]
             assert fit.mu == one.mu
             # Both are products of the same weights with orthonormal columns, so
             # each entry of either is within rank * eps / 2 * ||weights||_2 of
@@ -582,6 +582,24 @@ class TestRadiusPath:
             for a, b in ((fit.coeffs, one.coeffs), (fit.train_pred, one.train_pred)):
                 assert np.abs(a - b).max() <= n * eps * np.linalg.norm(b)
             assert abs(fit.h_norm - one.h_norm) <= 1e-12 * one.h_norm
+
+    def test_every_sequence_gives_a_list(self):
+        ge = eigen_gram(np.eye(2), np.ones(2))
+        (one,) = fit_constrained(ge, [1.5])
+        for radii in ((1.5,), np.array([1.5]), (r for r in [1.5])):
+            (fit,) = fit_constrained(ge, radii)
+            assert type(fit.r) is float and fit.r == one.r and fit.mu == one.mu
+            assert fit.coeffs.tobytes() == one.coeffs.tobytes()
+        assert fit_constrained(ge, []) == []
+
+    # test_errors.py pins the messages for a float, a 0-d array, str, bytes and None.
+    @pytest.mark.parametrize("radii", [np.float64(1.5), 1], ids=["numpy-float", "int"])
+    def test_one_radius_is_not_a_sequence(self, radii, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimator, "mu_of_r", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match="^radii must be a sequence of real numbers, got "):
+            fit_constrained(eigen_gram(np.eye(2), np.ones(2)), radii)
+        assert calls == []
 
     def test_zero_radius_rows_are_positive_zero(self):
         k, y = smooth_instance(4, 50, 2, 1.0)
@@ -604,7 +622,7 @@ class TestRadiusPath:
         radii = [0.5, 1.0, 1.5]
         radii[at] = bad
         rule = "be at least 0" if math.isfinite(bad) else "be finite"
-        for r in (radii, bad):
+        for r in (radii, [bad]):
             with pytest.raises(InputError) as info:
                 fit_constrained(eigen_gram(k, np.ones(3)), r)
             assert str(info.value) == f"radius must {rule}, got {bad!r}"
@@ -668,13 +686,13 @@ class TestDistances:
             empirical_sq_distance([1.0], [1.0, 2.0])
 
     def test_rkhs_distance_same_fit(self):
-        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0)
+        fit = fit_constrained(eigen_gram(K1, np.array([2.0])), [1.0])[0]
         assert rkhs_sq_distance(fit, fit, K1) == 0.0
 
     def test_rkhs_distance_examples(self):
-        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), 1.0)
-        f3 = fit_constrained(eigen_gram(K1, np.array([2.0])), 3.0)
-        f0 = fit_constrained(eigen_gram(K1, np.array([2.0])), 0.0)
+        f1 = fit_constrained(eigen_gram(K1, np.array([2.0])), [1.0])[0]
+        f3 = fit_constrained(eigen_gram(K1, np.array([2.0])), [3.0])[0]
+        f0 = fit_constrained(eigen_gram(K1, np.array([2.0])), [0.0])[0]
         assert rkhs_sq_distance(f1, f3, K1) == pytest.approx(1.0, abs=1e-9)
         assert rkhs_sq_distance(f0, f1, K1) == pytest.approx(1.0, abs=1e-9)
 

@@ -205,7 +205,7 @@ class TestHoldout:
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
         k = gram(kernel, x_train)
-        fit = fit_constrained(eigen_gram(k, target.evaluate(x_train)), 2.0)
+        fit = fit_constrained(eigen_gram(k, target.evaluate(x_train)), [2.0])[0]
         err = holdout_sq_error(fit, kernel, x_train, dataclasses.replace(scen, holdout_size=500))
         assert err.mean <= 1e-20
 
@@ -213,7 +213,7 @@ class TestHoldout:
         scen = ScenarioConfig(n=5, d=1, target=ConstantTarget(1.0), c=1.5)
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
-        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.array([0.0])), 0.0)
+        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.array([0.0])), [0.0])[0]
         err = holdout_sq_error(fit, kernel, x_train, dataclasses.replace(scen, holdout_size=200))
         assert err.mean == pytest.approx(1.0, abs=1e-12)
         assert err.stderr == pytest.approx(0.0, abs=1e-12)
@@ -223,7 +223,7 @@ class TestHoldout:
         scen = ScenarioConfig(n=5, d=1, target=LinearTarget(), c=2.0)
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
-        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.array([0.0])), 0.0)
+        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.array([0.0])), [0.0])[0]
         err = holdout_sq_error(fit, kernel, x_train,
                                dataclasses.replace(scen, holdout_size=200000),
                                rng=replicate_rng(1, 0, stream=1))
@@ -262,7 +262,7 @@ class TestHoldout:
         scen = default_scenario(n=10)
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.2], [0.5], [0.8]])
-        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.ones(3)), 1.0)
+        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.ones(3)), [1.0])[0]
         with pytest.raises(InputError, match="3 coefficients but 2 training points"):
             holdout_sq_error(fit, kernel, x_train[:2], dataclasses.replace(scen, holdout_size=50))
 
@@ -270,7 +270,7 @@ class TestHoldout:
         scen = default_scenario(n=10)
         kernel = GaussianKernel(1.0, 1)
         x_train = np.array([[0.5]])
-        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.array([50.0])), 100.0)
+        fit = fit_constrained(eigen_gram(gram(kernel, x_train), np.array([50.0])), [100.0])[0]
         err = holdout_sq_error(fit, kernel, x_train, dataclasses.replace(scen, holdout_size=500))
         assert err.mean <= (2.0 * scen.c) ** 2
 

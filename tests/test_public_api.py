@@ -41,6 +41,14 @@ def test_public_surface():
     assert not left, f"removed names still present: {left}"
 
 
+def test_both_gram_builders_are_exported():
+    # cross_gram evaluates a fit off the training set, next to gram's training Gram.
+    kernels = importlib.import_module("rkhsball.kernels")
+    for name in ("gram", "cross_gram"):
+        assert name in kernels.__all__
+        assert getattr(rkhsball, name) is getattr(kernels, name)
+
+
 def test_removed_parameters_and_fields(tmp_path, capsys):
     from rkhsball.cli import main
     from rkhsball.estimator import ConstrainedFit, GramEigen, fit_constrained
@@ -57,7 +65,8 @@ def test_removed_parameters_and_fields(tmp_path, capsys):
     assert isinstance(GramEigen.rank, property)
     assert not hasattr(GaussianKernel(1.0, 1), "kernel_id")
     assert not hasattr(HatTarget(1.0), "sup_bound")
-    for func, name in ((fit_constrained, "kernel_id"), (wilson_interval, "z"),
+    for func, name in ((fit_constrained, "kernel_id"), (fit_constrained, "r"),
+                       (wilson_interval, "z"),
                        (replicate_seed, "stream"), (quadform_tail_check, "m"),
                        (gl_criterion, "n"), (gauss_gl_criterion, "n")):
         assert name not in inspect.signature(func).parameters, f"{func.__name__}({name})"

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import naive_gauss_criterion
 from rkhsball.data import Dataset
 from rkhsball.errors import ConstraintError, InputError
-from rkhsball.estimator import eigen_gram, fit_constrained
-from rkhsball.kernels import GaussianKernel, gram, width_grid
+from rkhsball.kernels import GaussianKernel, width_grid
 from rkhsball.selection_fixed import (CriterionRow, GLConfig, RadiusGrid, SelectionResult,
                                       fit_radius_path, gl_criterion, radius_grid)
 from rkhsball.selection_gauss import (
@@ -28,13 +27,9 @@ def _quiet_gauss_config(**kwargs):
 
 
 def _fit_table(data, cfg):
-    fits = []
-    for gamma in cfg.width_grid:
-        kernel = GaussianKernel(gamma=gamma, dim=cfg.dim)
-        k = gram(kernel, data.x)
-        ge = eigen_gram(k, data.y)
-        fits.append([fit_constrained(ge, r) for r in cfg.radius_grid])
-    return fits
+    """``select_width_radius``'s fits: one radius path per width."""
+    return [fit_radius_path(data, GaussianKernel(gamma=gamma, dim=cfg.dim), cfg.radius_grid)
+            for gamma in cfg.width_grid]
 
 
 class TestTauGauss:
@@ -233,9 +228,7 @@ class TestSelectWidthRadius:
                                   width_grid=widths, radius_grid=grid)
         gauss_result = select_width_radius(data, cfg)
         kernel = GaussianKernel(gamma=gamma, dim=d)
-        k = gram(kernel, data.x)
-        ge = eigen_gram(k, data.y)
-        fits = [fit_constrained(ge, r) for r in grid]
+        fits = fit_radius_path(data, kernel, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             fixed_cfg = GLConfig(tau=tau * gamma ** (-d / 2.0), nu=0.5, sigma=0.1,
