@@ -8,11 +8,15 @@ tabulates the theoretical curves.  ``majorant`` writes every event of one
 bias and majorant events need the target width among ``widths``.  All
 parameters live in a config file (``--config``): either JSON or
 ``dotted.key = value`` lines, where ``#`` starts a comment outside a
-double-quoted string.  A subcommand accepts only the keys of its
-:data:`DEFAULTS` entry, and reads them all.  Each value is checked against the
-type of its default when the config is read, a number by the package's one rule
-(:func:`~rkhsball.errors.check_real` or :func:`~rkhsball.errors.check_int`), so
-a quoted number such as ``"1.5"`` is a string and fails; ``--print-config`` too
+double-quoted string.  A subcommand accepts only the keys of its :data:`DEFAULTS`
+entry, and reads them all.  A mapping with a ``kind`` takes the :data:`_KINDS`
+defaults of the kind it names: ``scenario.target`` is ``rkhs-element`` (the default;
+``gamma0``, ``centers``, ``weights``) or ``hat`` (``slope``, ``center``), and
+``approx`` is null, ``interpolation`` (``b_norm``, ``beta``) or ``element``
+(``norm``, ``sup``), whose numbers have no default.  Each value is checked against
+the type of its default when the config is read, a number by the package's one rule
+(:func:`~rkhsball.errors.check_real` or :func:`~rkhsball.errors.check_int`), so a
+quoted number such as ``"1.5"`` is a string and fails; ``--print-config`` too
 rejects a malformed config (exit code 2).
 ``--seed`` sets the seed key, ``scenario.master_seed`` (``quadform``:
 ``seed``); it, ``--threads`` and ``--theory-mode`` exist only where the key
@@ -72,12 +76,26 @@ from .theory import (
     scaled_element_approx_bound,
 )
 
+# The defaults of each kind of the mappings that name a ``kind``.  The approx numbers
+# have none, and come in the order that their kind's bound takes them.
+_KINDS = {
+    "scenario.target": {
+        "rkhs-element": {"kind": "rkhs-element", "gamma0": 1.0, "centers": [[0.5]],
+                         "weights": [2.0]},
+        "hat": {"kind": "hat", "slope": 1.0, "center": None},
+    },
+    "approx": {
+        "interpolation": {"kind": "interpolation", "b_norm": None, "beta": None},
+        "element": {"kind": "element", "norm": None, "sup": None},
+    },
+}
+
 # The dataclasses' own defaults, with ``default_scenario``'s n and target.
 _SCENARIO_DEFAULTS = {
     "n": 200,
     **{f.name: f.default for f in dataclasses.fields(ScenarioConfig)
        if f.name not in ("n", "target")},
-    "target": {"kind": "rkhs-element", "gamma0": 1.0, "centers": [[0.5]], "weights": [2.0]},
+    "target": _KINDS["scenario.target"]["rkhs-element"],
 }
 
 _SELECTION_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SelectionSettings)
@@ -153,12 +171,13 @@ DEFAULTS = {
     },
 }
 
-# Subtrees whose keys are validated downstream, not against the defaults.
-_OPEN_SUBTREES = {"scenario.target", "approx"}
+# Arrays taken as they are: the target classes check their values, shape and dimension.
+_ARRAY_KEYS = {"scenario.target.centers", "scenario.target.weights", "scenario.target.center"}
 
 # The type of each key whose default is null; such a key may also stay null.
-_NULL_DEFAULT_TYPES = {"tau": float, "selection.tau": float, "selection.kernel_gamma": float,
-                       "j_const": float, "slope_threshold": float, "r": float, "data": str}
+_NULL_DEFAULT_TYPES = {"data": str, "approx": dict, **dict.fromkeys(
+    ["tau", "selection.tau", "selection.kernel_gamma", "j_const", "slope_threshold", "r",
+     "approx.b_norm", "approx.beta", "approx.norm", "approx.sup"], float)}
 
 _KIND_NAMES = {dict: "a mapping", list: "a list", bool: "true or false", str: "a string"}
 
@@ -214,15 +233,23 @@ def load_config_file(path: str) -> dict:
 
 def _merge_config(defaults: dict, override: dict, path: str = "") -> dict:
     """``defaults`` with the values of ``override``, each checked against the type of
-    the default it replaces and stored converted to that type."""
+    the default it replaces and stored converted to that type.  A mapping with a
+    ``kind`` replaces its default by the defaults of the kind it names."""
     out = copy.deepcopy(defaults)
     for key, val in override.items():
         full = f"{path}.{key}" if path else key
         if key not in defaults:
             raise InputError(f"unknown config key: {full}")
         base = defaults[key]
+        if full in _KINDS and isinstance(val, dict):
+            name = val.get("kind", base and base["kind"])
+            if name is None:
+                raise InputError(f"config key {full}.kind is missing")
+            if not isinstance(name, str) or name not in _KINDS[full]:
+                raise InputError(f"unknown {key} kind {name!r}")
+            base = _KINDS[full][name]
         kind = _NULL_DEFAULT_TYPES.get(full) if base is None else type(base)
-        if full in _OPEN_SUBTREES or (base is None and val is None):
+        if full in _ARRAY_KEYS or (base is None and val is None):
             out[key] = copy.deepcopy(val)
         elif kind in (int, float):
             out[key] = _number(val, full, kind)
@@ -288,48 +315,26 @@ def _number(value, key: str, kind=float):
     return check_real(value, name, -math.inf)
 
 
-def _build_target(spec: dict):
-    if not isinstance(spec, dict):
-        raise InputError("scenario.target must be a mapping")
-    kind = spec.get("kind", "rkhs-element")
-    if kind == "rkhs-element":
-        allowed = {"kind", "gamma0", "centers", "weights"}
-        _reject_unknown(spec, allowed, "scenario.target")
-        return RkhsTarget(gamma0=_number(spec.get("gamma0", 1.0), "scenario.target.gamma0"),
-                          centers=spec.get("centers", [[0.5]]),
-                          weights=spec.get("weights", [2.0]))
-    if kind == "hat":
-        allowed = {"kind", "slope", "center"}
-        _reject_unknown(spec, allowed, "scenario.target")
-        return HatTarget(slope=_number(spec.get("slope", 1.0), "scenario.target.slope"),
-                         center=spec.get("center"))
-    raise InputError(f"unknown target kind {kind!r}")
-
-
-def _reject_unknown(spec: dict, allowed: set, where: str) -> None:
-    extra = set(spec) - allowed
-    if extra:
-        raise InputError(f"unknown config key: {where}.{sorted(extra)[0]}")
-
-
 def _build_scenario(cfg: dict) -> ScenarioConfig:
     scen = cfg["scenario"]
-    return ScenarioConfig(**{**scen, "target": _build_target(scen["target"])})
+    target = dict(scen["target"])
+    build = {"rkhs-element": RkhsTarget, "hat": HatTarget}[target.pop("kind")]
+    return ScenarioConfig(**{**scen, "target": build(**target)})
 
 
 def _build_settings(cfg: dict) -> SelectionSettings:
     return SelectionSettings(**cfg["selection"], theory_mode=cfg["theory_mode"])
 
 
-def _require(cfg: dict, key: str, command: str):
-    if cfg.get(key) is None:
-        raise InputError(f"{command} requires config key {key!r}")
-    return cfg[key]
+def _require(value, key: str, command: str):
+    if value is None:
+        raise InputError(f"config key {key} is missing: {command} requires it")
+    return value
 
 
 def cmd_fit(cfg: dict) -> dict:
-    data = read_data_csv(_require(cfg, "data", "fit"))
-    r = _require(cfg, "r", "fit")
+    data = read_data_csv(_require(cfg["data"], "data", "fit"))
+    r = _require(cfg["r"], "r", "fit")
     kernel = GaussianKernel(gamma=cfg["kernel"]["gamma"], dim=data.d)
     fit = fit_radius_path(data, kernel, [r])[0]
     return {"fit.json": {
@@ -373,7 +378,7 @@ def _selection_outputs(data: Dataset, result, gl, rule: dict) -> dict:
 
 
 def cmd_select(cfg: dict) -> dict:
-    data = read_data_csv(_require(cfg, "data", "select"))
+    data = read_data_csv(_require(cfg["data"], "data", "select"))
     kernel = GaussianKernel(gamma=cfg["kernel"]["gamma"], dim=data.d)
     gl = GLConfig(tau=_tau(cfg, tau_min_fixed, kernel.diag_sup, cfg["sigma"]), nu=cfg["nu"],
                   sigma=cfg["sigma"], k_diag=kernel.diag_sup, theory_mode=cfg["theory_mode"])
@@ -384,7 +389,7 @@ def cmd_select(cfg: dict) -> dict:
 
 
 def cmd_select_gauss(cfg: dict) -> dict:
-    data = read_data_csv(_require(cfg, "data", "select-gauss"))
+    data = read_data_csv(_require(cfg["data"], "data", "select-gauss"))
     widths = width_grid(**cfg["widths"])
     j_const = _chaining_constant(cfg["j_const"], widths.u, widths.v)
     grid = radius_grid(**cfg["grid"], n=data.n)
@@ -456,19 +461,11 @@ def _approx_fn(cfg: dict):
     spec = cfg["approx"]
     if spec is None:
         return lambda r: 0.0
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InputError("approx must be null or a mapping with a 'kind'")
-    if spec["kind"] == "interpolation":
-        _reject_unknown(spec, {"kind", "b_norm", "beta"}, "approx")
-        b_norm = _number(spec.get("b_norm"), "approx.b_norm")
-        beta = _number(spec.get("beta"), "approx.beta")
-        return lambda r: interpolation_approx_bound(b_norm, beta, r)
-    if spec["kind"] == "element":
-        _reject_unknown(spec, {"kind", "norm", "sup"}, "approx")
-        norm = _number(spec.get("norm"), "approx.norm")
-        sup = _number(spec.get("sup"), "approx.sup")
-        return lambda r: scaled_element_approx_bound(norm, sup, r)
-    raise InputError(f"unknown approx kind {spec['kind']!r}")
+    bound = {"interpolation": interpolation_approx_bound,
+             "element": scaled_element_approx_bound}[spec["kind"]]
+    args = [_require(val, f"approx.{key}", "bounds") for key, val in spec.items()
+            if key != "kind"]
+    return lambda r: bound(*args, r)
 
 
 def cmd_bounds(cfg: dict) -> dict:
@@ -478,7 +475,7 @@ def cmd_bounds(cfg: dict) -> dict:
     if r_max < r_min:
         raise InputError(f"r.max must be at least r.min, got {r_spec!r}")
     approx = _approx_fn(cfg)
-    if cfg["approx"] is not None and cfg["approx"].get("kind") == "interpolation" and r_min == 0:
+    if cfg["approx"] is not None and cfg["approx"]["kind"] == "interpolation" and r_min == 0:
         raise InputError("interpolation approx bound is undefined at r = 0; use r.min > 0")
     j_const = _chaining_constant(cfg["j_const"], **cfg["widths"])
     k_diag, c, sigma, t, n = (cfg[key] for key in ("k_diag", "c", "sigma", "t", "n"))

@@ -62,9 +62,11 @@ __all__ = [
     "EventReport",
     "RateReport",
     "OracleGapReport",
+    "QuadformTail",
     "QuadformReport",
     "default_scenario",
     "replicate_rng",
+    "replicate_seed",
     "generate",
     "event_suite",
     "bias_event_check",

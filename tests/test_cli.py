@@ -227,33 +227,53 @@ class TestThreadCount:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _run_at_blas_threads(tmp_path, command, cfg) -> list:
+    """The ``--out`` directories of ``command`` run in a subprocess at one and at two
+    BLAS threads."""
+    src = str(Path(rkhsball.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-m", "rkhsball.cli", command,
+                        "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        outs.append(out)
+    return outs
+
+
 class TestBlasThreadCount:
+    # Bytes are fixed only for a given BLAS thread count: at another count the BLAS
+    # sums in another order.  The selections must stay, and the values may move in
+    # their last digits only.
     def test_selection_stable_across_blas_threads(self, tmp_path):
-        # Bytes are fixed only for a given BLAS thread count: at another count
-        # the BLAS sums in another order.  The selected cell must stay, and the
-        # criterion totals and coefficients may move in their last digits only.
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(600, 3))
         y = np.sin(3.0 * x.sum(axis=1)) + 0.1 * rng.normal(size=600)
         data = _data_csv(tmp_path / "d.csv", np.column_stack([x, y]).tolist(), d=3)
         cfg = _write(tmp_path / "c.json", json.dumps({"data": data, "tau": 0.8}))
-        src = str(Path(rkhsball.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        runs = []
-        for threads in (1, 2):
-            out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
-            subprocess.run([sys.executable, "-m", "rkhsball.cli", "select-gauss",
-                            "--config", cfg, "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=600)
-            runs.append((json.loads((out / "selection_gauss.json").read_text()),
-                         np.loadtxt(out / "criterion_gauss.csv", delimiter=",", skiprows=1)))
+        runs = [(json.loads((out / "selection_gauss.json").read_text()),
+                 np.loadtxt(out / "criterion_gauss.csv", delimiter=",", skiprows=1))
+                for out in _run_at_blas_threads(tmp_path, "select-gauss", cfg)]
         (sel1, crit1), (sel2, crit2) = runs
         assert (sel1["gamma_hat"], sel1["r_hat"]) == (sel2["gamma_hat"], sel2["r_hat"])
         assert np.array_equal(crit1[:, :2], crit2[:, :2])
         np.testing.assert_allclose(crit2[:, 4], crit1[:, 4], rtol=1e-12, atol=0.0)
         coeffs1, coeffs2 = np.array(sel1["coefficients"]), np.array(sel2["coefficients"])
         assert np.abs(coeffs1 - coeffs2).max() <= 1e-7 * np.abs(coeffs1).max()
+
+    def test_rate_records_stable_across_blas_threads(self, tmp_path):
+        cfg = _write(tmp_path / "c.json", json.dumps({
+            "scenario": {"replicates": 10, "holdout_size": 2000},
+            "n_list": [100, 200, 300, 400]}))
+        tables = [np.genfromtxt(out / "rates.csv", delimiter=",", names=True)
+                  for out in _run_at_blas_threads(tmp_path, "rates", cfg)]
+        assert len(tables[0]) == 40
+        for col in ("replicate", "n", "r_hat", "seed"):
+            assert np.array_equal(tables[0][col], tables[1][col]), col
+        for col in ("err_adaptive", "err_oracle_grid"):
+            np.testing.assert_allclose(tables[1][col], tables[0][col], rtol=1e-9, atol=0.0)
 
 
 class TestMajorant:
@@ -495,7 +515,7 @@ class TestReplicatesBoundary:
         ("quadform", {"n": 8, "t_list": 5}, "config key t_list must be a list, got 5"),
         ("rates", {"n_list": 5}, "config key n_list must be a list, got 5"),
         ("bounds", {"approx": {"kind": "element", "sup": 1.0}},
-         "config key approx.norm must be a real number, got None"),
+         "config key approx.norm is missing: bounds requires it"),
         ("rates", {"theory_mode": "abc"}, "config key theory_mode must be true or false"),
         ("rates", {**_SMALL_RATES, "scenario": {**_SMALL_SCENARIO, "master_seed": -1}},
          "master_seed must be at least 0, got -1"),
@@ -572,6 +592,60 @@ class TestNonNumericConfig:
             assert captured.err == f"input error: {message}\n"
         else:
             assert json.loads(captured.out)["scenario"]["n"] == 30
+
+
+class TestKindMappings:
+    # ``scenario.target`` and ``approx`` follow the one config rule: each takes the
+    # defaults of the kind it names, and a malformed one fails when it is read.
+    @pytest.mark.parametrize("command,config,message", [
+        ("oracle-gap", {"scenario": {"target": {"bogus": 1}}},
+         "unknown config key: scenario.target.bogus"),
+        ("rates", {"scenario": {"target": {"kind": "hat", "gamma0": 2.0}}},
+         "unknown config key: scenario.target.gamma0"),
+        ("majorant", {"scenario": {"target": {"gamma0": "1.0"}}},
+         "config key scenario.target.gamma0 must be a real number, got '1.0'"),
+        ("oracle-gap", {"scenario": {"target": {"kind": "hat", "slope": True}}},
+         "config key scenario.target.slope must be a real number, got True"),
+        ("bounds", {"approx": {"norm": 2.0, "sup": 1.0}}, "config key approx.kind is missing"),
+        ("bounds", {"approx": {"kind": "element", "beta": 0.5}},
+         "unknown config key: approx.beta"),
+        ("bounds", {"approx": {"kind": "spline"}}, "unknown approx kind 'spline'"),
+        ("bounds", {"approx": 5}, "config key approx must be a mapping, got 5"),
+    ])
+    def test_rejected_when_read(self, tmp_path, capsys, command, config, message):
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
+        assert main([command, "--config", cfg, "--print-config"]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("command,config,path,filled", [
+        ("oracle-gap", {"scenario": {"target": {"weights": [3.0]}}}, ("scenario", "target"),
+         {"kind": "rkhs-element", "gamma0": 1.0, "centers": [[0.5]], "weights": [3.0]}),
+        ("rates", {"scenario": {"target": {"kind": "hat"}}}, ("scenario", "target"),
+         {"kind": "hat", "slope": 1.0, "center": None}),
+        ("bounds", {"approx": {"kind": "element", "sup": 1.0}}, ("approx",),
+         {"kind": "element", "norm": None, "sup": 1.0}),
+    ])
+    def test_partial_mapping_takes_its_kind_defaults(self, tmp_path, capsys, command, config,
+                                                     path, filled):
+        cfg = _write(tmp_path / "c.json", json.dumps(config))
+        assert main([command, "--config", cfg, "--print-config"]) == 0
+        printed = capsys.readouterr().out
+        node = json.loads(printed)
+        for key in path:
+            node = node[key]
+        assert node == filled
+        # The filled-in mapping reads back unchanged.
+        again = _write(tmp_path / "again.json", printed)
+        assert main([command, "--config", again, "--print-config"]) == 0
+        assert capsys.readouterr().out == printed
+
+    def test_partial_target_is_echoed_with_its_defaults(self, tmp_path):
+        cfg = _write(tmp_path / "c.json", json.dumps(
+            {"scenario": {**_SMALL_SCENARIO, "target": {"weights": [3.0]}}}))
+        assert main(["oracle-gap", "--config", cfg, "--out", str(tmp_path)]) == 0
+        echoed = json.loads((tmp_path / "oracle_gap_summary.json").read_text())["config"]
+        assert echoed["scenario"]["target"] == {"kind": "rkhs-element", "gamma0": 1.0,
+                                                "centers": [[0.5]], "weights": [3.0]}
 
 
 class TestOutputFiles:

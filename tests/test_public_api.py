@@ -1,6 +1,6 @@
-"""The package's public surface: every exported name resolves, the package
-re-exports only exported names, and removed names, parameters, fields and
-config forms stay removed."""
+"""The package's public surface: every exported name resolves, every public
+function and class is exported, the package re-exports only exported names, and
+removed names, parameters, fields and config forms stay removed."""
 
 import dataclasses
 import importlib
@@ -32,6 +32,12 @@ def test_public_surface():
         assert entries is not None, f"{name} has no __all__"
         missing = [entry for entry in entries if not hasattr(module, entry)]
         assert not missing, f"{name}.__all__ lists missing names {missing}"
+        public = [key for key, value in vars(module).items()
+                  if not key.startswith("_") and (inspect.isfunction(value)
+                                                  or inspect.isclass(value))
+                  and value.__module__ == module.__name__]
+        unlisted = sorted(set(public) - set(entries))
+        assert not unlisted, f"{name} defines public names outside __all__: {unlisted}"
         exported.update(entries)
     reexported = {key for key, value in vars(rkhsball).items()
                   if not key.startswith("_") and not isinstance(value, types.ModuleType)}
