@@ -16,7 +16,6 @@ from .estimator import (
 )
 from .kernels import (
     GaussianKernel,
-    WidthGrid,
     chaining_constant_bound,
     covering_number_bound,
     cross_gram,
@@ -26,7 +25,6 @@ from .kernels import (
 )
 from .selection_fixed import (
     GLConfig,
-    RadiusGrid,
     SelectionResult,
     gl_criterion,
     radius_grid,

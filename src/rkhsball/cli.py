@@ -385,13 +385,13 @@ def cmd_select(cfg: dict) -> dict:
     grid = radius_grid(**cfg["grid"], n=data.n)
     return _selection_outputs(data, select_radius(data, kernel, grid, gl), gl,
                               {"k_diag": gl.k_diag,
-                               "grid": {"a": grid.a, "b": grid.b, "size": len(grid)}})
+                               "grid": {**cfg["grid"], "size": len(grid)}})
 
 
 def cmd_select_gauss(cfg: dict) -> dict:
     data = read_data_csv(_require(cfg["data"], "data", "select-gauss"))
     widths = width_grid(**cfg["widths"])
-    j_const = _chaining_constant(cfg["j_const"], widths.u, widths.v)
+    j_const = _chaining_constant(cfg["j_const"], widths[0], widths[-1])
     grid = radius_grid(**cfg["grid"], n=data.n)
     gl = GaussGLConfig(tau=_tau(cfg, tau_min_gauss, j_const, cfg["sigma"]), nu=cfg["nu"],
                        sigma=cfg["sigma"], dim=data.d, width_grid=widths, radius_grid=grid,

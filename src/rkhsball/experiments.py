@@ -47,9 +47,9 @@ import numpy as np
 from .data import Dataset
 from .errors import InputError, check_int, check_real
 from .estimator import _pivoted_cholesky, eigen_gram, fit_constrained
-from .kernels import GaussianKernel, WidthGrid, _chaining_constant, cross_gram, gram
-from .selection_fixed import (GLConfig, RadiusGrid, _select, comparison_excess,
-                              fit_radius_path, gl_criterion, radius_grid, tau_min_fixed)
+from .kernels import GaussianKernel, _chaining_constant, _check_grid, cross_gram, gram
+from .selection_fixed import (GLConfig, _select, comparison_excess, fit_radius_path,
+                              gl_criterion, radius_grid, tau_min_fixed)
 from .selection_gauss import _penalty_scales, tau_min_gauss
 from .theory import _check_args
 
@@ -96,14 +96,15 @@ HOLDOUT_CHOLESKY_MARGIN = 1e-16
 
 def _finite_floats(value, name: str) -> np.ndarray:
     """``value`` as a float array; an input error naming the target's field
-    ``name`` when it does not convert or holds a non-finite entry."""
+    ``name`` unless it is an array of integers or floats with finite entries:
+    strings and booleans are not numbers here, as in the rest of the package."""
     try:
-        array = np.asarray(value, dtype=float)
+        array = np.asarray(value)
     except (TypeError, ValueError):
         array = None
-    if array is None or not np.all(np.isfinite(array)):
+    if array is None or array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
         raise InputError(f"target {name} must be finite numbers, got {value!r}")
-    return array
+    return array.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ class HatTarget:
     center: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", float(_finite_floats(self.slope, "slope")))
+        object.__setattr__(self, "slope", check_real(self.slope, "target slope", -math.inf))
         if self.center is not None:
             center = _finite_floats(self.center, "center")
             if center.ndim != 1:
@@ -368,15 +369,14 @@ def _map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _event_inputs(scenario: ScenarioConfig, grid: RadiusGrid,
-                  t: float) -> tuple[RkhsTarget, np.ndarray]:
+def _event_inputs(scenario: ScenarioConfig, grid, t: float) -> tuple[RkhsTarget, np.ndarray]:
     if not isinstance(scenario.target, RkhsTarget):
         raise InputError("event checks need a target with a known space norm")
     _check_args(t=t)
-    return scenario.target, np.asarray(list(grid))
+    return scenario.target, np.asarray(_check_grid(grid, "radius grid"))
 
 
-def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t: float, *,
+def event_suite(scenario: ScenarioConfig, widths, grid, t: float, *,
                 j_const: float | None = None, threads: int = 1) -> dict[str, EventReport]:
     """Reports, keyed by event name, of the events behind the selection rules, all
     read off one draw and one radius path per width (ascending) of each of the
@@ -386,9 +386,9 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
     ``"gauss-majorant"``: each pair ((gamma, r), (eta, s)) with eta <= gamma and
     s >= r has ``||fit_{gamma,r} - fit_{eta,s}||_n^2 <= 40*approx_sq_upper(gamma, r)
     + 84*J*sigma*(gamma**(-d/2)*r + eta**(-d/2)*s)*sqrt(t)/sqrt(n)``, with J from
-    ``j_const`` or the chaining bound of the width interval.  Widths up to the
-    target's take the scaled-target bound (nested balls), wider ones the sup-norm
-    bound of the zero approximant.
+    ``j_const`` or the chaining bound of the width interval, the first and last of
+    ``widths``.  Widths up to the target's take the scaled-target bound (nested
+    balls), wider ones the sup-norm bound of the zero approximant.
 
     When the target width is one of ``widths``, its path also gives ``"bias"``,
     against the scaled target ``h_r = (min(r, R0)/R0) * g`` (in the radius-r ball,
@@ -400,9 +400,10 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
                                  + 40*approx_sq_upper(r)   for s >= r
     """
     target, radii = _event_inputs(scenario, grid, t)
-    tau_gauss = tau_min_gauss(_chaining_constant(j_const, widths.u, widths.v), scenario.sigma)
+    widths = _check_grid(widths, "width grid")
+    tau_gauss = tau_min_gauss(_chaining_constant(j_const, widths[0], widths[-1]), scenario.sigma)
     gauss_coef = tau_gauss * math.sqrt(t) / math.sqrt(scenario.n)
-    gammas = np.asarray(widths.values)
+    gammas = np.asarray(widths)
     kernels = [GaussianKernel(gamma=g, dim=scenario.d) for g in gammas]
     scales = _penalty_scales(gammas, radii, scenario.d)
     r0 = target.h_norm
@@ -413,7 +414,7 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
     gauss_approx = np.where(gammas[:, None] <= target.gamma0, approx[None, :],
                             target.sup_bound ** 2)
     # The index of the target width's path, whose fits give the fixed-kernel events.
-    at = widths.values.index(target.gamma0) if target.gamma0 in widths.values else None
+    at = widths.index(target.gamma0) if target.gamma0 in widths else None
     k_diag = GaussianKernel(gamma=target.gamma0, dim=scenario.d).diag_sup
     fixed_coef = tau_min_fixed(k_diag, scenario.sigma) * math.sqrt(t) / math.sqrt(scenario.n)
     bias_rhs = (20.0 * math.sqrt(k_diag) * scenario.sigma * radii * math.sqrt(t)
@@ -437,31 +438,29 @@ def event_suite(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid, t
     return {name: _event_report(name, t, [row[name] for row in rows]) for name in rows[0]}
 
 
-def _target_width_event(name: str, scenario: ScenarioConfig, grid: RadiusGrid, t: float,
+def _target_width_event(name: str, scenario: ScenarioConfig, grid, t: float,
                         threads: int) -> EventReport:
     """Event ``name`` of :func:`event_suite` on the one-width grid of the target width."""
     gamma0 = _event_inputs(scenario, grid, t)[0].gamma0
-    return event_suite(scenario, WidthGrid(gamma0, gamma0, 2.0), grid, t,
-                       threads=threads)[name]
+    return event_suite(scenario, (gamma0,), grid, t, threads=threads)[name]
 
 
-def bias_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
+def bias_event_check(scenario: ScenarioConfig, grid, t: float, *,
                      threads: int = 1) -> EventReport:
     """Frequency, over the scenario's replicates, of the per-radius estimation event
     ``"bias"`` of :func:`event_suite`."""
     return _target_width_event("bias", scenario, grid, t, threads)
 
 
-def majorant_event_check(scenario: ScenarioConfig, grid: RadiusGrid, t: float, *,
+def majorant_event_check(scenario: ScenarioConfig, grid, t: float, *,
                          threads: int = 1) -> EventReport:
     """Frequency, over the scenario's replicates, of the fixed-kernel majorant event
     ``"majorant"`` of :func:`event_suite`."""
     return _target_width_event("majorant", scenario, grid, t, threads)
 
 
-def gauss_majorant_event_check(scenario: ScenarioConfig, widths: WidthGrid, grid: RadiusGrid,
-                               t: float, *, j_const: float | None = None,
-                               threads: int = 1) -> EventReport:
+def gauss_majorant_event_check(scenario: ScenarioConfig, widths, grid, t: float, *,
+                               j_const: float | None = None, threads: int = 1) -> EventReport:
     """Frequency, over the scenario's replicates, of the width-family majorant event
     ``"gauss-majorant"`` of :func:`event_suite`."""
     return event_suite(scenario, widths, grid, t, j_const=j_const,
@@ -552,7 +551,7 @@ def _adaptive_record(scenario: ScenarioConfig, settings: SelectionSettings,
     means = _holdout_means(coeffs, kernel, data.x, scenario, rng, basis)
     return ExperimentRecord(
         replicate=replicate, n=scenario.n, gamma_hat=None, r_hat=result.r_hat,
-        err_adaptive=float(means[grid.values.index(result.r_hat)]),
+        err_adaptive=float(means[grid.index(result.r_hat)]),
         err_oracle_grid=float(means.min()),
         seed=replicate_seed(scenario.master_seed, replicate))
 

@@ -13,13 +13,18 @@ differences of each pair of points and make no BLAS call.  This module
 imports nothing from the package but its errors.  It also provides the
 closed-form geometry of the width family (covering numbers, the entropy
 integral and the chaining constant): the chaining constant scales the
-width-adaptive penalties.
+width-adaptive penalties.  A grid of widths or radii is an ascending tuple of
+floats: :func:`width_grid` and :func:`~rkhsball.selection_fixed.radius_grid`
+build one, and every rule that takes a grid checks it, since the rules read
+their comparison sets off its order.  The width interval [u, v] of a width grid
+is its first and last width.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .errors import InputError, check_int, check_real
 
 __all__ = [
     "GaussianKernel",
-    "WidthGrid",
     "gram",
     "cross_gram",
     "covering_number_bound",
@@ -160,35 +164,32 @@ def _check_interval(u: float, v: float) -> tuple[float, float]:
     return u, v
 
 
-@dataclass(frozen=True)
-class WidthGrid:
-    """Geometric width grid {u * c**i} capped at ``v``."""
-
-    u: float
-    v: float
-    c: float
-    values: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        u, v = _check_interval(self.u, self.v)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "c", check_real(self.c, "c", 1.0))
-        n_steps = math.ceil(math.log(self.v / self.u) / math.log(self.c))
-        vals = [self.u * self.c**i for i in range(n_steps)]
-        # The appended endpoint may coincide with the last geometric point.
-        if vals and vals[-1] >= self.v * (1.0 - 1e-12):
-            vals.pop()
-        vals.append(self.v)
-        object.__setattr__(self, "values", tuple(vals))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
+def _capped(points: list[float], cap: float) -> tuple[float, ...]:
+    """``points`` ending at ``cap``: a last point within a relative 1e-12 of the cap
+    is dropped, and the cap is appended."""
+    if points and points[-1] >= cap * (1.0 - 1e-12):
+        points = points[:-1]
+    return (*points, cap)
 
 
-def width_grid(u: float, v: float, c: float) -> WidthGrid:
-    """Build the geometric width grid with base ``u``, cap ``v`` and ratio ``c``."""
-    return WidthGrid(u=u, v=v, c=c)
+def _check_grid(values, name: str) -> tuple[float, ...]:
+    """The grid ``values`` as an ascending tuple of floats; an input error naming the
+    grid ``name`` when it is not a sequence, is empty, holds a value that is not a
+    finite real number or decreases anywhere."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # a 0-d array becomes one Python number
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise InputError(f"{name} must be a sequence of real numbers, got {values!r}")
+    grid = tuple(check_real(v, f"{name} value", -math.inf) for v in values)
+    if not grid:
+        raise InputError(f"{name} must not be empty")
+    if any(a > b for a, b in zip(grid, grid[1:])):
+        raise InputError(f"{name} must be in ascending order, got {list(grid)}")
+    return grid
+
+
+def width_grid(u: float, v: float, c: float) -> tuple[float, ...]:
+    """The geometric width grid ``(u, u*c, u*c**2, ...)`` capped at ``v``, ascending."""
+    u, v = _check_interval(u, v)
+    c = check_real(c, "c", 1.0)
+    return _capped([u * c**i for i in range(math.ceil(math.log(v / u) / math.log(c)))], v)

@@ -7,7 +7,8 @@ values for all radii are one matrix product each, and
 width x radius table of fits.
 
 The selection rule fits the constrained estimator at every radius of a finite
-grid and picks the radius minimising
+grid, an ascending tuple such as :func:`radius_grid` builds, and picks the radius
+minimising
 
     total(r) = bias_proxy(r) + variance_term(r),
 
@@ -32,17 +33,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConstraintError, InputError, check_int, check_real
 from .estimator import ConstrainedFit, eigen_gram, fit_constrained
-from .kernels import gram
+from .kernels import _capped, _check_grid, gram
 
 __all__ = [
-    "RadiusGrid",
     "GLConfig",
     "CriterionRow",
     "SelectionResult",
@@ -55,37 +55,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadiusGrid:
-    """Arithmetic radius grid {b*i : 0 <= i < I} capped at a*sqrt(n)."""
-
-    a: float
-    b: float
-    n: int
-    values: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", check_real(self.a, "a"))
-        object.__setattr__(self, "b", check_real(self.b, "b"))
-        object.__setattr__(self, "n", check_int(self.n, "n"))
-        cap = self.a * math.sqrt(self.n)
-        steps = math.ceil(cap / self.b)
-        vals = [self.b * i for i in range(steps)]
-        if vals and vals[-1] >= cap * (1.0 - 1e-12):
-            vals.pop()
-        vals.append(cap)
-        object.__setattr__(self, "values", tuple(vals))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def radius_grid(a: float, b: float, n: int) -> RadiusGrid:
-    """Build the arithmetic radius grid with step ``b`` and cap ``a*sqrt(n)``."""
-    return RadiusGrid(a=a, b=b, n=n)
+def radius_grid(a: float, b: float, n: int) -> tuple[float, ...]:
+    """The arithmetic radius grid ``(0, b, 2*b, ...)`` capped at ``a*sqrt(n)``, ascending."""
+    a, b, n = check_real(a, "a"), check_real(b, "b"), check_int(n, "n")
+    cap = a * math.sqrt(n)
+    return _capped([b * i for i in range(math.ceil(cap / b))], cap)
 
 
 def tau_min_fixed(k_diag: float, sigma: float) -> float:
@@ -205,11 +179,7 @@ def gl_criterion(fits: list[ConstrainedFit], cfg: GLConfig) -> list[CriterionRow
     ``fits`` must be indexed by ascending grid radii and share one dataset and
     kernel; n is their training-set size.  Returns one row per radius.
     """
-    if not fits:
-        raise InputError("criterion requires at least one fitted radius")
-    radii = np.asarray([f.r for f in fits])
-    if np.any(radii[:-1] > radii[1:]):
-        raise InputError("fits must be ordered by ascending radius")
+    radii = np.asarray(_check_grid([f.r for f in fits], "radii of the fits"))
     return _criterion_rows([fits], [None], radii, radii[None], cfg)
 
 
@@ -223,12 +193,10 @@ def fit_radius_path(data: Dataset, kernel, radii) -> list[ConstrainedFit]:
     return fit_constrained(eigen_gram(gram(kernel, data.x), data.y), radii)
 
 
-def select_radius(data: Dataset, kernel, grid: RadiusGrid, cfg: GLConfig) -> SelectionResult:
-    """Fit every grid radius and return the criterion minimiser.
+def select_radius(data: Dataset, kernel, grid, cfg: GLConfig) -> SelectionResult:
+    """Fit every radius of the ascending ``grid`` and return the criterion minimiser.
 
     The selected radius is the smallest grid value attaining the minimum total.
     """
-    if len(grid) == 0:
-        raise InputError("radius grid is empty")
-    fits = fit_radius_path(data, kernel, grid)
+    fits = fit_radius_path(data, kernel, _check_grid(grid, "radius grid"))
     return _select([fits], gl_criterion(fits, cfg))

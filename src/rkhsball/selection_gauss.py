@@ -28,9 +28,9 @@ from .data import Dataset
 from .errors import InputError, check_int, check_real
 # ``fit_constrained`` is not called here; bench/test_bench.py patches it by this name.
 from .estimator import ConstrainedFit, fit_constrained  # noqa: F401
-from .kernels import GaussianKernel, WidthGrid, _chaining_constant
-from .selection_fixed import (CriterionRow, RadiusGrid, SelectionResult, _check_rule,
-                              _criterion_rows, _select, fit_radius_path)
+from .kernels import GaussianKernel, _chaining_constant, _check_grid
+from .selection_fixed import (CriterionRow, SelectionResult, _check_rule, _criterion_rows,
+                              _select, fit_radius_path)
 
 __all__ = [
     "GaussGLConfig",
@@ -49,23 +49,26 @@ def tau_min_gauss(j_const: float, sigma: float) -> float:
 class GaussGLConfig:
     """Tuning parameters of the width/radius selection rule.
 
-    ``j_const`` defaults to the closed-form chaining bound for the width
-    interval; a smaller known value may be passed (the bound is conservative).
+    Both grids are stored as ascending tuples of floats.  ``j_const`` defaults to
+    the closed-form chaining bound for the width interval, the width grid's first
+    and last width; a smaller known value may be passed (the bound is conservative).
     """
 
     tau: float
     nu: float
     sigma: float
     dim: int
-    width_grid: WidthGrid
-    radius_grid: RadiusGrid
+    width_grid: tuple[float, ...]
+    radius_grid: tuple[float, ...]
     j_const: float | None = None
     theory_mode: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_int(self.dim, "dim"))
+        object.__setattr__(self, "width_grid", _check_grid(self.width_grid, "width grid"))
+        object.__setattr__(self, "radius_grid", _check_grid(self.radius_grid, "radius grid"))
         object.__setattr__(self, "j_const", _chaining_constant(
-            self.j_const, self.width_grid.u, self.width_grid.v))
+            self.j_const, self.width_grid[0], self.width_grid[-1]))
         _check_rule(self, ("tau", "nu", "sigma", "j_const"),
                     lambda: tau_min_gauss(self.j_const, self.sigma))
 
@@ -82,10 +85,7 @@ def gauss_gl_criterion(fits: list[list[ConstrainedFit]], cfg: GaussGLConfig) -> 
     (ascending), all on the same dataset; n is its size.  Rows are returned in
     row-major (width, radius) order.
     """
-    widths = list(cfg.width_grid)
-    radii = list(cfg.radius_grid)
-    if not fits or not fits[0]:
-        raise InputError("criterion requires a non-empty width x radius table")
+    widths, radii = cfg.width_grid, cfg.radius_grid
     if len(fits) != len(widths) or any(len(row) != len(radii) for row in fits):
         raise InputError("fit table shape does not match the configured grids")
     return _criterion_rows(fits, widths, radii, _penalty_scales(widths, radii, cfg.dim), cfg)
@@ -93,12 +93,8 @@ def gauss_gl_criterion(fits: list[list[ConstrainedFit]], cfg: GaussGLConfig) -> 
 
 def select_width_radius(data: Dataset, cfg: GaussGLConfig) -> SelectionResult:
     """Fit every width/radius cell and return the tie-broken criterion minimiser."""
-    widths = list(cfg.width_grid)
-    radii = list(cfg.radius_grid)
-    if not widths or not radii:
-        raise InputError("width and radius grids must be non-empty")
     if data.d != cfg.dim:
         raise InputError(f"dataset dimension {data.d} does not match config dimension {cfg.dim}")
-    fits = [fit_radius_path(data, GaussianKernel(gamma=gamma, dim=cfg.dim), radii)
-            for gamma in widths]
+    fits = [fit_radius_path(data, GaussianKernel(gamma=gamma, dim=cfg.dim), cfg.radius_grid)
+            for gamma in cfg.width_grid]
     return _select(fits, gauss_gl_criterion(fits, cfg))

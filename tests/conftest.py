@@ -339,7 +339,7 @@ def loop_gauss_majorant_indicators(scenario, widths, grid, t, j_const=None):
     """Per-cell loop evaluation of the width-family majorant event indicators."""
     target = scenario.target
     if j_const is None:
-        j_const = chaining_constant_bound(widths.u, widths.v)
+        j_const = chaining_constant_bound(widths[0], widths[-1])
     d = scenario.d
     gammas = np.asarray(list(widths))
     radii = np.asarray(list(grid))

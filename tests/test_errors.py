@@ -1,5 +1,6 @@
 """The one rule for numeric parameters: ``check_real`` and ``check_int``, and the
-public constructors and functions that apply it."""
+public constructors and functions that apply it; and the one rule for grids, which
+every rule that takes a grid applies."""
 
 import math
 
@@ -7,16 +8,21 @@ import numpy as np
 import pytest
 
 from rkhsball.errors import InputError, check_int, check_real
+from rkhsball.data import Dataset
 from rkhsball.estimator import eigen_gram, fit_constrained, mu_of_r
 from rkhsball.experiments import (
     RkhsTarget,
     SelectionSettings,
+    bias_event_check,
     default_scenario,
+    event_suite,
+    gauss_majorant_event_check,
+    majorant_event_check,
     oracle_gap_check,
     quadform_tail_check,
 )
 from rkhsball.kernels import GaussianKernel, width_grid
-from rkhsball.selection_fixed import GLConfig, radius_grid, tau_min_fixed
+from rkhsball.selection_fixed import GLConfig, radius_grid, select_radius, tau_min_fixed
 from rkhsball.selection_gauss import GaussGLConfig
 from rkhsball.theory import fixed_kernel_risk_bound, kernel_family_risk_bound
 
@@ -110,3 +116,49 @@ def test_bad_value_names_its_parameter(call, expected):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == expected
+
+
+_RADII, _WIDTHS = radius_grid(1.0, 0.5, 10), width_grid(0.5, 2.0, 2.0)
+_DATA = Dataset(x=np.linspace(0.0, 1.0, 10)[:, None], y=np.cos(np.arange(10.0)))
+
+# Each rule that takes a grid, called with the radius grid ``r`` and the width grid ``w``.
+_GRID_RULES = {
+    "select_radius": lambda r, w: select_radius(
+        _DATA, GaussianKernel(1.0, 1), r, GLConfig(tau=8.0, nu=0.5, sigma=0.1, k_diag=1.0)),
+    "GaussGLConfig": lambda r, w: GaussGLConfig(
+        tau=200.0, nu=0.5, sigma=0.1, dim=1, width_grid=w, radius_grid=r),
+    "event_suite": lambda r, w: event_suite(_SMALL, w, r, 1.0),
+    "bias_event_check": lambda r, w: bias_event_check(_SMALL, r, 1.0),
+    "majorant_event_check": lambda r, w: majorant_event_check(_SMALL, r, 1.0),
+    "gauss_majorant_event_check": lambda r, w: gauss_majorant_event_check(_SMALL, w, r, 1.0),
+}
+_TAKES_WIDTHS = ("GaussGLConfig", "event_suite", "gauss_majorant_event_check")
+
+
+@pytest.mark.parametrize("rule, name, bad", [
+    pytest.param(rule, name, bad, id=f"{rule}-{name.split()[0]}-{kind}")
+    for rule in _GRID_RULES
+    for name in (("radius grid", "width grid") if rule in _TAKES_WIDTHS else ("radius grid",))
+    for kind, bad in (("empty", []), ("descending", None))
+])
+def test_bad_grid_names_the_grid(rule, name, bad):
+    # The rules read their comparison sets off the grid's order: a descending grid
+    # would pair each fit with the wrong partners.
+    grids = {"radius grid": _RADII, "width grid": _WIDTHS}
+    grids[name] = grids[name][::-1] if bad is None else bad
+    with pytest.raises(InputError, match=f"^{name} must"):
+        _GRID_RULES[rule](grids["radius grid"], grids["width grid"])
+
+
+def _comparable(result):
+    """``result`` with a selection's fit left out, whose arrays do not compare with ==."""
+    if hasattr(result, "fit_hat"):
+        return result.r_hat, result.gamma_hat, result.criterion
+    return result
+
+
+@pytest.mark.parametrize("rule", _GRID_RULES)
+def test_grid_forms_give_one_result(rule):
+    results = [_comparable(_GRID_RULES[rule](form(_RADII), form(_WIDTHS)))
+               for form in (tuple, list, np.asarray)]
+    assert results[0] == results[1] == results[2]

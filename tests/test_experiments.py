@@ -91,6 +91,8 @@ class TestTargets:
         pytest.param(1.0, [[math.inf]], [2.0], "centers", id="centers3-weights3-centers"),
         pytest.param(1.0, [[0.5], [0.1, 0.2]], [1.0, 1.0], "centers",
                      id="centers4-weights4-centers"),
+        pytest.param(1.0, [[0.5]], ["2.0"], "weights", id="weights-quoted"),
+        pytest.param(1.0, [[True]], [2.0], "centers", id="centers-bool"),
         pytest.param("abc", [[0.5]], [2.0], "gamma0", id="gamma0-abc"),
         pytest.param(math.nan, [[0.5]], [2.0], "gamma0", id="gamma0-nan"),
         pytest.param(math.inf, [[0.5]], [2.0], "gamma0", id="gamma0-inf"),
@@ -103,13 +105,15 @@ class TestTargets:
     @pytest.mark.parametrize("slope, center, field", [
         (1.0, 5, "center"), (1.0, "ab", "center"), (1.0, [[0.5]], "center"),
         (1.0, [math.nan], "center"), (math.nan, None, "slope"), ("x", None, "slope"),
+        (1.0, [1, "0.5"], "center"), (1.0, [True], "center"), ([2.0], None, "slope"),
+        (True, None, "slope"), ("1.5", None, "slope"), (b"2", None, "slope"),
     ])
     def test_hat_values_must_be_finite_numbers(self, slope, center, field):
         with pytest.raises(InputError, match=f"target {field} must be"):
             HatTarget(slope=slope, center=center)
 
     def test_hat_center_stored_as_floats(self):
-        target = HatTarget(slope=1.0, center=[1, "0.5"])
+        target = HatTarget(slope=1.0, center=[1, 0.5])
         assert target.center == (1.0, 0.5) and target.dim == 2
         assert HatTarget(slope=1.0).dim is None
 

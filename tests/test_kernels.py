@@ -233,7 +233,8 @@ class TestWidthGrid:
     @given(u=st.floats(0.01, 10.0), ratio=st.floats(1.0, 20.0), c=st.floats(1.001, 4.0))
     def test_invariants(self, u, ratio, c):
         v = u * ratio
-        vals = list(width_grid(u, v, c))
+        vals = width_grid(u, v, c)
+        assert type(vals) is tuple
         assert all(x < y for x, y in zip(vals, vals[1:]))
         assert all(u * (1 - 1e-12) <= x <= v * (1 + 1e-12) for x in vals)
         assert vals[-1] == v

@@ -15,8 +15,8 @@ MODULES = ["data", "errors", "estimator", "kernels", "selection_fixed", "selecti
 # Deleted, or moved into the tests as reference oracles.
 REMOVED = {
     "estimator": ["predict", "clip", "rkhs_sq_distance"],
-    "kernels": ["family_sup_distance_bound", "gaussian_eval"],
-    "selection_fixed": ["t_of_tau", "_confidence_level"],
+    "kernels": ["family_sup_distance_bound", "gaussian_eval", "WidthGrid"],
+    "selection_fixed": ["t_of_tau", "_confidence_level", "RadiusGrid"],
     "selection_gauss": ["t_of_tau_gauss", "GaussCriterionRow", "GaussSelectionResult"],
     "experiments": ["holdout_sq_error", "HoldoutError"],
     "theory": ["approx_shift_bound", "adaptive_risk_bound_fixed", "adaptive_risk_bound_gauss",

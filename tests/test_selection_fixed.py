@@ -50,7 +50,8 @@ class TestRadiusGrid:
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(0.01, 5.0), b=st.floats(0.01, 5.0), n=st.integers(1, 500))
     def test_invariants(self, a, b, n):
-        vals = list(radius_grid(a, b, n))
+        vals = radius_grid(a, b, n)
+        assert type(vals) is tuple
         cap = a * math.sqrt(n)
         assert vals[0] == 0.0
         assert vals[-1] == cap
@@ -218,7 +219,7 @@ class TestSelectRadius:
         result = select_radius(data, GaussianKernel(1.0, 1), grid, cfg)
         assert result.fit_hat.r == result.r_hat
         assert result.r_hat in set(grid)
-        ref = fit_radius_path(data, GaussianKernel(1.0, 1), grid)[grid.values.index(result.r_hat)]
+        ref = fit_radius_path(data, GaussianKernel(1.0, 1), grid)[grid.index(result.r_hat)]
         assert result.fit_hat.mu == ref.mu
         assert np.array_equal(result.fit_hat.coeffs, ref.coeffs)
         assert np.array_equal(result.fit_hat.train_pred, ref.train_pred)

@@ -10,8 +10,8 @@ from conftest import naive_gauss_criterion
 from rkhsball.data import Dataset
 from rkhsball.errors import ConstraintError, InputError
 from rkhsball.kernels import GaussianKernel, width_grid
-from rkhsball.selection_fixed import (CriterionRow, GLConfig, RadiusGrid, SelectionResult,
-                                      fit_radius_path, gl_criterion, radius_grid)
+from rkhsball.selection_fixed import (CriterionRow, GLConfig, SelectionResult, fit_radius_path,
+                                      gl_criterion, radius_grid)
 from rkhsball.selection_gauss import (
     GaussGLConfig,
     gauss_gl_criterion,
@@ -60,7 +60,7 @@ class TestGaussCriterion:
     def test_singleton_grids(self, rng):
         data = Dataset(x=rng.uniform(size=(4, 1)), y=rng.normal(size=4))
         widths = width_grid(1.5, 1.5, 2.0)
-        grid = RadiusGrid(a=0.75, b=2.0, n=4)  # values {0, 1.5}
+        grid = radius_grid(0.75, 2.0, 4)  # values {0, 1.5}
         cfg = _quiet_gauss_config(tau=1.0, nu=0.8, sigma=0.1, dim=1,
                                   width_grid=widths, radius_grid=grid)
         rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
@@ -76,7 +76,7 @@ class TestGaussCriterion:
         # widths {1, 2}, d=2, r=1, tau=1, nu=1, n=4: variance at (2, 1) is 1.
         data = Dataset(x=rng.uniform(size=(4, 2)), y=rng.normal(size=4))
         widths = width_grid(1.0, 2.0, 2.0)
-        grid = RadiusGrid(a=0.5, b=1.0, n=4)  # values {0, 1}
+        grid = radius_grid(0.5, 1.0, 4)  # values {0, 1}
         cfg = _quiet_gauss_config(tau=1.0, nu=1.0, sigma=0.1, dim=2,
                                   width_grid=widths, radius_grid=grid)
         rows = gauss_gl_criterion(_fit_table(data, cfg), cfg)
@@ -141,7 +141,7 @@ class TestSelectWidthRadius:
         y = g + rng.normal(0.0, 0.1, size=n)
         data = Dataset(x=x, y=y)
         widths = width_grid(0.5, 2.0, 2.0)
-        grid = RadiusGrid(a=0.4, b=1.0, n=n)
+        grid = radius_grid(0.4, 1.0, n)
         cfg = _quiet_gauss_config(tau=0.8, nu=0.5, sigma=0.1, dim=1,
                                   width_grid=widths, radius_grid=grid)
         result = select_width_radius(data, cfg)
@@ -209,7 +209,7 @@ class TestSelectWidthRadius:
                                   width_grid=widths, radius_grid=grid)
         result = select_width_radius(data, cfg)
         path = fit_radius_path(data, GaussianKernel(result.gamma_hat, 1), grid)
-        ref = path[grid.values.index(result.r_hat)]
+        ref = path[grid.index(result.r_hat)]
         assert result.fit_hat.r == ref.r and result.fit_hat.mu == ref.mu
         assert np.array_equal(result.fit_hat.coeffs, ref.coeffs)
         assert np.array_equal(result.fit_hat.train_pred, ref.train_pred)
